@@ -7,12 +7,18 @@ read off a closed walk whose activation labels cover every node and which
 changes the state at least once.  Such a walk exists inside a strongly
 connected component if and only if some fair trajectory oscillates forever, so
 SCC decomposition decides convergence.
+
+A system is compiled once by ``transition_graph``; every operation accepts
+the resulting TransitionGraph in place of the system, so a caller asking
+several questions builds the graph and its SCCs once.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
 from typing import Union
 
 import numpy as np
@@ -23,7 +29,6 @@ from .core import (
     ActivationSet,
     HistorylessSystem,
     LiftedSystem,
-    State,
     resolve_budget,
 )
 from .errors import BudgetExceeded, InvalidInput, Unsupported
@@ -34,15 +39,6 @@ MAX_SUBSET_NODES = 16  # 2^n activation subsets are enumerated per state
 
 def subset_to_nodes(s: int, n: int) -> ActivationSet:
     return frozenset(i + 1 for i in range(n) if (s >> i) & 1)
-
-
-def nodes_to_subset(active, n: int) -> int:
-    s = 0
-    for i in active:
-        if not 1 <= i <= n:
-            raise InvalidInput(f"node index {i} out of range 1..{n}")
-        s |= 1 << (i - 1)
-    return s
 
 
 @dataclass(frozen=True)
@@ -60,11 +56,62 @@ ConvergenceVerdict = Union[Convergent, NonConvergent]
 
 @dataclass(frozen=True, eq=False)
 class TransitionGraph:
-    """Complete labeled multigraph: one edge per (state, activation subset)."""
+    """Compiled form of a historyless or lifted k-recall system.
 
-    system: HistorylessSystem
-    states: tuple[State, ...]
-    edges: tuple[tuple[State, ActivationSet, State], ...]
+    ``succ[s, a]`` is the encoded successor of state (or window) a under the
+    activation subset with bitmask s (bit i-1 = node i).  The SCC labels and
+    the fixed-point mask are computed on first use and cached.
+    """
+
+    system: HistorylessSystem | LiftedSystem
+    succ: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.system.n
+
+    @property
+    def _codec(self):
+        # ActionSpace and LiftedSystem share encode / decode / validate_state
+        return self.system.space if isinstance(self.system, HistorylessSystem) else self.system
+
+    def node(self, idx: int):
+        """The state (or window, for a lifted system) with encoded index idx."""
+        return self._codec.decode(idx)
+
+    def window(self, idx: int):
+        """The history window of node idx: a historyless state is a window of one."""
+        node = self.node(idx)
+        return (node,) if isinstance(self.system, HistorylessSystem) else node
+
+    def index(self, state) -> int:
+        return self._codec.encode(self._codec.validate_state(state))
+
+    @cached_property
+    def components(self) -> tuple[int, np.ndarray]:
+        """(number of SCCs, SCC label of every node)."""
+        return _strong_components(self.succ)
+
+    @cached_property
+    def fixed(self) -> np.ndarray:
+        """Mask of the nodes that every activation subset keeps in place."""
+        idx = np.arange(self.succ.shape[1], dtype=np.int64)
+        return (self.succ[0] == idx) & (self.succ[-1] == idx)
+
+    @property
+    def states(self) -> tuple:
+        return tuple(map(self.node, range(self.succ.shape[1])))
+
+    @property
+    def edges(self) -> tuple:
+        """One (state, activation set, state) edge per state and subset."""
+        states = self.states
+        labels = [subset_to_nodes(s, self.n) for s in range(self.succ.shape[0])]
+        return tuple(
+            (a, labels[s], states[b])
+            for a, column in zip(states, self.succ.T.tolist())
+            for s, b in enumerate(column)
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +132,7 @@ class CommitMap:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized successor tables
+# Compilation
 # ---------------------------------------------------------------------------
 
 
@@ -101,206 +148,111 @@ def _digit_matrix(count: int, sizes, weights) -> np.ndarray:
     return (idx[:, None] // weights[None, :]) % np.asarray(sizes, dtype=np.int64)[None, :]
 
 
-def _subset_masks(n: int) -> np.ndarray:
-    if n > MAX_SUBSET_NODES:
-        raise BudgetExceeded(
-            f"{n} nodes means 2^{n} activation subsets per state; refusing beyond {MAX_SUBSET_NODES}"
-        )
-    s = np.arange(1 << n, dtype=np.int64)
-    return ((s[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
-
-
-def _reaction_rows(system: HistorylessSystem) -> np.ndarray:
-    space = system.space
-    if system.table is not None:
-        rows = np.asarray(system.table, dtype=np.int64)
+def _reaction_rows(system, space, k: int) -> np.ndarray:
+    """(N, n) reaction array over the states, or over the k-windows in encoded
+    order, checked once for shape, integer type and range."""
+    if isinstance(system, LiftedSystem):
+        rows = [system.base.rule(w) for w in product(tuple(space.states()), repeat=k)]
+    elif system.table is not None:
+        rows = system.table
     else:
-        rows = np.empty((space.num_states, space.n), dtype=np.int64)
-        for i, state in enumerate(space.states()):
-            rows[i] = system.rule(state)
-    sizes = np.asarray(space.sizes, dtype=np.int64)
-    if (rows < 0).any() or (rows >= sizes[None, :]).any():
+        rows = [system.rule(state) for state in space.states()]
+    try:
+        rows = np.array(rows)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"reaction rule produced a malformed state: {exc}") from exc
+    if rows.shape != (space.num_states ** k, space.n) or rows.dtype.kind not in "biu":
+        raise InvalidInput(f"reaction rule must produce {space.n} integer actions per state")
+    rows = rows.astype(np.int64)
+    if (rows < 0).any() or (rows >= np.asarray(space.sizes, dtype=np.int64)).any():
         raise InvalidInput("reaction rule produced an out-of-range action")
     return rows
 
 
 def successor_matrix(system, budget: int | None = None) -> np.ndarray:
     """(2^n, N) array: entry [s, a] is the encoded successor of state a under
-    the activation subset with bitmask s (bit i-1 = node i)."""
-    limit = resolve_budget(budget)
+    the activation subset with bitmask s (bit i-1 = node i).
+
+    A historyless system is a lifted one whose windows hold one state: the
+    successor of a window drops its oldest state and appends the newest one
+    with the activated coordinates replaced by the reaction.
+    """
     if isinstance(system, HistorylessSystem):
-        space = system.space
-        space.check_budget(limit)
-        n = space.n
-        weights = _radix_weights(space.sizes)
-        digits = _digit_matrix(space.num_states, space.sizes, weights)
-        react = _reaction_rows(system)
-        masks = _subset_masks(n)
-        succ = np.empty((1 << n, space.num_states), dtype=np.int64)
-        for s in range(1 << n):
-            mixed = np.where(masks[s][None, :], react, digits)
-            succ[s] = mixed @ weights
-        return succ
-    if isinstance(system, LiftedSystem):
-        return _lifted_successor_matrix(system, limit)
-    raise Unsupported(f"no transition interface for {type(system).__name__}")
-
-
-def _lifted_successor_matrix(system: LiftedSystem, limit: int) -> np.ndarray:
-    base = system.base.space
-    k = system.k
-    n = base.n
-    total = system.num_states
-    if total > limit:
-        raise BudgetExceeded(f"{total} window states exceed the enumeration budget {limit}")
-    weights = _radix_weights(base.sizes)
-    react = np.empty((total, n), dtype=np.int64)
-    for i in range(total):
-        react[i] = system.base.reaction(system.decode(i))
-    idx = np.arange(total, dtype=np.int64)
-    nb = base.num_states
-    last_enc = idx % nb
-    last_digits = (last_enc[:, None] // weights[None, :]) % np.asarray(base.sizes, dtype=np.int64)[None, :]
-    shifted = (idx % (nb ** (k - 1))) * nb
-    masks = _subset_masks(n)
-    succ = np.empty((1 << n, total), dtype=np.int64)
-    for s in range(1 << n):
-        mixed = np.where(masks[s][None, :], react, last_digits)
-        succ[s] = shifted + mixed @ weights
+        space, k = system.space, 1
+        space.check_budget(budget)
+    elif isinstance(system, LiftedSystem):
+        space, k = system.base.space, system.k
+        limit = resolve_budget(budget)
+        if system.num_states > limit:
+            raise BudgetExceeded(
+                f"{system.num_states} window states exceed the enumeration budget {limit}"
+            )
+    else:
+        raise Unsupported(f"no transition interface for {type(system).__name__}")
+    n = space.n
+    if n > MAX_SUBSET_NODES:
+        raise BudgetExceeded(
+            f"{n} nodes means 2^{n} activation subsets per state; refusing beyond {MAX_SUBSET_NODES}"
+        )
+    nb = space.num_states
+    count = nb ** k
+    weights = _radix_weights(space.sizes)
+    # digits of the newest state; the radix weights divide nb, so the digits
+    # of a window index are those of its newest state
+    digits = _digit_matrix(count, space.sizes, weights)
+    delta = (_reaction_rows(system, space, k) - digits) * weights[None, :]
+    idx = np.arange(count, dtype=np.int64)
+    succ = np.empty((1 << n, count), dtype=np.int64)
+    succ[0] = (idx % (nb ** (k - 1))) * nb + idx % nb
+    for b in range(n):  # a subset with highest bit b adds node b+1 to a smaller one
+        succ[1 << b : 2 << b] = succ[: 1 << b] + delta[:, b]
     return succ
 
 
-def _decode(system, idx: int):
-    if isinstance(system, HistorylessSystem):
-        return system.space.decode(idx)
-    return system.decode(idx)
+def transition_graph(system, budget: int | None = None) -> TransitionGraph:
+    """Compile a historyless or lifted k-recall system into its transition
+    graph; every analyze operation accepts the result in place of the system."""
+    return TransitionGraph(system, successor_matrix(system, budget))
 
 
-def _initial_window(system, idx: int):
-    if isinstance(system, HistorylessSystem):
-        return (system.space.decode(idx),)
-    return system.decode(idx)
+def _compiled(system, budget: int | None) -> TransitionGraph:
+    return system if isinstance(system, TransitionGraph) else transition_graph(system, budget)
 
 
-def _scc(succ: np.ndarray) -> tuple[int, np.ndarray]:
-    m, count = succ.shape
-    indices = succ.T.ravel()
-    indptr = np.arange(0, count * m + 1, m, dtype=np.int64)
+def _strong_components(targets: np.ndarray) -> tuple[int, np.ndarray]:
+    """SCCs of the graph with an edge u -> targets[s, u] for every s where
+    that entry is >= 0 (negative entries are forbidden moves)."""
+    m, count = targets.shape
+    flat = targets.T.ravel()
+    keep = flat >= 0
+    indptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(keep.reshape(count, m).sum(axis=1), out=indptr[1:])
     graph = sparse.csr_matrix(
-        (np.ones(count * m, dtype=np.int8), indices, indptr), shape=(count, count)
+        (np.ones(int(indptr[-1]), dtype=np.int8), flat[keep], indptr), shape=(count, count)
     )
-    return connected_components(graph, directed=True, connection="strong")[0:2]
+    ncomp, labels = connected_components(graph, directed=True, connection="strong")
+    return int(ncomp), labels
 
 
-def _oscillating_components(succ: np.ndarray, labels: np.ndarray, ncomp: int, n: int) -> np.ndarray:
-    """Components with an internal state-changing edge whose internal labels
-    jointly activate every node."""
-    count = succ.shape[1]
-    idx = np.arange(count, dtype=np.int64)
-    cover = np.zeros(ncomp, dtype=np.int64)
-    changing = np.zeros(ncomp, dtype=bool)
-    for s in range(succ.shape[0]):
-        v = succ[s]
-        internal = labels == labels[v]
-        np.bitwise_or.at(cover, labels[internal], s)
-        moved = internal & (v != idx)
-        if moved.any():
-            np.logical_or.at(changing, labels[moved], True)
-    return changing & (cover == (1 << n) - 1)
-
-
-# ---------------------------------------------------------------------------
-# Public operations
-# ---------------------------------------------------------------------------
-
-
-def scc_count(system, budget: int | None = None) -> int:
-    """Number of strongly connected components of the transition graph."""
-    succ = successor_matrix(system, budget)
-    return int(_scc(succ)[0])
-
-
-def transition_graph(system: HistorylessSystem, budget: int | None = None) -> TransitionGraph:
-    """Materialize the full transition multigraph (one edge per activation subset)."""
-    succ = successor_matrix(system, budget)
-    space = system.space
-    n = space.n
-    states = tuple(space.states())
-    edges = []
-    for a_idx, a in enumerate(states):
-        for s in range(1 << n):
-            edges.append((a, subset_to_nodes(s, n), states[succ[s, a_idx]]))
-    return TransitionGraph(system=system, states=states, edges=tuple(edges))
-
-
-def stable_states(system, budget: int | None = None) -> frozenset:
-    """Exactly the fixed points of the full reaction map."""
-    succ = successor_matrix(system, budget)
-    idx = np.arange(succ.shape[1], dtype=np.int64)
-    fixed = (succ[0] == idx) & (succ[-1] == idx)
-    return frozenset(_decode(system, int(i)) for i in np.where(fixed)[0])
-
-
-def spectrum(system, state, budget: int | None = None) -> frozenset:
-    """Stable states reachable from the given state in the transition graph."""
-    succ = successor_matrix(system, budget)
-    count = succ.shape[1]
-    if isinstance(system, HistorylessSystem):
-        start = system.space.encode(system.space.validate_state(state))
-    else:
-        start = system.encode(system.validate_state(state))
-    visited = np.zeros(count, dtype=bool)
-    visited[start] = True
-    frontier = np.array([start], dtype=np.int64)
-    while frontier.size:
-        nxt = np.unique(succ[:, frontier])
-        nxt = nxt[~visited[nxt]]
-        visited[nxt] = True
-        frontier = nxt
-    idx = np.arange(count, dtype=np.int64)
-    fixed = (succ[0] == idx) & (succ[-1] == idx)
-    return frozenset(_decode(system, int(i)) for i in np.where(fixed & visited)[0])
-
-
-def decide_convergence(system, budget: int | None = None) -> ConvergenceVerdict:
-    """Does every fair trajectory from every initial state converge?
-
-    NonConvergent verdicts carry a witness: any state of an oscillating SCC as
-    the initial state, with the periodic schedule read off a covering closed
-    walk inside that SCC.
-    """
-    succ = successor_matrix(system, budget)
-    n = system.n
-    ncomp, labels = _scc(succ)
-    osc = _oscillating_components(succ, labels, ncomp, n)
-    if not osc.any():
-        return Convergent()
-    start = int(np.argmax(osc[labels]))
-    witness = _component_witness(system, succ, labels, int(labels[start]), n)
-    return NonConvergent(witness)
-
-
-def _bfs_inside(succ, labels, comp, start, is_goal):
-    """Deterministic BFS over internal edges; returns (subset labels, goal node)."""
+def _bfs_inside(targets: np.ndarray, labels, comp, start: int, is_goal):
+    """Deterministic BFS over the edges u -> targets[s, u] that stay inside
+    component comp; returns (subset labels along the path, goal node)."""
     if is_goal(start):
         return [], start
-    m = succ.shape[0]
     parent = {start: None}
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        for s in range(m):
-            v = int(succ[s, u])
-            if labels[v] != comp or v in parent:
+        for s, v in enumerate(targets[:, u].tolist()):
+            if v < 0 or labels[v] != comp or v in parent:
                 continue
             parent[v] = (u, s)
             if is_goal(v):
                 path = []
                 node = v
                 while parent[node] is not None:
-                    pu, ps = parent[node]
+                    node, ps = parent[node]
                     path.append(ps)
-                    node = pu
                 return list(reversed(path)), v
             queue.append(v)
     raise AssertionError("no internal path found; SCC invariant violated")
@@ -314,7 +266,76 @@ def _primitive_cycle(cycle: tuple) -> tuple:
     return cycle
 
 
-def _component_witness(system, succ, labels, comp, n) -> Witness:
+def _oscillating_components(graph: TransitionGraph) -> np.ndarray:
+    """Components with an internal state-changing edge whose internal labels
+    jointly activate every node."""
+    succ = graph.succ
+    ncomp, labels = graph.components
+    idx = np.arange(succ.shape[1], dtype=np.int64)
+    cover = np.zeros(ncomp, dtype=np.int64)
+    changing = np.zeros(ncomp, dtype=bool)
+    for s in range(succ.shape[0]):
+        v = succ[s]
+        internal = labels == labels[v]
+        np.bitwise_or.at(cover, labels[internal], s)
+        moved = internal & (v != idx)
+        if moved.any():
+            np.logical_or.at(changing, labels[moved], True)
+    return changing & (cover == (1 << graph.n) - 1)
+
+
+# ---------------------------------------------------------------------------
+# Public operations
+# ---------------------------------------------------------------------------
+
+
+def scc_count(system, budget: int | None = None) -> int:
+    """Number of strongly connected components of the transition graph."""
+    return _compiled(system, budget).components[0]
+
+
+def stable_states(system, budget: int | None = None) -> frozenset:
+    """Exactly the fixed points of the full reaction map."""
+    graph = _compiled(system, budget)
+    return frozenset(graph.node(int(i)) for i in np.where(graph.fixed)[0])
+
+
+def spectrum(system, state, budget: int | None = None) -> frozenset:
+    """Stable states reachable from the given state in the transition graph."""
+    graph = _compiled(system, budget)
+    succ = graph.succ
+    start = graph.index(state)
+    visited = np.zeros(succ.shape[1], dtype=bool)
+    visited[start] = True
+    frontier = np.array([start], dtype=np.int64)
+    while frontier.size:
+        nxt = np.unique(succ[:, frontier])
+        nxt = nxt[~visited[nxt]]
+        visited[nxt] = True
+        frontier = nxt
+    return frozenset(graph.node(int(i)) for i in np.where(graph.fixed & visited)[0])
+
+
+def decide_convergence(system, budget: int | None = None) -> ConvergenceVerdict:
+    """Does every fair trajectory from every initial state converge?
+
+    NonConvergent verdicts carry a witness: any state of an oscillating SCC as
+    the initial state, with the periodic schedule read off a covering closed
+    walk inside that SCC.
+    """
+    graph = _compiled(system, budget)
+    labels = graph.components[1]
+    osc = _oscillating_components(graph)
+    if not osc.any():
+        return Convergent()
+    start = int(np.argmax(osc[labels]))
+    return NonConvergent(_component_witness(graph, int(labels[start])))
+
+
+def _component_witness(graph: TransitionGraph, comp: int) -> Witness:
+    succ = graph.succ
+    labels = graph.components[1]
+    n = graph.n
     m = succ.shape[0]
     members = np.where(labels == comp)[0]
     # deterministic first state-changing internal edge
@@ -355,18 +376,18 @@ def _component_witness(system, succ, labels, comp, n) -> Witness:
     back, _ = _bfs_inside(succ, labels, comp, pos, lambda x: x == u0)
     walk.extend(back)
     cycle = _primitive_cycle(tuple(subset_to_nodes(s, n) for s in walk))
-    return Witness(initial=_initial_window(system, u0), cycle=cycle)
+    return Witness(initial=graph.window(u0), cycle=cycle)
 
 
 def committed_map(system, budget: int | None = None) -> CommitMap:
     """For each state: the unique stable state all fair trajectories reach, or
     None when the state is uncommitted (several reachable stable states, or a
     reachable fair oscillation)."""
-    succ = successor_matrix(system, budget)
+    graph = _compiled(system, budget)
+    succ = graph.succ
     count = succ.shape[1]
-    n = system.n
-    ncomp, labels = _scc(succ)
-    osc = _oscillating_components(succ, labels, ncomp, n)
+    ncomp, labels = graph.components
+    osc = _oscillating_components(graph)
 
     pair_keys = set()
     for s in range(succ.shape[0]):
@@ -394,9 +415,7 @@ def committed_map(system, budget: int | None = None) -> CommitMap:
                 reaches_osc[p] = True
                 queue.append(p)
 
-    idx = np.arange(count, dtype=np.int64)
-    fixed = (succ[0] == idx) & (succ[-1] == idx)
-    stable_idx = np.where(fixed)[0].tolist()
+    stable_idx = np.where(graph.fixed)[0].tolist()
     stable_bit = {int(si): 1 << j for j, si in enumerate(stable_idx)}
     own_bits = [0] * ncomp
     for si in stable_idx:
@@ -422,9 +441,9 @@ def committed_map(system, budget: int | None = None) -> CommitMap:
         c = int(labels[i])
         bits = reach_bits[c]
         if reaches_osc[c] or bits == 0 or bits & (bits - 1):
-            entries[_decode(system, i)] = None
+            entries[graph.node(i)] = None
         else:
-            entries[_decode(system, i)] = _decode(system, stable_idx[bits.bit_length() - 1])
+            entries[graph.node(i)] = graph.node(stable_idx[bits.bit_length() - 1])
     return CommitMap(entries=entries)
 
 
@@ -444,10 +463,10 @@ def decide_r_convergence(system, r: int, budget: int | None = None) -> Convergen
     """
     if r < 1:
         raise InvalidInput(f"r must be >= 1, got {r}")
-    succ = successor_matrix(system, budget)
-    n = system.n
-    count = succ.shape[1]
-    m = succ.shape[0]
+    graph = _compiled(system, budget)
+    succ = graph.succ
+    n = graph.n
+    m, count = succ.shape
     M = r ** n
     limit = resolve_budget(budget)
     if count * M > limit:
@@ -457,7 +476,7 @@ def decide_r_convergence(system, r: int, budget: int | None = None) -> Convergen
 
     rweights = _radix_weights([r] * n)
     cdig = _digit_matrix(M, [r] * n, rweights)
-    masks = _subset_masks(n)
+    masks = ((np.arange(m)[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
     cmap = np.empty((m, M), dtype=np.int64)
     for s in range(m):
         new = np.where(masks[s][None, :], 0, cdig + 1)
@@ -494,52 +513,34 @@ def decide_r_convergence(system, r: int, budget: int | None = None) -> Convergen
             pieces.append(uniq)
         frontier = np.sort(np.concatenate(pieces)) if pieces else np.empty(0, dtype=np.int64)
 
+    # product edges between reachable states, by position in ``reachable``:
+    # targets[s, j] is the position of the successor of reachable[j] under s,
+    # or -1 where s would push a counter to r
     reachable = np.where(visited)[0]
-    R = reachable.size
     pos = np.full(total, -1, dtype=np.int64)
-    pos[reachable] = np.arange(R)
-
-    rows, cols, esub = [], [], []
-    for s in range(m):
-        vc = cmap[s, reachable % M]
-        ok = vc >= 0
-        src_rows = np.where(ok)[0]
-        tgt = succ[s, reachable[ok] // M] * M + vc[ok]
-        rows.append(src_rows)
-        cols.append(pos[tgt])
-        esub.append(np.full(src_rows.size, s, dtype=np.int16))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    esub = np.concatenate(esub)
-    graph = sparse.csr_matrix(
-        (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(R, R)
-    )
-    ncomp, labels = connected_components(graph, directed=True, connection="strong")[0:2]
-
+    pos[reachable] = np.arange(reachable.size)
+    vc = cmap[:, reachable % M]
     u_state = reachable // M
-    internal = labels[rows] == labels[cols]
-    moved = internal & (u_state[rows] != u_state[cols])
+    targets = np.where(vc >= 0, pos[succ[:, u_state] * M + vc], -1)
+    labels = _strong_components(targets)[1]
+
+    moved = (targets >= 0) & (labels[targets] == labels) & (u_state[targets] != u_state)
     if not moved.any():
         return Convergent()
 
     # deterministic changing edge: smallest (product index, subset)
-    cand = np.where(moved)[0]
-    order = np.lexsort((esub[cand], reachable[rows[cand]]))
-    pick = cand[order[0]]
-    u_prod = int(reachable[rows[pick]])
-    s_chg = int(esub[pick])
-    v_row = int(cols[pick])
-    comp = int(labels[rows[pick]])
+    j, s_chg = divmod(int(np.argmax(moved.T.ravel())), m)
+    comp = int(labels[j])
 
     prefix_subsets = []
-    node = u_prod
+    node = int(reachable[j])
     while parent[node] >= 0:
         prefix_subsets.append(int(pedge[node]))
         node = int(parent[node])
     prefix_subsets.reverse()
     source_state = int(node // M)
 
-    back = _product_bfs(succ, cmap, M, labels, pos, comp, int(reachable[v_row]), u_prod)
+    back, _ = _bfs_inside(targets, labels, comp, int(targets[s_chg, j]), lambda x: x == j)
     cycle = _primitive_cycle(
         tuple(subset_to_nodes(s, n) for s in [s_chg] + back)
     )
@@ -547,36 +548,5 @@ def decide_r_convergence(system, r: int, budget: int | None = None) -> Convergen
     full_nodes = frozenset(range(1, n + 1))
     assert frozenset().union(*cycle) == full_nodes, "r-fair cycle must activate every node"
     return NonConvergent(
-        Witness(initial=_initial_window(system, source_state), cycle=cycle, prefix=prefix)
+        Witness(initial=graph.window(source_state), cycle=cycle, prefix=prefix)
     )
-
-
-def _product_bfs(succ, cmap, M, labels, pos, comp, start, goal):
-    """BFS over product edges restricted to one SCC, from start back to goal."""
-    if start == goal:
-        return []
-    m = succ.shape[0]
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        uc = u % M
-        us = u // M
-        for s in range(m):
-            vc = int(cmap[s, uc])
-            if vc < 0:
-                continue
-            v = int(succ[s, us]) * M + vc
-            if pos[v] < 0 or labels[pos[v]] != comp or v in parent:
-                continue
-            parent[v] = (u, s)
-            if v == goal:
-                path = []
-                node = v
-                while parent[node] is not None:
-                    pu, ps = parent[node]
-                    path.append(ps)
-                    node = pu
-                return list(reversed(path))
-            queue.append(v)
-    raise AssertionError("no product path found; SCC invariant violated")

@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from . import analyze, games, reductions, simulate, uncoupled
+from . import __version__, analyze, games, reductions, simulate, uncoupled
 from .core import (
     ActionSpace,
     ExplicitList,
@@ -36,8 +36,6 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-
-__version__ = "0.1.0"
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 10
@@ -106,6 +104,7 @@ def _validate_system(spec, path: str):
         inputs = _list_field(spec, "inputs", path)
         for i, item in enumerate(inputs):
             _expect(isinstance(item, dict) and "name" in item and "value" in item, f"{path}.inputs[{i}]", "expected {name, value}")
+            _expect(item["value"] in (0, 1), f"{path}.inputs[{i}].value", "expected a bit (0 or 1)")
         gates = _list_field(spec, "gates", path)
         for i, item in enumerate(gates):
             _expect(
@@ -198,6 +197,9 @@ def _validate_simulation(spec, path: str):
         _list_field(schedule, "sets", f"{path}.schedule")
     if kind == "r-fair":
         _int_field(schedule, "r", f"{path}.schedule", minimum=1)
+    if kind == "random" and "p" in schedule:
+        p = schedule["p"]
+        _expect(isinstance(p, (int, float)) and 0 <= p <= 1, f"{path}.schedule.p", "expected a probability in [0, 1]")
     if "max_steps" in spec:
         _int_field(spec, "max_steps", path, minimum=1)
 
@@ -421,24 +423,25 @@ def _cmd_analyze(doc: ScenarioDocument, args, result: dict) -> int:
         system = games.br_system(_game_from_spec(doc.game), tie_break="min")
     budget = args.budget
     t0 = time.perf_counter()
-    stable = sorted(analyze.stable_states(system, budget))
+    graph = analyze.transition_graph(system, budget)
+    stable = sorted(analyze.stable_states(graph))
     result["stable_states"] = [_state_json(s) for s in stable]
     result["statistics"] = {
         "states": system.num_states,
-        "sccs": analyze.scc_count(system, budget),
+        "sccs": analyze.scc_count(graph),
     }
     if kind == "convergence":
-        verdict = analyze.decide_convergence(system, budget)
+        verdict = analyze.decide_convergence(graph)
     elif kind == "r-convergence":
-        verdict = analyze.decide_r_convergence(system, doc.analysis["r"], budget)
+        verdict = analyze.decide_r_convergence(graph, doc.analysis["r"], budget)
     elif kind == "spectrum":
-        reachable = sorted(analyze.spectrum(system, tuple(doc.analysis["state"]), budget))
+        reachable = sorted(analyze.spectrum(graph, tuple(doc.analysis["state"])))
         result["spectrum"] = [_state_json(s) for s in reachable]
         result["verdict"] = "ok"
         result["statistics"]["runtime_s"] = round(time.perf_counter() - t0, 6)
         return EXIT_OK
     else:  # committed
-        cmap = analyze.committed_map(system, budget)
+        cmap = analyze.committed_map(graph)
         result["committed"] = [
             {
                 "state": _state_json(s),

@@ -32,13 +32,12 @@ def resolve_budget(budget: int | None = None) -> int:
             raise InvalidInput("budget must be positive")
         return budget
     env = os.environ.get(BUDGET_ENV_VAR)
-    if env:
-        return int(env)
-    return DEFAULT_STATE_BUDGET
-
-
-def activation_set(nodes: Iterable[int]) -> ActivationSet:
-    return frozenset(int(i) for i in nodes)
+    if not env:
+        return DEFAULT_STATE_BUDGET
+    try:
+        return resolve_budget(int(env))
+    except (ValueError, InvalidInput):
+        raise InvalidInput(f"{BUDGET_ENV_VAR} must be a positive integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -103,11 +102,6 @@ class ActionSpace:
                 f"{self.num_states} joint states exceed the enumeration budget {limit}"
             )
         return self.num_states
-
-
-def without(state: State, node: int) -> State:
-    """Projection a_{-i}: drop the 1-based node's coordinate."""
-    return state[: node - 1] + state[node:]
 
 
 @dataclass(frozen=True)

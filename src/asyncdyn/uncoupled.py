@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Union
 
-from .core import ActionSpace, KRecallSystem, State, resolve_budget
+from .core import ActionSpace, KRecallSystem, State, lift_k_recall, resolve_budget
 from .errors import BudgetExceeded, InvalidInput, Unsupported
 from .games import Game, enumerate_pne
 
@@ -144,11 +145,9 @@ class SupportSystem:
 
     def successors(self, state) -> list[State]:
         """All states reachable in one synchronous step with positive probability."""
-        import itertools
-
         state = self.space.validate_state(state)
         sets = [sorted(self.support(i, state)) for i in range(1, self.space.n + 1)]
-        return [tuple(choice) for choice in itertools.product(*sets)]
+        return [tuple(choice) for choice in product(*sets)]
 
 
 def support_system(game: Game, budget: int | None = None) -> SupportSystem:
@@ -204,24 +203,17 @@ def check_self_stabilization(
     limit = resolve_budget(budget)
     if total > limit:
         raise BudgetExceeded(f"{total} initial windows exceed the budget {limit}")
-    if not any(_pne_mask(game)):
-        return NoPNE()
     pne = _pne_mask(game)
+    if not any(pne):
+        return NoPNE()
 
-    states_by_idx = list(space.states())
+    # windows in encoded order (oldest state most significant)
+    states = tuple(space.states())
     shift_mod = nstates ** (k - 1)
-    nxt = [0] * total
-    last_state = [0] * total
-    for enc in range(total):
-        rest, codes = enc, []
-        for _ in range(k):
-            codes.append(rest % nstates)
-            rest //= nstates
-        codes.reverse()
-        window = tuple(states_by_idx[c] for c in codes)
-        target = system.rule(window)
-        nxt[enc] = (enc % shift_mod) * nstates + space.encode(target)
-        last_state[enc] = codes[-1]
+    nxt = [
+        (enc % shift_mod) * nstates + space.encode(system.rule(window))
+        for enc, window in enumerate(product(states, repeat=k))
+    ]
 
     # functional-graph classification: a window is bad iff its eventual cycle
     # contains a non-PNE state
@@ -239,7 +231,7 @@ def check_self_stabilization(
         if status[node] == 1:  # found a fresh cycle; classify it
             cycle_start = chain.index(node)
             cycle = chain[cycle_start:]
-            cycle_bad = any(not pne[last_state[w]] for w in cycle)
+            cycle_bad = any(not pne[w % nstates] for w in cycle)
             for w in cycle:
                 bad[w] = cycle_bad
                 status[w] = 2
@@ -248,14 +240,8 @@ def check_self_stabilization(
         for w in reversed(chain):
             bad[w] = inherited
             status[w] = 2
-    for enc in range(total):
-        if bad[enc]:
-            rest, codes = enc, []
-            for _ in range(k):
-                codes.append(rest % nstates)
-                rest //= nstates
-            codes.reverse()
-            return Fails(witness=tuple(states_by_idx[c] for c in codes))
+    if any(bad):
+        return Fails(witness=lift_k_recall(system).decode(bad.index(True)))
     return SelfStabilizing()
 
 
@@ -314,10 +300,6 @@ def simulate_stay_or_roll(
 def to_one_based(state) -> tuple[int, ...]:
     """Render an internal 0-based state in the protocols' 1-based convention."""
     return tuple(a + 1 for a in state)
-
-
-def from_one_based(state) -> tuple[int, ...]:
-    return tuple(a - 1 for a in state)
 
 
 def fixture_game_2x2x2() -> Game:

@@ -18,8 +18,11 @@ from asyncdyn.analyze import (
     committed_map,
     decide_convergence,
     decide_r_convergence,
+    scc_count,
     spectrum,
     stable_states,
+    subset_to_nodes,
+    successor_matrix,
     transition_graph,
 )
 from asyncdyn.core import ActionSpace, HistorylessSystem, check_r_fair, lift_k_recall, KRecallSystem
@@ -82,6 +85,63 @@ class TestTransitionGraph:
         system = HistorylessSystem.from_rule(ActionSpace((4, 4, 4)), lambda s: s)
         with pytest.raises(BudgetExceeded):
             transition_graph(system, budget=10)
+
+    @pytest.mark.parametrize(
+        "bad_rule",
+        [lambda s: (0.7, s[1]), lambda s: (0,), lambda s: (2, 0)],
+        ids=["fraction", "short-row", "out-of-range"],
+    )
+    def test_rejects_rules_that_reaction_rejects(self, bad_rule):
+        """Non-integer actions are not truncated and short rows are not
+        broadcast: the analyzer refuses what ``reaction`` refuses."""
+        system = HistorylessSystem.from_rule(ActionSpace((2, 2)), bad_rule)
+        with pytest.raises(InvalidInput):
+            system.reaction((0, 0))
+        with pytest.raises(InvalidInput):
+            stable_states(system)
+
+
+FIXTURE_SYSTEMS = [
+    ("fig1", {}),
+    ("ex-three-stable", {}),
+    ("ex-unbounded-latched", {}),
+    ("ring", {"n": 4}),
+    ("futile", {"n": 3}),
+]
+
+
+@pytest.mark.parametrize("name, params", FIXTURE_SYSTEMS)
+def test_graph_answers_match_system_answers(name, params):
+    """Every operation gives the same answer, witnesses included, on the
+    compiled graph as on the system it was compiled from."""
+    system = fixture(name, **params)
+    graph = transition_graph(system)
+    assert stable_states(graph) == stable_states(system)
+    assert scc_count(graph) == scc_count(system)
+    assert decide_convergence(graph) == decide_convergence(system)
+    for r in (2, 4):
+        assert decide_r_convergence(graph, r) == decide_r_convergence(system, r)
+    assert committed_map(graph).entries == committed_map(system).entries
+    for state in system.space.states():
+        assert spectrum(graph, state) == spectrum(system, state)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=30, deadline=None)
+def test_lifted_successors_match_transition(seed):
+    """Every entry of the lifted successor array is the encoded window that
+    LiftedSystem.transition produces, on random 2-recall systems over spaces
+    of at most three states."""
+    rng = random.Random(seed)
+    space = rng.choice([ActionSpace((2,)), ActionSpace((3,)), ActionSpace((1, 2)), ActionSpace((1, 3))])
+    states = list(space.states())
+    table = {w: rng.choice(states) for w in itertools.product(states, repeat=2)}
+    lifted = lift_k_recall(KRecallSystem(space=space, k=2, rule=lambda w: table[w]))
+    succ = successor_matrix(lifted)
+    for window in itertools.product(states, repeat=2):
+        for mask in range(1 << space.n):
+            nxt = lifted.transition(window, subset_to_nodes(mask, space.n))
+            assert succ[mask, lifted.encode(window)] == lifted.encode(nxt)
 
 
 class TestStableStates:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import asyncdyn
 from asyncdyn.analyze import transition_graph
 from asyncdyn.cli import export_dot, parse_scenario, run_command
 from asyncdyn.core import ActionSpace, HistorylessSystem
@@ -130,6 +131,10 @@ class TestAnalyzeCommand:
         h2 = invoke_json(["analyze", "--scenario", p2])[1]["provenance"]["scenario_sha256"]
         h3 = invoke_json(["analyze", "--scenario", p3])[1]["provenance"]["scenario_sha256"]
         assert h1 == h2 != h3
+
+    def test_provenance_version_is_package_version(self, tmp_path):
+        doc = invoke_json(["analyze", "--scenario", write_scenario(tmp_path, FIG1_ANALYZE)])[1]
+        assert doc["provenance"]["version"] == asyncdyn.__version__
 
     def test_budget_exceeded_exit_3(self, tmp_path):
         scenario = {
@@ -281,3 +286,43 @@ class TestExportDot:
         assert invoke(["export-dot", "--scenario", path]) == invoke(
             ["export-dot", "--scenario", path]
         )
+
+
+class TestMalformedInputExit2:
+    """Malformed input ends with exit code 2 and names the bad field."""
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_bad_budget_env(self, tmp_path, monkeypatch, value):
+        # uncoupled-check reads the budget without an ActionSpace.check_budget call
+        monkeypatch.setenv("ASYNCDYN_BUDGET", value)
+        scenario = {
+            "version": 1,
+            "game": {"sizes": [2, 2], "utilities": [[1, 0, 0, 1], [1, 0, 0, 1]]},
+            "analysis": {"kind": "uncoupled-check", "protocol": "three-recall"},
+        }
+        code, doc = invoke_json(["uncoupled-check", "--scenario", write_scenario(tmp_path, scenario)])
+        assert code == 2
+        assert "ASYNCDYN_BUDGET" in doc["error"]
+
+    def test_circuit_input_value_not_a_bit(self, tmp_path):
+        scenario = {
+            "version": 1,
+            "system": {
+                "kind": "circuit",
+                "inputs": [{"name": "x", "value": "a"}],
+                "gates": [{"name": "g", "inputs": ["x"], "table": [1, 0]}],
+            },
+            "analysis": {"kind": "convergence"},
+        }
+        code, doc = invoke_json(["analyze", "--scenario", write_scenario(tmp_path, scenario)])
+        assert code == 2
+        assert doc["error"].startswith("system.inputs[0].value:")
+
+    def test_random_schedule_p_not_a_number(self, tmp_path):
+        scenario = dict(
+            FIG1_ANALYZE,
+            simulation={"initial": [0, 1], "schedule": {"kind": "random", "p": "hi", "seed": 1}},
+        )
+        code, doc = invoke_json(["simulate", "--scenario", write_scenario(tmp_path, scenario)])
+        assert code == 2
+        assert doc["error"].startswith("simulation.schedule.p:")

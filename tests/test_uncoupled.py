@@ -1,6 +1,7 @@
 """Uncoupled protocols: step case analyses, proof-structure properties, and
 the exhaustive self-stabilization checkers."""
 
+import dataclasses
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from asyncdyn.core import ActionSpace, Synchronous
 from asyncdyn.errors import Unsupported
 from asyncdyn.games import Game, enumerate_pne
+from asyncdyn import uncoupled
 from asyncdyn.simulate import run, Converged
 from asyncdyn.uncoupled import (
     Fails,
@@ -257,6 +259,19 @@ class TestCheckSelfStabilization:
         game = random_game(random.Random(seed), (2, 3), hi=2)
         verdict = check_self_stabilization("three-recall", game)
         assert isinstance(verdict, (SelfStabilizing, NoPNE))
+
+    def test_fails_witness_is_least_bad_window(self, coordination, monkeypatch):
+        """A rule that repeats the last state is stuck wherever a window
+        ends; the witness is the first window, in encoded order (oldest state
+        most significant), that ends at a non-PNE state."""
+        real = uncoupled.protocol_system
+
+        def repeat_last(protocol, game):
+            return dataclasses.replace(real(protocol, game), rule=lambda window: window[-1])
+
+        monkeypatch.setattr(uncoupled, "protocol_system", repeat_last)
+        verdict = check_self_stabilization("three-recall", coordination)
+        assert verdict == Fails(witness=((0, 0), (0, 0), (0, 1)))
 
     def test_three_recall_trajectory_agrees(self, coordination):
         """The checker's verdict matches a direct synchronous run."""
