@@ -2,6 +2,7 @@
 """Print the r-convergence thresholds of the ring family and the snake-gadget
 systems: the ring flips from convergent to non-convergent at r = n-1, the
 snake systems at r = |S| for the snake length |S| of the underlying hypercube.
+A cell whose r-counter product exceeds the enumeration budget reads "budget".
 
 Usage: python scripts/r_thresholds.py [--max-ring N] [--snake-nodes N]
 """
@@ -10,30 +11,32 @@ import argparse
 import time
 
 from asyncdyn.analyze import Convergent, decide_r_convergence
+from asyncdyn.errors import BudgetExceeded
 from asyncdyn.reductions import build_snake_system, fixture, snake_for_system
+
+
+def verdict_cell(system, r: int) -> str:
+    """conv or osc, or budget where the r-counter product exceeds the budget."""
+    try:
+        verdict = decide_r_convergence(system, r)
+    except BudgetExceeded:
+        return "budget"
+    return "conv" if isinstance(verdict, Convergent) else "osc"
 
 
 def ring_row(n: int) -> str:
     ring = fixture("ring", n=n)
-    cells = []
-    for r in range(1, n + 1):
-        verdict = decide_r_convergence(ring, r)
-        cells.append("conv" if isinstance(verdict, Convergent) else "osc ")
-    return f"ring n={n}:  " + "  ".join(f"r={r}:{c}" for r, c in enumerate(cells, 1))
+    cells = [f"r={r}:{verdict_cell(ring, r):<4}" for r in range(1, n + 1)]
+    return f"ring n={n}:  " + "  ".join(cells)
 
 
 def snake_row(n: int) -> str:
     system = build_snake_system(n)
     q = len(snake_for_system(n))
     t0 = time.time()
-    low = decide_r_convergence(system, q - 1)
-    high = decide_r_convergence(system, q)
-    return (
-        f"snake n={n} (|S|={q}):  r={q-1}:"
-        f"{'conv' if isinstance(low, Convergent) else 'osc'}  r={q}:"
-        f"{'conv' if isinstance(high, Convergent) else 'osc'}"
-        f"  ({time.time() - t0:.1f}s)"
-    )
+    low = verdict_cell(system, q - 1)
+    high = verdict_cell(system, q)
+    return f"snake n={n} (|S|={q}):  r={q-1}:{low}  r={q}:{high}  ({time.time() - t0:.1f}s)"
 
 
 def main():

@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Union
 
 import numpy as np
@@ -26,6 +25,7 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from .core import (
+    ActionSpace,
     ActivationSet,
     HistorylessSystem,
     LiftedSystem,
@@ -136,39 +136,6 @@ class CommitMap:
 # ---------------------------------------------------------------------------
 
 
-def _radix_weights(sizes) -> np.ndarray:
-    w = np.ones(len(sizes), dtype=np.int64)
-    for i in range(len(sizes) - 2, -1, -1):
-        w[i] = w[i + 1] * sizes[i + 1]
-    return w
-
-
-def _digit_matrix(count: int, sizes, weights) -> np.ndarray:
-    idx = np.arange(count, dtype=np.int64)
-    return (idx[:, None] // weights[None, :]) % np.asarray(sizes, dtype=np.int64)[None, :]
-
-
-def _reaction_rows(system, space, k: int) -> np.ndarray:
-    """(N, n) reaction array over the states, or over the k-windows in encoded
-    order, checked once for shape, integer type and range."""
-    if isinstance(system, LiftedSystem):
-        rows = [system.base.rule(w) for w in product(tuple(space.states()), repeat=k)]
-    elif system.table is not None:
-        rows = system.table
-    else:
-        rows = [system.rule(state) for state in space.states()]
-    try:
-        rows = np.array(rows)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"reaction rule produced a malformed state: {exc}") from exc
-    if rows.shape != (space.num_states ** k, space.n) or rows.dtype.kind not in "biu":
-        raise InvalidInput(f"reaction rule must produce {space.n} integer actions per state")
-    rows = rows.astype(np.int64)
-    if (rows < 0).any() or (rows >= np.asarray(space.sizes, dtype=np.int64)).any():
-        raise InvalidInput("reaction rule produced an out-of-range action")
-    return rows
-
-
 def successor_matrix(system, budget: int | None = None) -> np.ndarray:
     """(2^n, N) array: entry [s, a] is the encoded successor of state a under
     the activation subset with bitmask s (bit i-1 = node i).
@@ -178,15 +145,9 @@ def successor_matrix(system, budget: int | None = None) -> np.ndarray:
     with the activated coordinates replaced by the reaction.
     """
     if isinstance(system, HistorylessSystem):
-        space, k = system.space, 1
-        space.check_budget(budget)
+        space = system.space
     elif isinstance(system, LiftedSystem):
-        space, k = system.base.space, system.k
-        limit = resolve_budget(budget)
-        if system.num_states > limit:
-            raise BudgetExceeded(
-                f"{system.num_states} window states exceed the enumeration budget {limit}"
-            )
+        space = system.base.space
     else:
         raise Unsupported(f"no transition interface for {type(system).__name__}")
     n = space.n
@@ -194,16 +155,14 @@ def successor_matrix(system, budget: int | None = None) -> np.ndarray:
         raise BudgetExceeded(
             f"{n} nodes means 2^{n} activation subsets per state; refusing beyond {MAX_SUBSET_NODES}"
         )
+    rows = system.reaction_rows(budget)
     nb = space.num_states
-    count = nb ** k
-    weights = _radix_weights(space.sizes)
-    # digits of the newest state; the radix weights divide nb, so the digits
-    # of a window index are those of its newest state
-    digits = _digit_matrix(count, space.sizes, weights)
-    delta = (_reaction_rows(system, space, k) - digits) * weights[None, :]
+    count = rows.shape[0]
+    # the digits of a window index are those of its newest state
+    delta = ((rows.reshape(-1, nb, n) - space.digits()) * space.weights).reshape(count, n)
     idx = np.arange(count, dtype=np.int64)
     succ = np.empty((1 << n, count), dtype=np.int64)
-    succ[0] = (idx % (nb ** (k - 1))) * nb + idx % nb
+    succ[0] = (idx % (count // nb)) * nb + idx % nb
     for b in range(n):  # a subset with highest bit b adds node b+1 to a smaller one
         succ[1 << b : 2 << b] = succ[: 1 << b] + delta[:, b]
     return succ
@@ -474,8 +433,9 @@ def decide_r_convergence(system, r: int, budget: int | None = None) -> Convergen
             f"product graph has {count * M} states, exceeding the budget {limit}"
         )
 
-    rweights = _radix_weights([r] * n)
-    cdig = _digit_matrix(M, [r] * n, rweights)
+    counters = ActionSpace((r,) * n)
+    rweights = counters.weights
+    cdig = counters.digits()
     masks = ((np.arange(m)[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
     cmap = np.empty((m, M), dtype=np.int64)
     for s in range(m):

@@ -525,13 +525,10 @@ def _cmd_uncoupled_check(doc: ScenarioDocument, args, result: dict) -> int:
 def _cmd_build(doc: ScenarioDocument, args, result: dict) -> int:
     if doc.system is None:
         raise SchemaError("system", "the build command needs a system source")
-    system = _system_from_spec(doc.system).tabulate(args.budget)
+    system = _system_from_spec(doc.system)
+    rows = system.reaction_rows(args.budget)
     result["verdict"] = "ok"
-    result["system"] = {
-        "kind": "table",
-        "sizes": list(system.space.sizes),
-        "table": [_state_json(row) for row in system.table],
-    }
+    result["system"] = {"kind": "table", "sizes": list(system.space.sizes), "table": rows.tolist()}
     result["statistics"] = {"states": system.num_states, "nodes": system.n}
     return EXIT_OK
 

@@ -9,11 +9,14 @@ graph index is needed, and the encode/decode bijection lives on ActionSpace.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Iterable, Iterator, Union
+
+import numpy as np
 
 from .errors import BudgetExceeded, InsufficientHistory, InvalidInput, Unsupported
 
@@ -38,6 +41,21 @@ def resolve_budget(budget: int | None = None) -> int:
         return resolve_budget(int(env))
     except (ValueError, InvalidInput):
         raise InvalidInput(f"{BUDGET_ENV_VAR} must be a positive integer, got {env!r}") from None
+
+
+def _check_count(count: int, what: str, budget: int | None) -> int:
+    limit = resolve_budget(budget)
+    if count > limit:
+        raise BudgetExceeded(f"{count} {what} exceed the enumeration budget {limit}")
+    return count
+
+
+def _as_action(a) -> int:
+    """An action of any integer type (numpy integers included) as a Python int."""
+    try:
+        return operator.index(a)
+    except TypeError:
+        raise InvalidInput(f"action {a} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -75,6 +93,16 @@ class ActionSpace:
             idx //= k
         return tuple(reversed(out))
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Mixed-radix place values: ``encode(s) == s @ weights``."""
+        return np.cumprod((1,) + self.sizes[:0:-1], dtype=np.int64)[::-1]
+
+    def digits(self) -> np.ndarray:
+        """(N, n) array whose row i is ``decode(i)``."""
+        idx = np.arange(self.num_states, dtype=np.int64)
+        return idx[:, None] // self.weights % np.array(self.sizes, dtype=np.int64)
+
     def states(self) -> Iterator[State]:
         """All joint states in encoded (lexicographic) order."""
         return product(*(range(k) for k in self.sizes))
@@ -84,7 +112,9 @@ class ActionSpace:
         if len(state) != self.n:
             raise InvalidInput(f"state {state} has {len(state)} coordinates, expected {self.n}")
         for a, k in zip(state, self.sizes):
-            if not isinstance(a, int) or not 0 <= a < k:
+            if not isinstance(a, int):
+                return self.validate_state(tuple(map(_as_action, state)))
+            if not 0 <= a < k:
                 raise InvalidInput(f"action {a} out of range [0, {k}) in state {state}")
         return state
 
@@ -96,12 +126,25 @@ class ActionSpace:
         return active
 
     def check_budget(self, budget: int | None = None) -> int:
-        limit = resolve_budget(budget)
-        if self.num_states > limit:
-            raise BudgetExceeded(
-                f"{self.num_states} joint states exceed the enumeration budget {limit}"
-            )
-        return self.num_states
+        return _check_count(self.num_states, "joint states", budget)
+
+
+def _checked_rows(space: ActionSpace, rows, count: int) -> np.ndarray:
+    """The one validator of a tabulated reaction: ``count`` rows of one
+    integer action per node, each in range; returned as an int64 array."""
+    try:
+        rows = np.array(rows)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"reaction produced a malformed state: {exc}") from exc
+    if rows.shape != (count, space.n) or rows.dtype.kind not in "biu":
+        raise InvalidInput(
+            f"reaction must give {count} rows of {space.n} integer actions, got an array "
+            f"of shape {rows.shape} and type {rows.dtype}"
+        )
+    rows = rows.astype(np.int64)
+    if (rows < 0).any() or (rows >= np.array(space.sizes, dtype=np.int64)).any():
+        raise InvalidInput(f"reaction produced an action out of range for sizes {space.sizes}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -125,12 +168,8 @@ class HistorylessSystem:
 
     @classmethod
     def from_table(cls, space: ActionSpace, rows: Iterable[State], name: str = "") -> "HistorylessSystem":
-        table = tuple(space.validate_state(row) for row in rows)
-        if len(table) != space.num_states:
-            raise InvalidInput(
-                f"reaction table has {len(table)} rows, expected {space.num_states}"
-            )
-        return cls(space=space, table=table, name=name)
+        rows = _checked_rows(space, list(rows), space.num_states)
+        return cls(space=space, table=tuple(map(tuple, rows.tolist())), name=name)
 
     @classmethod
     def from_rule(
@@ -159,19 +198,16 @@ class HistorylessSystem:
     def transition(self, state: State, active: Iterable[int]) -> State:
         return step(self, state, active)
 
-    def tabulate(self, budget: int | None = None) -> "HistorylessSystem":
-        """Materialized copy; the table is computed from the rule within budget."""
-        if self.table is not None:
-            return self
+    def reaction_rows(self, budget: int | None = None) -> np.ndarray:
+        """(N, n) int64 array whose row i is the reaction at the state with
+        index i: the one tabulation of a reaction, checked once."""
         self.space.check_budget(budget)
-        rows = tuple(self.space.validate_state(self.rule(s)) for s in self.space.states())
-        return HistorylessSystem(
-            space=self.space,
-            table=rows,
-            rule=self.rule,
-            self_independent_hint=self.self_independent_hint,
-            name=self.name,
-        )
+        rows = self.table if self.table is not None else list(map(self.rule, self.space.states()))
+        return _checked_rows(self.space, rows, self.num_states)
+
+    def tabulate(self, budget: int | None = None) -> "HistorylessSystem":
+        """Copy backed by a table of the reaction rows, within budget."""
+        return replace(self, table=tuple(map(tuple, self.reaction_rows(budget).tolist())))
 
 
 @dataclass(frozen=True)
@@ -280,35 +316,33 @@ def check_self_independent(
 ) -> SelfIndependence:
     """Does every node's reaction ignore that node's own current action?
 
-    Exhaustive over all pairs of states differing in one coordinate.  Beyond the
-    enumeration budget the declared hint is trusted if present.
+    Exhaustive over all pairs of states differing in one coordinate: node i's
+    column of the reaction rows must be constant along axis i.  Each violation
+    pairs a state where node i plays 0 with the first variant that changes
+    node i's reaction.  Beyond the enumeration budget the declared hint is
+    trusted if present.
     """
+    try:
+        rows = system.reaction_rows(budget)
+    except BudgetExceeded:
+        if system.self_independent_hint is None:
+            raise
+        return SelfIndependence(system.self_independent_hint, ())
     space = system.space
-    limit = resolve_budget(budget)
-    if space.num_states > limit:
-        if system.self_independent_hint is not None:
-            return SelfIndependence(system.self_independent_hint, ())
-        raise BudgetExceeded(
-            f"{space.num_states} joint states exceed the enumeration budget {limit}"
-        )
-    tabulated = system.tabulate(limit)
+    index = np.arange(space.num_states).reshape(space.sizes)
+    ok = True
     violations: list[tuple[int, State, State]] = []
-    for i in range(space.n):
-        k_i = space.sizes[i]
-        if k_i == 1:
-            continue
-        other_ranges = [range(k) for j, k in enumerate(space.sizes) if j != i]
-        for others in product(*other_ranges):
-            base = others[:i] + (0,) + others[i:]
-            expected = tabulated.reaction(base)[i]
-            for a in range(1, k_i):
-                variant = others[:i] + (a,) + others[i:]
-                if tabulated.reaction(variant)[i] != expected:
-                    violations.append((i + 1, base, variant))
-                    break
-            if len(violations) >= max_violations:
-                return SelfIndependence(False, tuple(violations))
-    return SelfIndependence(not violations, tuple(violations))
+    for i, k_i in enumerate(space.sizes):
+        column = rows[:, i].reshape(space.sizes)
+        # one row per choice of the other nodes' actions, in encoded order
+        differs = np.moveaxis(column != column.take([0], axis=i), i, -1).reshape(-1, k_i)
+        states = np.moveaxis(index, i, -1).reshape(-1, k_i)
+        hits = np.flatnonzero(differs.any(axis=1))
+        ok = ok and not hits.size
+        for o in hits[: max(max_violations - len(violations), 0)].tolist():
+            base, variant = states[o, 0], states[o, differs[o].argmax()]
+            violations.append((i + 1, space.decode(int(base)), space.decode(int(variant))))
+    return SelfIndependence(ok, tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -355,6 +389,14 @@ class LiftedSystem:
             out.append(base.decode(idx % base.num_states))
             idx //= base.num_states
         return tuple(reversed(out))
+
+    def reaction_rows(self, budget: int | None = None) -> np.ndarray:
+        """(N^k, n) int64 array whose row i is the recall rule at the window
+        with index i; the windows of a historyless system hold one state."""
+        _check_count(self.num_states, "window states", budget)
+        states = tuple(self.base.space.states())
+        rows = [self.base.rule(w) for w in product(states, repeat=self.k)]
+        return _checked_rows(self.base.space, rows, self.num_states)
 
     def validate_state(self, window) -> Window:
         window = validate_window(self.base.space, window)

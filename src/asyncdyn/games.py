@@ -4,9 +4,9 @@ direction, indicator utilities in the other)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .core import ActionSpace, HistorylessSystem, State, resolve_budget
+from .core import ActionSpace, HistorylessSystem, State
 from .errors import InvalidInput, NonUniqueBestResponse
 
 
@@ -52,9 +52,11 @@ def best_responses(game: Game, node: int, state) -> frozenset[int]:
     state = game.space.validate_state(state)
     if not 1 <= node <= game.space.n:
         raise InvalidInput(f"node index {node} out of range 1..{game.space.n}")
-    i = node - 1
-    table = game.utilities[i]
-    space = game.space
+    return _best_responses(game.space, game.utilities[node - 1], node - 1, state)
+
+
+def _best_responses(space: ActionSpace, table, i: int, state) -> frozenset[int]:
+    """Argmax set of one utility table over coordinate i of the state."""
     values = {}
     for a in range(space.sizes[i]):
         candidate = state[:i] + (a,) + state[i + 1:]
@@ -95,25 +97,13 @@ def br_system(game: Game, tie_break: str | None = None, budget: int | None = Non
             row.append(min(brs))
         rows.append(tuple(row))
     system = HistorylessSystem.from_table(game.space, rows, name="best-response")
-    return HistorylessSystem(
-        space=system.space,
-        table=system.table,
-        self_independent_hint=True,
-        name=system.name,
-    )
+    return replace(system, self_independent_hint=True)
 
 
 def induced_game(system: HistorylessSystem, budget: int | None = None) -> Game:
     """Indicator game: a node earns 1 exactly when its action matches its reaction."""
-    space = system.space
-    space.check_budget(budget)
-    tabulated = system.tabulate(resolve_budget(budget))
-    tables: list[list[int]] = [[] for _ in range(space.n)]
-    for state in space.states():
-        target = tabulated.reaction(state)
-        for i in range(space.n):
-            tables[i].append(1 if target[i] == state[i] else 0)
-    return Game(space=space, utilities=tuple(tuple(t) for t in tables))
+    matches = system.reaction_rows(budget) == system.space.digits()
+    return Game(space=system.space, utilities=tuple(map(tuple, matches.T.astype(int).tolist())))
 
 
 def scale_utilities(game: Game, node: int, scale: int = 1, shift: int = 0) -> Game:

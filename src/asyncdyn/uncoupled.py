@@ -20,9 +20,11 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Union
 
-from .core import ActionSpace, KRecallSystem, State, lift_k_recall, resolve_budget
-from .errors import BudgetExceeded, InvalidInput, Unsupported
-from .games import Game, enumerate_pne
+import numpy as np
+
+from .core import ActionSpace, KRecallSystem, State, lift_k_recall
+from .errors import InvalidInput, Unsupported
+from .games import Game, _best_responses, enumerate_pne
 
 PROTOCOLS = ("three-recall", "two-recall")
 
@@ -39,14 +41,7 @@ class NodeUtility:
         return self.table[self.space.encode(state)]
 
     def best_responses(self, state) -> frozenset[int]:
-        i = self.node - 1
-        space = self.space
-        values = {}
-        for a in range(space.sizes[i]):
-            candidate = state[:i] + (a,) + state[i + 1:]
-            values[a] = self.table[space.encode(candidate)]
-        best = max(values.values())
-        return frozenset(a for a, v in values.items() if v == best)
+        return _best_responses(self.space, self.table, self.node - 1, state)
 
     def is_best_responding(self, state) -> bool:
         return state[self.node - 1] in self.best_responses(state)
@@ -196,24 +191,15 @@ def check_self_stabilization(
     only PNE states.
     """
     system = protocol_system(protocol, game)
-    k = system.k
-    space = game.space
-    nstates = space.num_states
-    total = nstates ** k
-    limit = resolve_budget(budget)
-    if total > limit:
-        raise BudgetExceeded(f"{total} initial windows exceed the budget {limit}")
     pne = _pne_mask(game)
     if not any(pne):
         return NoPNE()
-
-    # windows in encoded order (oldest state most significant)
-    states = tuple(space.states())
-    shift_mod = nstates ** (k - 1)
-    nxt = [
-        (enc % shift_mod) * nstates + space.encode(system.rule(window))
-        for enc, window in enumerate(product(states, repeat=k))
-    ]
+    lifted = lift_k_recall(system)
+    nstates = game.space.num_states
+    total = lifted.num_states
+    # window successor: drop the oldest state, append the reaction
+    shift = np.arange(total, dtype=np.int64) % (total // nstates) * nstates
+    nxt = (shift + lifted.reaction_rows(budget) @ game.space.weights).tolist()
 
     # functional-graph classification: a window is bad iff its eventual cycle
     # contains a non-PNE state
@@ -241,7 +227,7 @@ def check_self_stabilization(
             bad[w] = inherited
             status[w] = 2
     if any(bad):
-        return Fails(witness=lift_k_recall(system).decode(bad.index(True)))
+        return Fails(witness=lifted.decode(bad.index(True)))
     return SelfStabilizing()
 
 

@@ -22,6 +22,26 @@ def reaction_table(system: HistorylessSystem) -> dict:
     return {a: system.reaction(a) for a in system.space.states()}
 
 
+def naive_self_independence_violations(system: HistorylessSystem, max_violations: int):
+    """For each node i and each choice of the other nodes' actions (in encoded
+    order), the state with i at action 0 and the first variant that changes
+    i's reaction; stops once max_violations pairs are found."""
+    space = system.space
+    violations = []
+    for i, k_i in enumerate(space.sizes):
+        others = [range(k) for j, k in enumerate(space.sizes) if j != i]
+        for rest in itertools.product(*others):
+            base = rest[:i] + (0,) + rest[i:]
+            for a in range(1, k_i):
+                variant = rest[:i] + (a,) + rest[i:]
+                if system.reaction(variant)[i] != system.reaction(base)[i]:
+                    violations.append((i + 1, base, variant))
+                    break
+            if len(violations) >= max_violations:
+                return violations
+    return violations
+
+
 def naive_step(table, state, active):
     target = table[state]
     return tuple(target[i] if (i + 1) in active else a for i, a in enumerate(state))

@@ -1,0 +1,52 @@
+"""Smoke tests of the experiment scripts, each run as a subprocess."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args, budget=None):
+    env = {k: v for k, v in os.environ.items() if k != "ASYNCDYN_BUDGET"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if budget is not None:
+        env["ASYNCDYN_BUDGET"] = budget
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=120,
+    )
+
+
+def ring_cells(stdout):
+    """{n: {r: cell}} from the ring rows of r_thresholds.py."""
+    rows = {}
+    for n, cells in re.findall(r"^ring n=(\d+):(.*)$", stdout, re.M):
+        rows[int(n)] = {int(r): c for r, c in re.findall(r"r=(\d+):(\w+)", cells)}
+    return rows
+
+
+def test_r_thresholds_ring_flips_at_n_minus_1():
+    proc = run_script("r_thresholds.py", "--max-ring", "4")
+    assert proc.returncode == 0, proc.stderr
+    rows = ring_cells(proc.stdout)
+    assert sorted(rows) == [3, 4]
+    for n, cells in rows.items():
+        assert cells == {r: "conv" if r < n - 1 else "osc" for r in range(1, n + 1)}
+    assert re.search(r"snake n=5 \(\|S\|=6\):\s+r=5:conv\s+r=6:osc", proc.stdout)
+
+
+def test_r_thresholds_reports_budget_cells():
+    proc = run_script("r_thresholds.py", "--max-ring", "4", budget="1000")
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert ring_cells(proc.stdout)[4][4] == "budget"
+    assert re.search(r"r=6:budget", proc.stdout)
+
+
+def test_tm_equivalence_single_state_machines():
+    proc = run_script("tm_equivalence.py", "--max-states", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert re.search(r"144 machines: .* halts-or-freezes -> 0 mismatches", proc.stdout)

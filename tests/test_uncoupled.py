@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asyncdyn.core import ActionSpace, Synchronous
-from asyncdyn.errors import Unsupported
+from asyncdyn.errors import BudgetExceeded, Unsupported
 from asyncdyn.games import Game, enumerate_pne
 from asyncdyn import uncoupled
 from asyncdyn.simulate import run, Converged
@@ -241,6 +241,13 @@ class TestCheckSelfStabilization:
 
     def test_no_pne_is_vacuous(self):
         assert check_self_stabilization("three-recall", matching_pennies()) == NoPNE()
+
+    def test_no_pne_is_reported_before_the_window_budget(self, coordination):
+        """No window is tabulated for a game without a PNE, so its verdict
+        does not depend on the budget; a game with one still hits it."""
+        assert check_self_stabilization("three-recall", matching_pennies(), budget=10) == NoPNE()
+        with pytest.raises(BudgetExceeded):
+            check_self_stabilization("three-recall", coordination, budget=10)
 
     def test_two_recall_needs_four_actions(self, coordination):
         with pytest.raises(Unsupported):
