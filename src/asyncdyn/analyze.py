@@ -8,6 +8,15 @@ changes the state at least once.  Such a walk exists inside a strongly
 connected component if and only if some fair trajectory oscillates forever, so
 SCC decomposition decides convergence.
 
+The graph holds one edge per distinct successor.  Let D(a) be the nodes whose
+reaction differs from their current action in state a (for a lifted system,
+in the newest state of the window).  Activating T and activating
+T | (nodes outside D(a)) take the same step, so state a has one edge per
+subset T of D(a), labelled with that larger activation set; activating more
+nodes keeps every fairness and r-fairness property.  An SCC then oscillates
+iff it has an internal state-changing edge and the labels of its internal
+edges cover every node.
+
 A system is compiled once by ``transition_graph``; every operation accepts
 the resulting TransitionGraph in place of the system, so a caller asking
 several questions builds the graph and its SCCs once.
@@ -29,12 +38,13 @@ from .core import (
     ActivationSet,
     HistorylessSystem,
     LiftedSystem,
+    _check_count,
     resolve_budget,
 )
 from .errors import BudgetExceeded, InvalidInput, Unsupported
 from .simulate import Witness
 
-MAX_SUBSET_NODES = 16  # 2^n activation subsets are enumerated per state
+MAX_SUBSET_NODES = 16  # export-dot lists 2^n activation subsets per state
 
 
 def subset_to_nodes(s: int, n: int) -> ActivationSet:
@@ -55,16 +65,45 @@ ConvergenceVerdict = Union[Convergent, NonConvergent]
 
 
 @dataclass(frozen=True, eq=False)
+class SuccessorGraph:
+    """A graph with labelled edges in CSR form.
+
+    The edges of node u are ``indptr[u]:indptr[u+1]``; edge e leads from
+    ``src[e]`` to ``dst[e]`` under the activation set ``label[e]`` (a bitmask,
+    bit i-1 = node i).
+    """
+
+    indptr: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    label: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        return self.indptr.size - 1
+
+    @property
+    def size(self) -> int:
+        """Number of edges."""
+        return self.dst.size
+
+    @property
+    def nbytes(self) -> int:
+        return self.indptr.nbytes + self.src.nbytes + self.dst.nbytes + self.label.nbytes
+
+
+@dataclass(frozen=True, eq=False)
 class TransitionGraph:
     """Compiled form of a historyless or lifted k-recall system.
 
-    ``succ[s, a]`` is the encoded successor of state (or window) a under the
-    activation subset with bitmask s (bit i-1 = node i).  The SCC labels and
-    the fixed-point mask are computed on first use and cached.
+    ``succ`` holds the distinct successors of every state (or window): the
+    edges of state a are in ascending order of T, the subset of D(a) they
+    activate, so the first edge is the step of the empty activation set.  The
+    SCC labels and the fixed-point mask are computed on first use and cached.
     """
 
     system: HistorylessSystem | LiftedSystem
-    succ: np.ndarray
+    succ: SuccessorGraph
 
     @property
     def n(self) -> int:
@@ -79,10 +118,14 @@ class TransitionGraph:
         """The state (or window, for a lifted system) with encoded index idx."""
         return self._codec.decode(idx)
 
-    def window(self, idx: int):
-        """The history window of node idx: a historyless state is a window of one."""
+    def witness(self, idx: int, cycle: tuple, prefix: tuple = ()) -> Witness:
+        """A witness whose run starts at node idx.  A replay spends the first
+        k-1 activation sets of the schedule on the history inside a k-window,
+        so those come first, as sets that activate every node."""
         node = self.node(idx)
-        return (node,) if isinstance(self.system, HistorylessSystem) else node
+        window = (node,) if isinstance(self.system, HistorylessSystem) else node
+        everyone = frozenset(range(1, self.n + 1))
+        return Witness(initial=window, cycle=cycle, prefix=(everyone,) * (len(window) - 1) + prefix)
 
     def index(self, state) -> int:
         return self._codec.encode(self._codec.validate_state(state))
@@ -95,23 +138,29 @@ class TransitionGraph:
     @cached_property
     def fixed(self) -> np.ndarray:
         """Mask of the nodes that every activation subset keeps in place."""
-        idx = np.arange(self.succ.shape[1], dtype=np.int64)
-        return (self.succ[0] == idx) & (self.succ[-1] == idx)
+        indptr = self.succ.indptr
+        idx = np.arange(self.succ.rows, dtype=np.int64)
+        return (np.diff(indptr) == 1) & (self.succ.dst[indptr[:-1]] == idx)
 
     @property
     def states(self) -> tuple:
-        return tuple(map(self.node, range(self.succ.shape[1])))
+        return tuple(map(self.node, range(self.succ.rows)))
 
     @property
     def edges(self) -> tuple:
-        """One (state, activation set, state) edge per state and subset."""
+        """One (state, activation set, state) edge per state and subset: the
+        subset s at state a takes the edge whose T is s & D(a)."""
         states = self.states
-        labels = [subset_to_nodes(s, self.n) for s in range(self.succ.shape[0])]
-        return tuple(
-            (a, labels[s], states[b])
-            for a, column in zip(states, self.succ.T.tolist())
-            for s, b in enumerate(column)
-        )
+        full = (1 << self.n) - 1
+        subsets = [subset_to_nodes(s, self.n) for s in range(full + 1)]
+        indptr, dst, label = (arr.tolist() for arr in (self.succ.indptr, self.succ.dst, self.succ.label))
+        edges = []
+        for a, state in enumerate(states):
+            lo, hi = indptr[a], indptr[a + 1]
+            changing = full ^ label[lo]
+            by_t = {t & changing: states[b] for t, b in zip(label[lo:hi], dst[lo:hi])}
+            edges.extend((state, subsets[s], by_t[s & changing]) for s in range(full + 1))
+        return tuple(edges)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,10 +185,12 @@ class CommitMap:
 # ---------------------------------------------------------------------------
 
 
-def successor_matrix(system, budget: int | None = None) -> np.ndarray:
-    """(2^n, N) array: entry [s, a] is the encoded successor of state a under
-    the activation subset with bitmask s (bit i-1 = node i).
+def successor_matrix(system, budget: int | None = None) -> SuccessorGraph:
+    """The distinct successors of every state (or window) of the system.
 
+    Row a holds one edge per subset T of D(a), in ascending order of T,
+    labelled T | (nodes outside D(a)).  The edges are counted from the
+    degrees |D(a)| and checked against the budget before they are built.
     A historyless system is a lifted one whose windows hold one state: the
     successor of a window drops its oldest state and appends the newest one
     with the activated coordinates replaced by the reaction.
@@ -160,12 +211,32 @@ def successor_matrix(system, budget: int | None = None) -> np.ndarray:
     count = rows.shape[0]
     # the digits of a window index are those of its newest state
     delta = ((rows.reshape(-1, nb, n) - space.digits()) * space.weights).reshape(count, n)
+    changes = delta != 0
+    # D(a) of every row, ascending, row after row
+    rows_d, nodes_d = np.nonzero(changes)
+    degree = np.bincount(rows_d, minlength=count)
+    width = 1 << degree
+    total = _check_count(int(width.sum()), "distinct transitions", budget)
+
+    indptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(width, out=indptr[1:])
+    src = np.repeat(np.arange(count, dtype=np.int64), width)
+    dst = np.empty(total, dtype=np.int64)
+    label = np.empty(total, dtype=np.int64)
     idx = np.arange(count, dtype=np.int64)
-    succ = np.empty((1 << n, count), dtype=np.int64)
-    succ[0] = (idx % (count // nb)) * nb + idx % nb
-    for b in range(n):  # a subset with highest bit b adds node b+1 to a smaller one
-        succ[1 << b : 2 << b] = succ[: 1 << b] + delta[:, b]
-    return succ
+    dst[indptr[:-1]] = (idx % (count // nb)) * nb + idx % nb
+    label[indptr[:-1]] = ~changes @ (1 << np.arange(n, dtype=np.int64))
+    first_d = np.cumsum(degree) - degree
+    step, bit = delta[rows_d, nodes_d], 1 << nodes_d
+    for b in range(int(degree.max(initial=0))):
+        # the subsets whose highest node is the b-th of D(a) are the 2^b after
+        # the first 2^b, and each adds that node to the one 2^b before it
+        a = np.flatnonzero(degree > b)
+        e = ((indptr[a] + (1 << b))[:, None] + np.arange(1 << b)).ravel()
+        k = np.repeat(first_d[a] + b, 1 << b)
+        dst[e] = dst[e - (1 << b)] + step[k]
+        label[e] = label[e - (1 << b)] | bit[k]
+    return SuccessorGraph(indptr, src, dst, label)
 
 
 def transition_graph(system, budget: int | None = None) -> TransitionGraph:
@@ -178,32 +249,39 @@ def _compiled(system, budget: int | None) -> TransitionGraph:
     return system if isinstance(system, TransitionGraph) else transition_graph(system, budget)
 
 
-def _strong_components(targets: np.ndarray) -> tuple[int, np.ndarray]:
-    """SCCs of the graph with an edge u -> targets[s, u] for every s where
-    that entry is >= 0 (negative entries are forbidden moves)."""
-    m, count = targets.shape
-    flat = targets.T.ravel()
-    keep = flat >= 0
-    indptr = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(keep.reshape(count, m).sum(axis=1), out=indptr[1:])
-    graph = sparse.csr_matrix(
-        (np.ones(int(indptr[-1]), dtype=np.int8), flat[keep], indptr), shape=(count, count)
+def _row_edges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of the given rows, row by row in CSR order, and for each
+    edge the position of its row in ``rows``."""
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    owner = np.repeat(np.arange(rows.size), lens)
+    ends = np.cumsum(lens)
+    return np.arange(owner.size, dtype=np.int64) + (starts - (ends - lens))[owner], owner
+
+
+def _strong_components(graph: SuccessorGraph) -> tuple[int, np.ndarray]:
+    """(number of SCCs, SCC label of every node) of a CSR graph."""
+    adjacency = sparse.csr_matrix(
+        (np.ones(graph.size, dtype=np.int8), graph.dst, graph.indptr),
+        shape=(graph.rows, graph.rows),
     )
-    ncomp, labels = connected_components(graph, directed=True, connection="strong")
+    ncomp, labels = connected_components(adjacency, directed=True, connection="strong")
     return int(ncomp), labels
 
 
-def _bfs_inside(targets: np.ndarray, labels, comp, start: int, is_goal):
-    """Deterministic BFS over the edges u -> targets[s, u] that stay inside
-    component comp; returns (subset labels along the path, goal node)."""
+def _bfs_inside(graph: SuccessorGraph, labels, comp, start: int, is_goal):
+    """Deterministic BFS over the edges that stay inside component comp;
+    returns (activation labels along the path, goal node)."""
     if is_goal(start):
         return [], start
+    indptr, dst, label = graph.indptr, graph.dst, graph.label
     parent = {start: None}
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        for s, v in enumerate(targets[:, u].tolist()):
-            if v < 0 or labels[v] != comp or v in parent:
+        lo, hi = indptr[u], indptr[u + 1]
+        for v, s in zip(dst[lo:hi].tolist(), label[lo:hi].tolist()):
+            if labels[v] != comp or v in parent:
                 continue
             parent[v] = (u, s)
             if is_goal(v):
@@ -230,16 +308,12 @@ def _oscillating_components(graph: TransitionGraph) -> np.ndarray:
     jointly activate every node."""
     succ = graph.succ
     ncomp, labels = graph.components
-    idx = np.arange(succ.shape[1], dtype=np.int64)
+    comp = labels[succ.src]
+    internal = comp == labels[succ.dst]
     cover = np.zeros(ncomp, dtype=np.int64)
+    np.bitwise_or.at(cover, comp[internal], succ.label[internal])
     changing = np.zeros(ncomp, dtype=bool)
-    for s in range(succ.shape[0]):
-        v = succ[s]
-        internal = labels == labels[v]
-        np.bitwise_or.at(cover, labels[internal], s)
-        moved = internal & (v != idx)
-        if moved.any():
-            np.logical_or.at(changing, labels[moved], True)
+    changing[comp[internal & (succ.dst != succ.src)]] = True
     return changing & (cover == (1 << graph.n) - 1)
 
 
@@ -264,11 +338,11 @@ def spectrum(system, state, budget: int | None = None) -> frozenset:
     graph = _compiled(system, budget)
     succ = graph.succ
     start = graph.index(state)
-    visited = np.zeros(succ.shape[1], dtype=bool)
+    visited = np.zeros(succ.rows, dtype=bool)
     visited[start] = True
     frontier = np.array([start], dtype=np.int64)
     while frontier.size:
-        nxt = np.unique(succ[:, frontier])
+        nxt = np.unique(succ.dst[_row_edges(succ.indptr, frontier)[0]])
         nxt = nxt[~visited[nxt]]
         visited[nxt] = True
         frontier = nxt
@@ -295,47 +369,35 @@ def _component_witness(graph: TransitionGraph, comp: int) -> Witness:
     succ = graph.succ
     labels = graph.components[1]
     n = graph.n
-    m = succ.shape[0]
-    members = np.where(labels == comp)[0]
+    inside = (labels[succ.src] == comp) & (labels[succ.dst] == comp)
     # deterministic first state-changing internal edge
-    edge = None
-    for u in members.tolist():
-        for s in range(1, m):
-            v = int(succ[s, u])
-            if v != u and labels[v] == comp:
-                edge = (u, s, v)
-                break
-        if edge:
-            break
-    assert edge is not None, "oscillating component must contain a changing edge"
-    u0, s0, v0 = edge
-    walk = [s0]
-    covered = s0
-    pos = v0
+    moves = inside & (succ.dst != succ.src)
+    assert moves.any(), "oscillating component must contain a changing edge"
+    e0 = int(np.argmax(moves))
+    u0 = int(succ.src[e0])
+    walk = [int(succ.label[e0])]
+    covered = walk[0]
+    pos = int(succ.dst[e0])
     full = (1 << n) - 1
     for b in range(n):
-        if covered >> b & 1:
-            continue
-
-        def has_b_edge(x, _b=b):
-            return any(
-                (s >> _b) & 1 and labels[int(succ[s, x])] == comp for s in range(m)
-            )
-
-        path, reached = _bfs_inside(succ, labels, comp, pos, has_b_edge)
-        walk.extend(path)
-        s_b = next(
-            s for s in range(m) if (s >> b) & 1 and labels[int(succ[s, reached])] == comp
-        )
-        walk.append(s_b)
-        covered |= s_b
-        pos = int(succ[s_b, reached])
         if covered == full:
             break
+        if covered >> b & 1:
+            continue
+        # the first internal edge activating node b+1 of every node that has one
+        with_b = np.flatnonzero(inside & (succ.label >> b & 1 == 1))
+        nodes, first = np.unique(succ.src[with_b], return_index=True)
+        b_edge = dict(zip(nodes.tolist(), with_b[first].tolist()))
+        path, reached = _bfs_inside(succ, labels, comp, pos, b_edge.__contains__)
+        e = b_edge[reached]
+        walk.extend(path)
+        walk.append(int(succ.label[e]))
+        covered |= walk[-1]
+        pos = int(succ.dst[e])
     back, _ = _bfs_inside(succ, labels, comp, pos, lambda x: x == u0)
     walk.extend(back)
     cycle = _primitive_cycle(tuple(subset_to_nodes(s, n) for s in walk))
-    return Witness(initial=graph.window(u0), cycle=cycle)
+    return graph.witness(u0, cycle)
 
 
 def committed_map(system, budget: int | None = None) -> CommitMap:
@@ -344,22 +406,16 @@ def committed_map(system, budget: int | None = None) -> CommitMap:
     reachable fair oscillation)."""
     graph = _compiled(system, budget)
     succ = graph.succ
-    count = succ.shape[1]
     ncomp, labels = graph.components
     osc = _oscillating_components(graph)
 
-    pair_keys = set()
-    for s in range(succ.shape[0]):
-        lu = labels
-        lv = labels[succ[s]]
-        diff = lu != lv
-        if diff.any():
-            keys = np.unique(lu[diff].astype(np.int64) * ncomp + lv[diff])
-            pair_keys.update(keys.tolist())
+    lu = labels[succ.src].astype(np.int64)
+    lv = labels[succ.dst]
+    diff = lu != lv
     cadj: list[list[int]] = [[] for _ in range(ncomp)]
     radj: list[list[int]] = [[] for _ in range(ncomp)]
     indeg = [0] * ncomp
-    for key in sorted(pair_keys):
+    for key in np.unique(lu[diff] * ncomp + lv[diff]).tolist():
         cu, cv = divmod(key, ncomp)
         cadj[cu].append(cv)
         radj[cv].append(cu)
@@ -396,7 +452,7 @@ def committed_map(system, budget: int | None = None) -> CommitMap:
             reach_bits[c] |= reach_bits[child]
 
     entries = {}
-    for i in range(count):
+    for i in range(succ.rows):
         c = int(labels[i])
         bits = reach_bits[c]
         if reaches_osc[c] or bits == 0 or bits & (bits - 1):
@@ -415,17 +471,18 @@ def decide_r_convergence(system, r: int, budget: int | None = None) -> Convergen
     """Does every r-fair trajectory converge?
 
     Each state is augmented with per-node steps-since-activation counters in
-    0..r-1 (initially 0); transitions that would push a counter to r are
+    0..r-1 (initially 0); an edge with label L resets the counters in L and
+    adds one to the others, and edges that would push a counter to r are
     forbidden, so every infinite path of the product graph is exactly an r-fair
-    run.  The system is r-convergent iff no cycle reachable from a zero-counter
-    state changes the underlying state.
+    run of the larger labels.  The system is r-convergent iff no cycle
+    reachable from a zero-counter state changes the underlying state.
     """
     if r < 1:
         raise InvalidInput(f"r must be >= 1, got {r}")
     graph = _compiled(system, budget)
     succ = graph.succ
     n = graph.n
-    m, count = succ.shape
+    count = succ.rows
     M = r ** n
     limit = resolve_budget(budget)
     if count * M > limit:
@@ -433,80 +490,70 @@ def decide_r_convergence(system, r: int, budget: int | None = None) -> Convergen
             f"product graph has {count * M} states, exceeding the budget {limit}"
         )
 
-    counters = ActionSpace((r,) * n)
-    rweights = counters.weights
-    cdig = counters.digits()
-    masks = ((np.arange(m)[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
-    cmap = np.empty((m, M), dtype=np.int64)
-    for s in range(m):
-        new = np.where(masks[s][None, :], 0, cdig + 1)
-        bad = (new >= r).any(axis=1)
-        enc = new @ rweights
-        enc[bad] = -1
-        cmap[s] = enc
-
+    weights = ActionSpace((r,) * n).weights.tolist()
     total = count * M
-    sources = np.arange(count, dtype=np.int64) * M  # all counters zero
     visited = np.zeros(total, dtype=bool)
-    visited[sources] = True
     parent = np.full(total, -1, dtype=np.int64)
-    pedge = np.full(total, -1, dtype=np.int16)
-    frontier = sources
+    plabel = np.zeros(total, dtype=np.int64)
+    frontier = np.arange(count, dtype=np.int64) * M  # all counters zero
+    visited[frontier] = True
+    pieces = []  # product edges (source, target, label) of each BFS layer
     while frontier.size:
-        pieces = []
-        for s in range(m):
-            vc = cmap[s, frontier % M]
-            ok = vc >= 0
-            if not ok.any():
-                continue
-            src = frontier[ok]
-            tgt = succ[s, src // M] * M + vc[ok]
-            fresh = ~visited[tgt]
-            if not fresh.any():
-                continue
-            t_new = tgt[fresh]
-            s_new = src[fresh]
-            uniq, first = np.unique(t_new, return_index=True)
-            visited[uniq] = True
-            parent[uniq] = s_new[first]
-            pedge[uniq] = s
-            pieces.append(uniq)
-        frontier = np.sort(np.concatenate(pieces)) if pieces else np.empty(0, dtype=np.int64)
+        e, owner = _row_edges(succ.indptr, frontier // M)
+        u = frontier[owner]
+        lab = succ.label[e]
+        counters = u % M
+        tgt = succ.dst[e] * M
+        ok = np.ones(e.size, dtype=bool)
+        for i, w in enumerate(weights):
+            new = np.where(lab >> i & 1 == 1, 0, counters // w % r + 1)
+            ok &= new < r
+            tgt += new * w
+        u, tgt, lab = u[ok], tgt[ok], lab[ok]
+        pieces.append((u, tgt, lab))
+        fresh = ~visited[tgt]
+        frontier, first = np.unique(tgt[fresh], return_index=True)
+        visited[frontier] = True
+        parent[frontier] = u[fresh][first]
+        plabel[frontier] = lab[fresh][first]
 
-    # product edges between reachable states, by position in ``reachable``:
-    # targets[s, j] is the position of the successor of reachable[j] under s,
-    # or -1 where s would push a counter to r
-    reachable = np.where(visited)[0]
+    # the product graph over the reachable states, by position in ``reachable``
+    reachable = np.flatnonzero(visited)
     pos = np.full(total, -1, dtype=np.int64)
     pos[reachable] = np.arange(reachable.size)
-    vc = cmap[:, reachable % M]
-    u_state = reachable // M
-    targets = np.where(vc >= 0, pos[succ[:, u_state] * M + vc], -1)
-    labels = _strong_components(targets)[1]
+    src, tgt, lab = (np.concatenate(column) for column in zip(*pieces))
+    src = pos[src]
+    order = np.argsort(src, kind="stable")
+    indptr = np.zeros(reachable.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=reachable.size), out=indptr[1:])
+    product = SuccessorGraph(indptr, src[order], pos[tgt][order], lab[order])
+    labels = _strong_components(product)[1]
 
-    moved = (targets >= 0) & (labels[targets] == labels) & (u_state[targets] != u_state)
+    state = reachable // M
+    moved = (labels[product.src] == labels[product.dst]) & (
+        state[product.src] != state[product.dst]
+    )
     if not moved.any():
         return Convergent()
 
-    # deterministic changing edge: smallest (product index, subset)
-    j, s_chg = divmod(int(np.argmax(moved.T.ravel())), m)
+    # deterministic changing edge: first in CSR order
+    e0 = int(np.argmax(moved))
+    j = int(product.src[e0])
     comp = int(labels[j])
 
-    prefix_subsets = []
+    prefix_labels = []
     node = int(reachable[j])
     while parent[node] >= 0:
-        prefix_subsets.append(int(pedge[node]))
+        prefix_labels.append(int(plabel[node]))
         node = int(parent[node])
-    prefix_subsets.reverse()
+    prefix_labels.reverse()
     source_state = int(node // M)
 
-    back, _ = _bfs_inside(targets, labels, comp, int(targets[s_chg, j]), lambda x: x == j)
+    back, _ = _bfs_inside(product, labels, comp, int(product.dst[e0]), lambda x: x == j)
     cycle = _primitive_cycle(
-        tuple(subset_to_nodes(s, n) for s in [s_chg] + back)
+        tuple(subset_to_nodes(s, n) for s in [int(product.label[e0])] + back)
     )
-    prefix = tuple(subset_to_nodes(s, n) for s in prefix_subsets)
+    prefix = tuple(subset_to_nodes(s, n) for s in prefix_labels)
     full_nodes = frozenset(range(1, n + 1))
     assert frozenset().union(*cycle) == full_nodes, "r-fair cycle must activate every node"
-    return NonConvergent(
-        Witness(initial=graph.window(source_state), cycle=cycle, prefix=prefix)
-    )
+    return NonConvergent(graph.witness(source_state, cycle, prefix))

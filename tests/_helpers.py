@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from asyncdyn.core import ActionSpace, HistorylessSystem
+from asyncdyn.core import ActionSpace, HistorylessSystem, KRecallSystem, LiftedSystem, lift_k_recall
 
 
 def all_subsets(n):
@@ -47,37 +47,50 @@ def naive_step(table, state, active):
     return tuple(target[i] if (i + 1) in active else a for i, a in enumerate(state))
 
 
-def naive_reachable(system: HistorylessSystem, state) -> set:
-    """Reachability closure via plain BFS over all activation subsets."""
+def naive_dynamics(system):
+    """(all states, step(state, active), node count) of a historyless system,
+    or of a lifted k-recall system over its windows."""
+    if isinstance(system, LiftedSystem):
+        base = system.base
+        windows = list(itertools.product(base.space.states(), repeat=base.k))
+        return windows, system.transition, base.space.n
     table = reaction_table(system)
-    subsets = all_subsets(system.space.n)
+    return list(system.space.states()), lambda a, s: naive_step(table, a, s), system.space.n
+
+
+def naive_reachable(system, state) -> set:
+    """Reachability closure via plain BFS over all activation subsets."""
+    _, step, n = naive_dynamics(system)
+    subsets = all_subsets(n)
     seen = {tuple(state)}
     queue = deque([tuple(state)])
     while queue:
         a = queue.popleft()
         for s in subsets:
-            b = naive_step(table, a, s)
+            b = step(a, s)
             if b not in seen:
                 seen.add(b)
                 queue.append(b)
     return seen
 
 
-def naive_stables(system: HistorylessSystem) -> set:
-    return {a for a, b in reaction_table(system).items() if a == b}
+def naive_stables(system) -> set:
+    """States that activating every node leaves in place."""
+    states, step, n = naive_dynamics(system)
+    everyone = frozenset(range(1, n + 1))
+    return {a for a in states if step(a, everyone) == a}
 
 
-def naive_spectrum(system: HistorylessSystem, state) -> set:
+def naive_spectrum(system, state) -> set:
     return naive_reachable(system, state) & naive_stables(system)
 
 
-def has_fair_oscillation_from(system: HistorylessSystem, start) -> bool:
+def has_fair_oscillation_from(system, start) -> bool:
     """Is there a closed walk from ``start`` whose activation labels cover
     every node and which changes the state at least once?  BFS over
     (state, covered labels, changed flag) triples; the walk depth is bounded
     by the number of such triples, |A| * 2^n * 2."""
-    table = reaction_table(system)
-    n = system.space.n
+    _, step, n = naive_dynamics(system)
     subsets = all_subsets(n)
     full = frozenset(range(1, n + 1))
     start = tuple(start)
@@ -87,7 +100,7 @@ def has_fair_oscillation_from(system: HistorylessSystem, start) -> bool:
     while queue:
         a, covered, changed = queue.popleft()
         for s in subsets:
-            b = naive_step(table, a, s)
+            b = step(a, s)
             key = (b, covered | s, changed or b != a)
             if b == start and key[1] == full and key[2]:
                 return True
@@ -97,15 +110,14 @@ def has_fair_oscillation_from(system: HistorylessSystem, start) -> bool:
     return False
 
 
-def oracle_convergent(system: HistorylessSystem) -> bool:
+def oracle_convergent(system) -> bool:
     """A system is convergent iff no state starts a covering, state-changing
     closed walk (the recurrent part of any fair non-convergent run is one)."""
-    return not any(
-        has_fair_oscillation_from(system, a) for a in system.space.states()
-    )
+    states, _, _ = naive_dynamics(system)
+    return not any(has_fair_oscillation_from(system, a) for a in states)
 
 
-def oracle_committed(system: HistorylessSystem, state):
+def oracle_committed(system, state):
     """Committed target of a state: its unique reachable stable state, provided
     no fair oscillation is reachable; None otherwise."""
     reach = naive_reachable(system, state)
@@ -115,6 +127,46 @@ def oracle_committed(system: HistorylessSystem, state):
     if any(has_fair_oscillation_from(system, a) for a in reach):
         return None
     return next(iter(stables))
+
+
+def naive_r_convergent(system, r: int) -> bool:
+    """Does every r-fair run converge?  BFS over (state, steps since each
+    node's last activation) pairs from every state with zero counters, taking
+    all 2^n activation subsets and dropping the steps that leave a node
+    inactive r times in a row; the system is r-convergent iff no reachable
+    state-changing step can be followed back to its start."""
+    states, step, n = naive_dynamics(system)
+    subsets = all_subsets(n)
+
+    def moves(p):
+        a, counters = p
+        for s in subsets:
+            nxt = tuple(0 if (i + 1) in s else c + 1 for i, c in enumerate(counters))
+            if max(nxt) < r:
+                yield (step(a, s), nxt)
+
+    def closure(p):
+        seen = {p}
+        queue = deque([p])
+        while queue:
+            for q in moves(queue.popleft()):
+                if q not in seen:
+                    seen.add(q)
+                    queue.append(q)
+        return seen
+
+    reachable = set()
+    for a in states:
+        reachable |= closure((a, (0,) * n))
+    reach_from = {}
+    for p in reachable:
+        for q in moves(p):
+            if q[0] != p[0]:
+                if q not in reach_from:
+                    reach_from[q] = closure(q)
+                if p in reach_from[q]:
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +317,15 @@ def random_table_system(rng, max_nodes=3, max_actions=3) -> HistorylessSystem:
         tuple(rng.randrange(k) for k in sizes) for _ in range(space.num_states)
     ]
     return HistorylessSystem.from_table(space, rows)
+
+
+def random_lifted_system(rng) -> LiftedSystem:
+    """Random 2-recall system over a space of at most three states, lifted to
+    its windows."""
+    space = rng.choice([ActionSpace((2,)), ActionSpace((3,)), ActionSpace((1, 2)), ActionSpace((1, 3))])
+    states = list(space.states())
+    table = {w: rng.choice(states) for w in itertools.product(states, repeat=2)}
+    return lift_k_recall(KRecallSystem(space=space, k=2, rule=lambda w: table[w]))
 
 
 def random_game(rng, sizes, lo=0, hi=4):

@@ -8,6 +8,7 @@ the named-example tests were computed with these oracles and frozen.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,10 +32,14 @@ from asyncdyn.reductions import fixture
 from asyncdyn.simulate import Cycling, replay_witness
 
 from _helpers import (
+    all_subsets,
+    naive_dynamics,
+    naive_r_convergent,
     naive_spectrum,
     naive_stables,
     oracle_committed,
     oracle_convergent,
+    random_lifted_system,
     random_self_independent_system,
     random_table_system,
 )
@@ -86,6 +91,27 @@ class TestTransitionGraph:
         with pytest.raises(BudgetExceeded):
             transition_graph(system, budget=10)
 
+    def test_budget_counts_distinct_edges(self, fig1):
+        edges = successor_matrix(fig1).size
+        assert fig1.num_states < edges - 1  # the state budget passes at edges - 1
+        assert successor_matrix(fig1, budget=edges).size == edges
+        with pytest.raises(BudgetExceeded, match=f"{edges} distinct transitions"):
+            successor_matrix(fig1, budget=edges - 1)
+
+    def test_edge_budget_is_checked_before_the_edges_are_built(self):
+        """Every node of a 15-node binary rule always flips: its 2^15 states
+        are within the default budget, but they have 2^30 distinct
+        transitions, refused before any edge is allocated."""
+        system = HistorylessSystem.from_rule(ActionSpace((2,) * 15), lambda s: tuple(1 - a for a in s))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match=f"{2 ** 30} distinct transitions"):
+                transition_graph(system, budget=2 ** 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
     @pytest.mark.parametrize(
         "bad_rule",
         [lambda s: (0.7, s[1]), lambda s: (0,), lambda s: (2, 0)],
@@ -129,19 +155,18 @@ def test_graph_answers_match_system_answers(name, params):
 @given(st.integers(min_value=0, max_value=10 ** 6))
 @settings(max_examples=30, deadline=None)
 def test_lifted_successors_match_transition(seed):
-    """Every entry of the lifted successor array is the encoded window that
-    LiftedSystem.transition produces, on random 2-recall systems over spaces
-    of at most three states."""
-    rng = random.Random(seed)
-    space = rng.choice([ActionSpace((2,)), ActionSpace((3,)), ActionSpace((1, 2)), ActionSpace((1, 3))])
+    """The compiled graph's successor of every window under every activation
+    mask is the window that LiftedSystem.transition produces, on random
+    2-recall systems over spaces of at most three states."""
+    lifted = random_lifted_system(random.Random(seed))
+    space = lifted.base.space
     states = list(space.states())
-    table = {w: rng.choice(states) for w in itertools.product(states, repeat=2)}
-    lifted = lift_k_recall(KRecallSystem(space=space, k=2, rule=lambda w: table[w]))
-    succ = successor_matrix(lifted)
+    successors = {(w, active): nxt for w, active, nxt in transition_graph(lifted).edges}
+    assert len(successors) == len(states) ** 2 * 2 ** space.n
     for window in itertools.product(states, repeat=2):
         for mask in range(1 << space.n):
-            nxt = lifted.transition(window, subset_to_nodes(mask, space.n))
-            assert succ[mask, lifted.encode(window)] == lifted.encode(nxt)
+            active = subset_to_nodes(mask, space.n)
+            assert successors[window, active] == lifted.transition(window, active)
 
 
 class TestStableStates:
@@ -368,3 +393,84 @@ class TestLiftedAnalysis:
         assert stables == {((0, 0), (0, 0)), ((1, 1), (1, 1))}
         for window in stables:
             assert spectrum(lifted, window) == {window}
+
+
+# ---------------------------------------------------------------------------
+# The sparse transition graph against the naive oracles
+# ---------------------------------------------------------------------------
+
+SYSTEM_KINDS = ["table", "self-independent", "lifted"]
+
+
+def random_system(kind, rng, max_actions=3):
+    """A random table or self-independent system over at most three nodes,
+    or a lifted 2-recall system over at most three states."""
+    if kind == "table":
+        return random_table_system(rng, max_nodes=3, max_actions=max_actions)
+    if kind == "self-independent":
+        return random_self_independent_system(rng, max_nodes=3, max_actions=max_actions)
+    return random_lifted_system(rng)
+
+
+system_cases = given(st.sampled_from(SYSTEM_KINDS), st.integers(min_value=0, max_value=10 ** 6))
+
+
+class TestSparseGraphAgainstOracles:
+    @system_cases
+    @settings(max_examples=100, deadline=None)
+    def test_edges_match_naive_step(self, kind, seed):
+        system = random_system(kind, random.Random(seed))
+        graph = transition_graph(system)
+        states, step, n = naive_dynamics(system)
+        edges = graph.edges
+        assert len(edges) == len(states) * 2 ** n
+        assert all(b == step(a, active) for a, active, b in edges)
+
+    @system_cases
+    @settings(max_examples=100, deadline=None)
+    def test_one_edge_per_distinct_successor_with_the_largest_label(self, kind, seed):
+        system = random_system(kind, random.Random(seed))
+        graph = transition_graph(system)
+        _, step, n = naive_dynamics(system)
+        succ = graph.succ
+        for u in range(succ.rows):
+            a = graph.node(u)
+            lo, hi = succ.indptr[u], succ.indptr[u + 1]
+            row = [graph.node(int(v)) for v in succ.dst[lo:hi]]
+            assert sorted(row) == sorted({step(a, s) for s in all_subsets(n)})
+            for b, mask in zip(row, succ.label[lo:hi].tolist()):
+                label = subset_to_nodes(mask, n)
+                assert step(a, label) == b
+                assert all(s <= label for s in all_subsets(n) if step(a, s) == b)
+
+    @system_cases
+    @settings(max_examples=100, deadline=None)
+    def test_decide_convergence_matches_oracle(self, kind, seed):
+        system = random_system(kind, random.Random(seed))
+        verdict = decide_convergence(system)
+        assert isinstance(verdict, Convergent) == oracle_convergent(system)
+        if isinstance(verdict, NonConvergent):
+            assert_witness_replays(system, verdict)
+
+    @system_cases
+    @settings(max_examples=60, deadline=None)
+    def test_committed_map_and_spectrum_match_oracles(self, kind, seed):
+        system = random_system(kind, random.Random(seed), max_actions=2)
+        cmap = committed_map(system)
+        for state in naive_dynamics(system)[0]:
+            assert cmap.target(state) == oracle_committed(system, state)
+            assert spectrum(system, state) == naive_spectrum(system, state)
+
+    @system_cases
+    @settings(max_examples=80, deadline=None)
+    def test_decide_r_convergence_matches_oracle(self, kind, seed):
+        system = random_system(kind, random.Random(seed), max_actions=2)
+        graph = transition_graph(system)
+        for r in (1, 2, 3):
+            verdict = decide_r_convergence(graph, r)
+            assert isinstance(verdict, Convergent) == naive_r_convergent(system, r)
+            if isinstance(verdict, NonConvergent):
+                assert_witness_replays(system, verdict)
+                witness = verdict.witness
+                sched = list(witness.prefix) + list(witness.cycle) * 3
+                assert check_r_fair(sched, r, graph.n)

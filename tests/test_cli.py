@@ -147,6 +147,24 @@ class TestAnalyzeCommand:
         assert code == 3
         assert doc["error_kind"] == "budget-exceeded"
 
+    def test_edge_budget_exceeded_exit_3(self, tmp_path):
+        """15 binary nodes that always flip: 2^15 states fit the default
+        budget, their 2^30 distinct transitions do not."""
+        space = ActionSpace((2,) * 15)
+        scenario = {
+            "version": 1,
+            "system": {
+                "kind": "table",
+                "sizes": list(space.sizes),
+                "table": [[1 - a for a in state] for state in space.states()],
+            },
+            "analysis": {"kind": "convergence"},
+        }
+        code, doc = invoke_json(["analyze", "--scenario", write_scenario(tmp_path, scenario)])
+        assert code == 3
+        assert doc["error_kind"] == "budget-exceeded"
+        assert f"{2 ** 30} distinct transitions" in doc["error"]
+
     def test_missing_file_exit_2(self):
         code, doc = invoke_json(["analyze", "--scenario", "/nonexistent.json"])
         assert code == 2
