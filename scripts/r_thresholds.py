@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
 """Print the r-convergence thresholds of the ring family and the snake-gadget
 systems: the ring flips from convergent to non-convergent at r = n-1, the
-snake systems at r = |S| for the snake length |S| of the underlying hypercube.
-A cell whose r-counter product exceeds the enumeration budget reads "budget".
+snake systems at r = |S| for the snake length |S| of the underlying hypercube,
+one snake row for each n from 5 to --snake-nodes.  The r-counter product is
+built over its reached states only, and the budget counts the product
+transitions examined.  A cell that exceeds the enumeration budget reads
+"budget".
 
 Usage: python scripts/r_thresholds.py [--max-ring N] [--snake-nodes N]
+
+The n=7 row (|S|=14) examines about 8.0M product transitions at r=14:
+    ASYNCDYN_BUDGET=10000000 python scripts/r_thresholds.py --snake-nodes 7
 """
 
 import argparse
@@ -42,11 +48,12 @@ def snake_row(n: int) -> str:
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-ring", type=int, default=6)
-    parser.add_argument("--snake-nodes", type=int, default=5)
+    parser.add_argument("--snake-nodes", type=int, default=6)
     args = parser.parse_args()
     for n in range(3, args.max_ring + 1):
         print(ring_row(n))
-    print(snake_row(args.snake_nodes))
+    for n in range(5, args.snake_nodes + 1):
+        print(snake_row(n))
 
 
 if __name__ == "__main__":

@@ -39,7 +39,6 @@ from .core import (
     HistorylessSystem,
     LiftedSystem,
     _check_count,
-    resolve_budget,
 )
 from .errors import BudgetExceeded, InvalidInput, Unsupported
 from .simulate import Witness
@@ -303,18 +302,61 @@ def _primitive_cycle(cycle: tuple) -> tuple:
     return cycle
 
 
-def _oscillating_components(graph: TransitionGraph) -> np.ndarray:
-    """Components with an internal state-changing edge whose internal labels
-    jointly activate every node."""
-    succ = graph.succ
-    ncomp, labels = graph.components
+def _oscillating_components(succ: SuccessorGraph, components, n: int, src, dst) -> np.ndarray:
+    """Components with an internal edge that changes the underlying state,
+    from ``src[e]`` to ``dst[e]``, and whose internal labels jointly activate
+    every node."""
+    ncomp, labels = components
     comp = labels[succ.src]
     internal = comp == labels[succ.dst]
     cover = np.zeros(ncomp, dtype=np.int64)
     np.bitwise_or.at(cover, comp[internal], succ.label[internal])
     changing = np.zeros(ncomp, dtype=bool)
-    changing[comp[internal & (succ.dst != succ.src)]] = True
-    return changing & (cover == (1 << graph.n) - 1)
+    changing[comp[internal & (dst != src)]] = True
+    return changing & (cover == (1 << n) - 1)
+
+
+def _oscillation(succ: SuccessorGraph, components, n: int, src, dst):
+    """None if no component oscillates.  Otherwise (u, cycle): the activation
+    sets of a covering, state-changing closed walk from node u inside the
+    oscillating component that holds the lowest-numbered node."""
+    labels = components[1]
+    osc = _oscillating_components(succ, components, n, src, dst)
+    if not osc.any():
+        return None
+    comp = int(labels[np.argmax(osc[labels])])
+    return _component_witness(succ, labels, comp, n, src, dst)
+
+
+def _component_witness(succ: SuccessorGraph, labels, comp: int, n: int, src, dst):
+    inside = (labels[succ.src] == comp) & (labels[succ.dst] == comp)
+    # deterministic first state-changing internal edge
+    moves = inside & (dst != src)
+    assert moves.any(), "oscillating component must contain a changing edge"
+    e0 = int(np.argmax(moves))
+    u0 = int(succ.src[e0])
+    walk = [int(succ.label[e0])]
+    covered = walk[0]
+    pos = int(succ.dst[e0])
+    full = (1 << n) - 1
+    for b in range(n):
+        if covered == full:
+            break
+        if covered >> b & 1:
+            continue
+        # the first internal edge activating node b+1 of every node that has one
+        with_b = np.flatnonzero(inside & (succ.label >> b & 1 == 1))
+        nodes, first = np.unique(succ.src[with_b], return_index=True)
+        b_edge = dict(zip(nodes.tolist(), with_b[first].tolist()))
+        path, reached = _bfs_inside(succ, labels, comp, pos, b_edge.__contains__)
+        e = b_edge[reached]
+        walk.extend(path)
+        walk.append(int(succ.label[e]))
+        covered |= walk[-1]
+        pos = int(succ.dst[e])
+    back, _ = _bfs_inside(succ, labels, comp, pos, lambda x: x == u0)
+    walk.extend(back)
+    return u0, _primitive_cycle(tuple(subset_to_nodes(s, n) for s in walk))
 
 
 # ---------------------------------------------------------------------------
@@ -352,52 +394,14 @@ def spectrum(system, state, budget: int | None = None) -> frozenset:
 def decide_convergence(system, budget: int | None = None) -> ConvergenceVerdict:
     """Does every fair trajectory from every initial state converge?
 
-    NonConvergent verdicts carry a witness: any state of an oscillating SCC as
+    NonConvergent verdicts carry a witness: a state of an oscillating SCC as
     the initial state, with the periodic schedule read off a covering closed
     walk inside that SCC.
     """
     graph = _compiled(system, budget)
-    labels = graph.components[1]
-    osc = _oscillating_components(graph)
-    if not osc.any():
-        return Convergent()
-    start = int(np.argmax(osc[labels]))
-    return NonConvergent(_component_witness(graph, int(labels[start])))
-
-
-def _component_witness(graph: TransitionGraph, comp: int) -> Witness:
     succ = graph.succ
-    labels = graph.components[1]
-    n = graph.n
-    inside = (labels[succ.src] == comp) & (labels[succ.dst] == comp)
-    # deterministic first state-changing internal edge
-    moves = inside & (succ.dst != succ.src)
-    assert moves.any(), "oscillating component must contain a changing edge"
-    e0 = int(np.argmax(moves))
-    u0 = int(succ.src[e0])
-    walk = [int(succ.label[e0])]
-    covered = walk[0]
-    pos = int(succ.dst[e0])
-    full = (1 << n) - 1
-    for b in range(n):
-        if covered == full:
-            break
-        if covered >> b & 1:
-            continue
-        # the first internal edge activating node b+1 of every node that has one
-        with_b = np.flatnonzero(inside & (succ.label >> b & 1 == 1))
-        nodes, first = np.unique(succ.src[with_b], return_index=True)
-        b_edge = dict(zip(nodes.tolist(), with_b[first].tolist()))
-        path, reached = _bfs_inside(succ, labels, comp, pos, b_edge.__contains__)
-        e = b_edge[reached]
-        walk.extend(path)
-        walk.append(int(succ.label[e]))
-        covered |= walk[-1]
-        pos = int(succ.dst[e])
-    back, _ = _bfs_inside(succ, labels, comp, pos, lambda x: x == u0)
-    walk.extend(back)
-    cycle = _primitive_cycle(tuple(subset_to_nodes(s, n) for s in walk))
-    return graph.witness(u0, cycle)
+    found = _oscillation(succ, graph.components, graph.n, succ.src, succ.dst)
+    return Convergent() if found is None else NonConvergent(graph.witness(*found))
 
 
 def committed_map(system, budget: int | None = None) -> CommitMap:
@@ -407,7 +411,7 @@ def committed_map(system, budget: int | None = None) -> CommitMap:
     graph = _compiled(system, budget)
     succ = graph.succ
     ncomp, labels = graph.components
-    osc = _oscillating_components(graph)
+    osc = _oscillating_components(succ, graph.components, graph.n, succ.src, succ.dst)
 
     lu = labels[succ.src].astype(np.int64)
     lv = labels[succ.dst]
@@ -474,86 +478,75 @@ def decide_r_convergence(system, r: int, budget: int | None = None) -> Convergen
     0..r-1 (initially 0); an edge with label L resets the counters in L and
     adds one to the others, and edges that would push a counter to r are
     forbidden, so every infinite path of the product graph is exactly an r-fair
-    run of the larger labels.  The system is r-convergent iff no cycle
-    reachable from a zero-counter state changes the underlying state.
+    run of the larger labels.  A node never activated on a cycle would have a
+    counter that only rises, so every product cycle activates every node: the
+    system is r-convergent iff no product SCC reachable from a zero-counter
+    state has an internal edge that changes the underlying state, which is
+    the test of ``decide_convergence``.
     """
     if r < 1:
         raise InvalidInput(f"r must be >= 1, got {r}")
     graph = _compiled(system, budget)
-    succ = graph.succ
     n = graph.n
-    count = succ.rows
-    M = r ** n
-    limit = resolve_budget(budget)
-    if count * M > limit:
-        raise BudgetExceeded(
-            f"product graph has {count * M} states, exceeding the budget {limit}"
-        )
+    product, state, parent, plabel = _counter_product(graph.succ, n, r, budget)
+    src, dst = product.src, product.dst
+    found = _oscillation(product, _strong_components(product), n, state[src], state[dst])
+    if found is None:
+        return Convergent()
+    u, cycle = found
+    prefix = []
+    while parent[u] >= 0:
+        prefix.append(subset_to_nodes(int(plabel[u]), n))
+        u = int(parent[u])
+    return NonConvergent(graph.witness(int(state[u]), cycle, tuple(reversed(prefix))))
 
+
+def _counter_product(succ: SuccessorGraph, n: int, r: int, budget: int | None):
+    """The r-counter product over the states reachable from the zero-counter
+    ones: (graph, underlying state, BFS parent, label from the parent) by id.
+
+    Ids follow the BFS: the roots (state a has id a), then each layer's new
+    states in order of key = state * r^n + counters.  Each layer's candidate
+    transitions are counted against the budget before it is expanded.
+    """
+    count, M = succ.rows, r ** n
+    if count * M > np.iinfo(np.int64).max:
+        raise BudgetExceeded(f"the product graph's {count * M} state keys overflow int64")
     weights = ActionSpace((r,) * n).weights.tolist()
-    total = count * M
-    visited = np.zeros(total, dtype=bool)
-    parent = np.full(total, -1, dtype=np.int64)
-    plabel = np.zeros(total, dtype=np.int64)
-    frontier = np.arange(count, dtype=np.int64) * M  # all counters zero
-    visited[frontier] = True
-    pieces = []  # product edges (source, target, label) of each BFS layer
+    degree = np.diff(succ.indptr)
+    seen_ids = np.arange(count, dtype=np.int64)
+    seen_keys = frontier = seen_ids * M
+    layers = [(frontier, np.full(count, -1, dtype=np.int64), np.zeros(count, dtype=np.int64))]
+    pieces = []  # product edges (source id, target id, label), by source id
+    examined = first_id = 0
     while frontier.size:
+        examined += int(degree[frontier // M].sum())
+        _check_count(examined, "product transitions", budget)
         e, owner = _row_edges(succ.indptr, frontier // M)
-        u = frontier[owner]
         lab = succ.label[e]
-        counters = u % M
+        counters = frontier[owner] % M
         tgt = succ.dst[e] * M
         ok = np.ones(e.size, dtype=bool)
         for i, w in enumerate(weights):
             new = np.where(lab >> i & 1 == 1, 0, counters // w % r + 1)
             ok &= new < r
             tgt += new * w
-        u, tgt, lab = u[ok], tgt[ok], lab[ok]
-        pieces.append((u, tgt, lab))
-        fresh = ~visited[tgt]
-        frontier, first = np.unique(tgt[fresh], return_index=True)
-        visited[frontier] = True
-        parent[frontier] = u[fresh][first]
-        plabel[frontier] = lab[fresh][first]
+        src, tgt, lab = first_id + owner[ok], tgt[ok], lab[ok]
+        at = np.minimum(np.searchsorted(seen_keys, tgt), seen_keys.size - 1)
+        known = seen_keys[at] == tgt
+        frontier, first, inverse = np.unique(tgt[~known], return_index=True, return_inverse=True)
+        first_id = seen_ids.size
+        dst = np.empty(tgt.size, dtype=np.int64)
+        dst[known] = seen_ids[at[known]]
+        dst[~known] = first_id + inverse
+        pieces.append((src, dst, lab))
+        layers.append((frontier, src[~known][first], lab[~known][first]))
+        at = np.searchsorted(seen_keys, frontier)
+        seen_keys = np.insert(seen_keys, at, frontier)
+        seen_ids = np.insert(seen_ids, at, np.arange(first_id, first_id + frontier.size))
 
-    # the product graph over the reachable states, by position in ``reachable``
-    reachable = np.flatnonzero(visited)
-    pos = np.full(total, -1, dtype=np.int64)
-    pos[reachable] = np.arange(reachable.size)
-    src, tgt, lab = (np.concatenate(column) for column in zip(*pieces))
-    src = pos[src]
-    order = np.argsort(src, kind="stable")
-    indptr = np.zeros(reachable.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=reachable.size), out=indptr[1:])
-    product = SuccessorGraph(indptr, src[order], pos[tgt][order], lab[order])
-    labels = _strong_components(product)[1]
-
-    state = reachable // M
-    moved = (labels[product.src] == labels[product.dst]) & (
-        state[product.src] != state[product.dst]
-    )
-    if not moved.any():
-        return Convergent()
-
-    # deterministic changing edge: first in CSR order
-    e0 = int(np.argmax(moved))
-    j = int(product.src[e0])
-    comp = int(labels[j])
-
-    prefix_labels = []
-    node = int(reachable[j])
-    while parent[node] >= 0:
-        prefix_labels.append(int(plabel[node]))
-        node = int(parent[node])
-    prefix_labels.reverse()
-    source_state = int(node // M)
-
-    back, _ = _bfs_inside(product, labels, comp, int(product.dst[e0]), lambda x: x == j)
-    cycle = _primitive_cycle(
-        tuple(subset_to_nodes(s, n) for s in [int(product.label[e0])] + back)
-    )
-    prefix = tuple(subset_to_nodes(s, n) for s in prefix_labels)
-    full_nodes = frozenset(range(1, n + 1))
-    assert frozenset().union(*cycle) == full_nodes, "r-fair cycle must activate every node"
-    return NonConvergent(graph.witness(source_state, cycle, prefix))
+    key, parent, plabel = (np.concatenate(column) for column in zip(*layers))
+    src, dst, lab = (np.concatenate(column) for column in zip(*pieces))
+    indptr = np.zeros(key.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=key.size), out=indptr[1:])
+    return SuccessorGraph(indptr, src, dst, lab), key // M, parent, plabel

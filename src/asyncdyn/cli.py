@@ -11,6 +11,7 @@ the protocols' 1-based convention.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import string
@@ -184,9 +185,17 @@ def _validate_analysis(spec, path: str):
 
 def _validate_simulation(spec, path: str):
     _expect(isinstance(spec, dict), path, "expected an object")
-    _expect("initial" in spec, f"{path}.initial", "missing required field")
+    initial = _list_field(spec, "initial", path)
+    states = initial if initial and isinstance(initial[0], list) else [initial]
+    _expect(
+        all(isinstance(s, list) and all(isinstance(a, int) for a in s) for s in states),
+        f"{path}.initial",
+        "expected a state or a window of states, each a list of integer actions",
+    )
+    _int_field(spec, "seed", path, required=False)
     schedule = _field(spec, "schedule", path)
     _expect(isinstance(schedule, dict), f"{path}.schedule", "expected an object")
+    _int_field(schedule, "seed", f"{path}.schedule", required=False)
     kind = _field(schedule, "kind", f"{path}.schedule")
     kinds = ("synchronous", "round-robin", "periodic", "explicit", "random", "r-fair")
     _expect(kind in kinds, f"{path}.schedule.kind", f"expected one of {kinds}")
@@ -241,6 +250,24 @@ def parse_scenario(text: str) -> ScenarioDocument:
 # ---------------------------------------------------------------------------
 
 
+def _builds(block: str):
+    """A ValueError or TypeError raised while the decorated function builds a
+    model object from the ``block`` spec becomes a SchemaError naming it."""
+
+    def decorate(build):
+        @functools.wraps(build)
+        def wrapper(*args, **kwargs):
+            try:
+                return build(*args, **kwargs)
+            except (ValueError, TypeError) as exc:
+                raise SchemaError(block, f"cannot build the model: {exc}") from None
+
+        return wrapper
+
+    return decorate
+
+
+@_builds("system")
 def _system_from_spec(spec: dict) -> HistorylessSystem:
     kind = spec["kind"]
     if kind == "table":
@@ -294,6 +321,7 @@ def _system_from_spec(spec: dict) -> HistorylessSystem:
     raise SchemaError("system.kind", f"unknown kind {kind!r}")
 
 
+@_builds("game")
 def _game_from_spec(spec: dict) -> games.Game:
     if "fixture" in spec:
         fx = reductions.fixture(spec["fixture"])
@@ -304,6 +332,7 @@ def _game_from_spec(spec: dict) -> games.Game:
     return games.Game(space=space, utilities=tuple(tuple(t) for t in spec["utilities"]))
 
 
+@_builds("simulation.schedule")
 def _schedule_from_spec(spec: dict, seed: int | None) -> Schedule:
     kind = spec["kind"]
     if kind == "synchronous":

@@ -28,7 +28,7 @@ from asyncdyn.analyze import (
 )
 from asyncdyn.core import ActionSpace, HistorylessSystem, check_r_fair, lift_k_recall, KRecallSystem
 from asyncdyn.errors import BudgetExceeded, InvalidInput
-from asyncdyn.reductions import fixture
+from asyncdyn.reductions import build_snake_system, fixture, snake_for_system
 from asyncdyn.simulate import Cycling, replay_witness
 
 from _helpers import (
@@ -379,8 +379,41 @@ class TestDecideRConvergence:
                 assert check_r_fair(sched, r, system.space.n)
 
     def test_budget(self, fig1):
-        with pytest.raises(BudgetExceeded):
-            decide_r_convergence(fig1, 8, budget=100)
+        """The budget counts the product transitions examined: 94 for fig1 at
+        r=8, though its graph has only 10 edges over 4 states."""
+        assert successor_matrix(fig1).size == 10
+        assert isinstance(decide_r_convergence(fig1, 8, budget=94), NonConvergent)
+        with pytest.raises(BudgetExceeded, match="product transitions"):
+            decide_r_convergence(fig1, 8, budget=50)
+
+    def test_snake_6_threshold_at_the_default_budget(self):
+        """|S| = 8 for n = 6: only the reached product states are built, so
+        the threshold is decided within the default budget."""
+        system = build_snake_system(6)
+        assert len(snake_for_system(6)) == 8
+        assert isinstance(decide_r_convergence(system, 7), Convergent)
+        tracemalloc.start()
+        try:
+            verdict = decide_r_convergence(system, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert_witness_replays(system, verdict)
+        witness = verdict.witness
+        assert check_r_fair(list(witness.prefix) + list(witness.cycle) * 3, 8, system.n)
+
+    def test_product_keys_beyond_int64_are_refused_before_allocation(self):
+        """16 single-action nodes at r=16 have 16^16 = 2^64 product keys."""
+        graph = transition_graph(HistorylessSystem.from_rule(ActionSpace((1,) * 16), lambda s: s))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="overflow int64"):
+                decide_r_convergence(graph, 16, budget=2 ** 62)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
 
 
 class TestLiftedAnalysis:

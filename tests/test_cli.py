@@ -1,9 +1,13 @@
 """Scenario parsing, command dispatch, exit codes, DOT export."""
 
+import copy
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import asyncdyn
 from asyncdyn.analyze import transition_graph
@@ -344,3 +348,217 @@ class TestMalformedInputExit2:
         code, doc = invoke_json(["simulate", "--scenario", write_scenario(tmp_path, scenario)])
         assert code == 2
         assert doc["error"].startswith("simulation.schedule.p:")
+
+    @pytest.mark.parametrize(
+        "command, source, block",
+        [
+            ("analyze", {"system": {"kind": "majority", "users": 2, "edges": [["a", 2]]}}, "system"),
+            ("analyze", {"system": {"kind": "bgp", "dest": 0, "edges": [[0, "x"]], "rankings": []}}, "system"),
+            (
+                "analyze",
+                {"system": {"kind": "bgp", "dest": 0, "edges": [[0, 1]], "rankings": [{"as": 1, "routes": [5]}]}},
+                "system",
+            ),
+            (
+                "analyze",
+                {
+                    "system": {
+                        "kind": "tm", "states": ["q", "h"], "halting": ["h"], "symbols": 2, "cells": 2,
+                        "delta": [
+                            {"state": "q", "read": "x", "next": "h", "write": 0, "move": 0},
+                            {"state": "q", "read": 1, "next": "h", "write": 0, "move": 0},
+                        ],
+                    }
+                },
+                "system",
+            ),
+            (
+                "analyze",
+                {
+                    "system": {
+                        "kind": "circuit",
+                        "inputs": [{"name": "x", "value": 1}],
+                        "gates": [{"name": "g", "inputs": 5, "table": [1, 0]}],
+                    }
+                },
+                "system",
+            ),
+            ("analyze", {"system": {"kind": "fixture", "name": "ring", "params": {"n": "x"}}}, "system"),
+            ("analyze", {"system": {"kind": "fixture", "name": "ring", "params": 5}}, "system"),
+            ("analyze", {"system": {"kind": "disjointness", "n": 5, "A": ["x"], "B": [1]}}, "system"),
+            ("pne", {"game": {"sizes": [2], "utilities": [["a", "b"]]}}, "game"),
+            ("simulate", {"schedule": {"kind": "periodic", "cycle": [5]}}, "simulation.schedule"),
+            ("simulate", {"schedule": {"kind": "periodic", "cycle": [["a"]]}}, "simulation.schedule"),
+            ("simulate", {"initial": 5, "schedule": {"kind": "synchronous"}}, "simulation.initial"),
+            ("simulate", {"initial": [[0, 1], 5], "schedule": {"kind": "synchronous"}}, "simulation.initial"),
+            ("simulate", {"schedule": {"kind": "r-fair", "r": 2, "seed": [["a"]]}}, "simulation.schedule.seed"),
+        ],
+        ids=[
+            "majority-edge", "bgp-edge", "bgp-routes", "tm-read", "circuit-gate-inputs", "fixture-n",
+            "fixture-params", "disjointness-A", "game-utilities", "periodic-int", "periodic-letter",
+            "simulation-initial", "simulation-window-row", "schedule-seed",
+        ],
+    )
+    def test_model_errors_name_their_block(self, tmp_path, command, source, block):
+        if command == "simulate":
+            scenario = dict(FIG1_ANALYZE, simulation=dict({"initial": [0, 1]}, **source))
+        else:
+            scenario = dict({"version": 1, "analysis": {"kind": "convergence"}}, **source)
+        code, doc = invoke_json([command, "--scenario", write_scenario(tmp_path, scenario)])
+        assert code == 2
+        assert doc["error_kind"] == "SchemaError"
+        assert doc["error"].startswith(f"{block}:")
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: mutated valid scenarios end in a result document or an error
+# document, never in a traceback
+# ---------------------------------------------------------------------------
+
+FUZZ_SCENARIOS = [
+    ("analyze", FIG1_ANALYZE),
+    (
+        "analyze",
+        {
+            "version": 1,
+            "system": {"kind": "fixture", "name": "ring", "params": {"n": 4}},
+            "analysis": {"kind": "r-convergence", "r": 2},
+        },
+    ),
+    (
+        "analyze",
+        {
+            "version": 1,
+            "system": {"kind": "table", "sizes": [2, 2], "table": [[0, 0], [1, 0], [0, 1], [1, 1]]},
+            "analysis": {"kind": "spectrum", "state": [0, 1]},
+        },
+    ),
+    (
+        "analyze",
+        {
+            "version": 1,
+            "system": {"kind": "majority", "users": 3, "edges": [[1, 2], [2, 3]]},
+            "analysis": {"kind": "committed"},
+        },
+    ),
+    (
+        "analyze",
+        {
+            "version": 1,
+            "system": {
+                "kind": "circuit",
+                "inputs": [{"name": "x", "value": 1}],
+                "gates": [{"name": "g", "inputs": ["x", "g"], "table": [1, 0, 0, 1]}],
+            },
+            "analysis": {"kind": "convergence"},
+        },
+    ),
+    (
+        "analyze",
+        {
+            "version": 1,
+            "system": {
+                "kind": "bgp",
+                "dest": 0,
+                "edges": [[0, 1], [1, 2], [0, 2]],
+                "rankings": [
+                    {"as": 1, "routes": [[1, 2, 0], [1, 0]]},
+                    {"as": 2, "routes": [[2, 1, 0], [2, 0]]},
+                ],
+            },
+            "analysis": {"kind": "convergence"},
+        },
+    ),
+    (
+        "analyze",
+        {
+            "version": 1,
+            "system": {
+                "kind": "tm",
+                "states": ["q", "h"],
+                "halting": ["h"],
+                "symbols": 2,
+                "cells": 2,
+                "delta": [
+                    {"state": "q", "read": 0, "next": "q", "write": 1, "move": 1},
+                    {"state": "q", "read": 1, "next": "h", "write": 1, "move": 0},
+                ],
+            },
+            "analysis": {"kind": "convergence"},
+        },
+    ),
+    (
+        "analyze",
+        {
+            "version": 1,
+            "system": {"kind": "disjointness", "n": 5, "A": [1], "B": [2]},
+            "analysis": {"kind": "convergence"},
+        },
+    ),
+    ("pne", {"version": 1, "game": {"sizes": [2, 2], "utilities": [[1, 0, 0, 1], [1, 0, 0, 1]]}}),
+    (
+        "uncoupled-check",
+        {
+            "version": 1,
+            "game": {"sizes": [2, 2], "utilities": [[1, 0, 0, 1], [1, 0, 0, 1]]},
+            "analysis": {"kind": "uncoupled-check", "protocol": "three-recall"},
+        },
+    ),
+    ("build", {"version": 1, "system": {"kind": "majority", "users": 2, "edges": [[1, 2]]}}),
+    (
+        "simulate",
+        dict(
+            FIG1_ANALYZE,
+            simulation={"initial": [0, 1], "schedule": {"kind": "periodic", "cycle": [[1], [2]]}, "max_steps": 50},
+        ),
+    ),
+    (
+        "simulate",
+        dict(
+            FIG1_ANALYZE,
+            simulation={"initial": [0, 1], "schedule": {"kind": "r-fair", "r": 2, "seed": 3}, "max_steps": 50},
+        ),
+    ),
+]
+
+JUNK = ["x", -1, 0, 2, 7, 1.5, None, True, [], [5], [["a"]], {}, {"n": "x"}]
+DELETE = object()
+
+
+def field_paths(node, path=()):
+    """The path of every value inside a JSON document, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from field_paths(value, path + (key,))
+
+
+def mutated(doc, path, value):
+    if not path:
+        return None if value is DELETE else value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_mutated_scenarios_exit_with_a_json_document(data):
+    command, doc = data.draw(st.sampled_from(FUZZ_SCENARIOS))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
+        if not isinstance(doc, (dict, list)):
+            break
+        path = data.draw(st.sampled_from(list(field_paths(doc))))
+        doc = mutated(doc, path, data.draw(st.sampled_from(JUNK + [DELETE])))
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "scenario.json"
+        path.write_text(json.dumps(doc))
+        code, text = invoke([command, "--scenario", str(path), "--budget", "4096"])
+    assert code in {0, 2, 3, 10}
+    assert isinstance(json.loads(text), dict)

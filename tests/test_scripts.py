@@ -36,6 +36,7 @@ def test_r_thresholds_ring_flips_at_n_minus_1():
     for n, cells in rows.items():
         assert cells == {r: "conv" if r < n - 1 else "osc" for r in range(1, n + 1)}
     assert re.search(r"snake n=5 \(\|S\|=6\):\s+r=5:conv\s+r=6:osc", proc.stdout)
+    assert re.search(r"snake n=6 \(\|S\|=8\):\s+r=7:conv\s+r=8:osc", proc.stdout)
 
 
 def test_r_thresholds_reports_budget_cells():
