@@ -6,13 +6,16 @@ The default run covers the exhaustive 2x2 family with utilities in {0,1,2},
 seeded random 4x4 games for the 2-recall protocol, seeded 2xk games for
 stay-or-roll, and the 2x2x2 fixture game on which stay-or-roll fails.  With
 --exhaustive-2x3 it additionally sweeps all 531441 2x3 games with utilities in
-{0,1,2} through the 3-recall protocol (takes several minutes).
+{0,1,2} through the 3-recall protocol, in batches of 729 games (about 12 s on
+a shared 2-core VM).
 """
 
 import argparse
 import itertools
 import random
 import time
+
+import numpy as np
 
 from asyncdyn.core import ActionSpace
 from asyncdyn.games import Game
@@ -21,6 +24,7 @@ from asyncdyn.uncoupled import (
     NoPNE,
     SelfStabilizing,
     check_self_stabilization,
+    check_self_stabilization_many,
     check_self_stabilization_randomized,
     fixture_game_2x2x2,
     to_one_based,
@@ -28,21 +32,23 @@ from asyncdyn.uncoupled import (
 
 
 def sweep_exhaustive(protocol: str, sizes, values=(0, 1, 2)):
+    """Every game whose utility tables take values in ``values``, one batch
+    per choice of the tables of all nodes but the last."""
     space = ActionSpace(sizes)
-    cells = space.num_states
+    tables = np.array(list(itertools.product(values, repeat=space.num_states)), dtype=np.int64)
     counts = {"self-stabilizing": 0, "fails": 0, "no-pne": 0}
     t0 = time.time()
-    for tables in itertools.product(
-        itertools.product(values, repeat=cells), repeat=space.n
-    ):
-        game = Game(space, tables)
-        verdict = check_self_stabilization(protocol, game)
-        if isinstance(verdict, SelfStabilizing):
-            counts["self-stabilizing"] += 1
-        elif isinstance(verdict, NoPNE):
-            counts["no-pne"] += 1
-        else:
-            counts["fails"] += 1
+    batch = np.empty((len(tables), space.n, space.num_states), dtype=np.int64)
+    batch[:, -1] = tables
+    for head in itertools.product(range(len(tables)), repeat=space.n - 1):
+        batch[:, :-1] = tables[list(head)]
+        for verdict in check_self_stabilization_many(protocol, space, batch):
+            if isinstance(verdict, SelfStabilizing):
+                counts["self-stabilizing"] += 1
+            elif isinstance(verdict, NoPNE):
+                counts["no-pne"] += 1
+            else:
+                counts["fails"] += 1
     total = sum(counts.values())
     print(f"{protocol} on all {total} {'x'.join(map(str, sizes))} games: {counts} ({time.time()-t0:.0f}s)")
 

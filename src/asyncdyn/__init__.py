@@ -35,7 +35,7 @@ from .core import (
     step,
     step_history,
 )
-from .games import Game, best_responses, br_system, enumerate_pne, induced_game
+from .games import Game, best_response_table, best_responses, br_system, enumerate_pne, induced_game
 from .simulate import (
     BudgetExhausted,
     Converged,
@@ -52,6 +52,7 @@ from .uncoupled import (
     NodeUtility,
     SelfStabilizing,
     check_self_stabilization,
+    check_self_stabilization_many,
     check_self_stabilization_randomized,
     cyclic_successor,
     fixture_game_2x2x2,

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .core import ActionSpace, HistorylessSystem, State
 from .errors import InvalidInput, NonUniqueBestResponse
 
@@ -56,7 +58,8 @@ def best_responses(game: Game, node: int, state) -> frozenset[int]:
 
 
 def _best_responses(space: ActionSpace, table, i: int, state) -> frozenset[int]:
-    """Argmax set of one utility table over coordinate i of the state."""
+    """Argmax set of one utility table over coordinate i of the state: the
+    per-state reference for ``best_response_table``."""
     values = {}
     for a in range(space.sizes[i]):
         candidate = state[:i] + (a,) + state[i + 1:]
@@ -70,10 +73,46 @@ def is_pne(game: Game, state) -> bool:
     return all(state[i - 1] in best_responses(game, i, state) for i in range(1, game.n + 1))
 
 
+def _own_action_axes(space: ActionSpace):
+    """Per node, the shape (states of the nodes before it, its own actions,
+    states of the nodes after it) that an axis of N state indices takes."""
+    outer = 1
+    for k in space.sizes:
+        yield outer, k, space.num_states // (outer * k)
+        outer *= k
+
+
+def best_response_table(space: ActionSpace, utilities) -> tuple[np.ndarray, np.ndarray]:
+    """Best responses of every node at every state, for B games on one space.
+
+    ``utilities`` has shape (B, n, N): entry [b, i, s] is node i+1's utility
+    at the state with index s in game b.  Returns two (B, N, n) arrays:
+    ``is_br`` (is node i+1's action at s a best response?) and ``least``
+    (node i+1's least best response at s).  Node i+1's entries read only
+    ``utilities[:, i]``, so the table is uncoupled by construction.
+    """
+    u = np.asarray(utilities)
+    if u.dtype.kind not in "iu":  # integers beyond 64 bits stay exact Python ints
+        u = np.asarray(utilities, dtype=object)
+    if u.ndim != 3 or u.shape[1:] != (space.n, space.num_states):
+        raise InvalidInput(
+            f"utilities must have shape (games, {space.n}, {space.num_states}), got {u.shape}"
+        )
+    games = len(u)
+    is_br = np.empty((games, space.n, space.num_states), dtype=bool)
+    least = np.empty(is_br.shape, dtype=np.int64)
+    for i, axes in enumerate(_own_action_axes(space)):
+        values = u[:, i].reshape((games,) + axes)
+        is_br.reshape((games, space.n) + axes)[:, i] = values == values.max(axis=2, keepdims=True)
+        least.reshape((games, space.n) + axes)[:, i] = values.argmax(axis=2, keepdims=True)
+    return is_br.transpose(0, 2, 1), least.transpose(0, 2, 1)
+
+
 def enumerate_pne(game: Game, budget: int | None = None) -> frozenset[State]:
     """Exactly the states where every node's action is a best response."""
     game.space.check_budget(budget)
-    return frozenset(s for s in game.space.states() if is_pne(game, s))
+    is_br, _ = best_response_table(game.space, [game.utilities])
+    return frozenset(map(game.space.decode, np.flatnonzero(is_br[0].all(-1)).tolist()))
 
 
 def br_system(game: Game, tie_break: str | None = None, budget: int | None = None) -> HistorylessSystem:
@@ -84,19 +123,20 @@ def br_system(game: Game, tie_break: str | None = None, budget: int | None = Non
     """
     if tie_break not in (None, "min"):
         raise InvalidInput(f'tie_break must be None or "min", got {tie_break!r}')
-    game.space.check_budget(budget)
-    rows = []
-    for state in game.space.states():
-        row = []
-        for node in range(1, game.n + 1):
-            brs = best_responses(game, node, state)
-            if len(brs) > 1 and tie_break is None:
-                raise NonUniqueBestResponse(
-                    f"node {node} has best responses {sorted(brs)} at state {state}"
-                )
-            row.append(min(brs))
-        rows.append(tuple(row))
-    system = HistorylessSystem.from_table(game.space, rows, name="best-response")
+    space = game.space
+    space.check_budget(budget)
+    is_br, least = best_response_table(space, [game.utilities])
+    if tie_break is None:
+        # node i+1 ties at s when two or more of its own actions best-respond
+        tied = np.empty((space.n, space.num_states), dtype=bool)
+        for i, axes in enumerate(_own_action_axes(space)):
+            tied.reshape((space.n,) + axes)[i] = is_br[0, :, i].reshape(axes).sum(axis=1, keepdims=True) > 1
+        if tied.any():
+            s, i = divmod(int(tied.T.argmax()), space.n)  # first in (state, node) order
+            state = space.decode(s)
+            brs = best_responses(game, i + 1, state)
+            raise NonUniqueBestResponse(f"node {i + 1} has best responses {sorted(brs)} at state {state}")
+    system = HistorylessSystem.from_table(space, least[0].tolist(), name="best-response")
     return replace(system, self_independent_hint=True)
 
 

@@ -8,6 +8,14 @@ graph of window successors, and the randomized checker decides support-level
 reachability, which is equivalent to absorption with probability 1 in a finite
 chain whose moves have uniformly positive probability.
 
+The checkers work on arrays: one best-response table per game
+(``games.best_response_table``, whose node-i entries read node i's utilities
+only), the window-successor array of a whole batch of games, and pointer
+doubling over it.  The per-node functions (``three_recall_step``,
+``two_recall_step``, ``protocol_system``, ``stay_or_roll_support``,
+``support_system``) are the reference definitions of the protocols: the
+simulator runs them and the tests compare the arrays against them.
+
 Action arithmetic here follows the protocols' 1-based formulas; the module
 converts to the library's 0-based encoding at the boundary, which leaves both
 modular differences and min-of-set tie-breaking unchanged.
@@ -22,9 +30,9 @@ from typing import Union
 
 import numpy as np
 
-from .core import ActionSpace, KRecallSystem, State, lift_k_recall
+from .core import ActionSpace, KRecallSystem, State, _check_count, resolve_budget
 from .errors import InvalidInput, Unsupported
-from .games import Game, _best_responses, enumerate_pne
+from .games import Game, _best_responses, best_response_table, enumerate_pne
 
 PROTOCOLS = ("three-recall", "two-recall")
 
@@ -67,6 +75,7 @@ def three_recall_step(u: NodeUtility, window) -> int:
     current action if it is a best response, else with the least best response.
     A repetition followed by a different state means the candidate was
     rejected: move on to its cyclic successor.  Otherwise repeat the last state.
+    The per-node reference for the array form in ``_window_successors``.
     """
     a, b, c = (u.space.validate_state(s) for s in window)
     i = u.node - 1
@@ -81,7 +90,8 @@ def three_recall_step(u: NodeUtility, window) -> int:
 
 def two_recall_step(u: NodeUtility, window) -> int:
     """Stationary 2-recall step for one node; needs at least four actions per
-    node so the move-on and query conditions are disjoint."""
+    node so the move-on and query conditions are disjoint.  The per-node
+    reference for the array form in ``_window_successors``."""
     if any(k < 4 for k in u.space.sizes):
         raise Unsupported("the 2-recall protocol needs at least four actions per node")
     a, b = (u.space.validate_state(s) for s in window)
@@ -96,30 +106,35 @@ def two_recall_step(u: NodeUtility, window) -> int:
     return b[i]
 
 
-def protocol_system(protocol: str, game: Game) -> KRecallSystem:
-    """The interaction system a deterministic protocol induces for a game."""
+def _recall(protocol: str, space: ActionSpace) -> int:
+    """Recall depth k of a deterministic protocol, once it is known to apply."""
     if protocol not in PROTOCOLS:
         raise InvalidInput(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
-    utilities = [node_utility(game, i) for i in range(1, game.n + 1)]
     if protocol == "three-recall":
-        k = 3
+        return 3
+    if any(s < 4 for s in space.sizes):
+        raise Unsupported("the 2-recall protocol needs at least four actions per node")
+    return 2
 
-        def rule(window):
-            return tuple(three_recall_step(u, window) for u in utilities)
-    else:
-        if any(s < 4 for s in game.space.sizes):
-            raise Unsupported("the 2-recall protocol needs at least four actions per node")
-        k = 2
 
-        def rule(window):
-            return tuple(two_recall_step(u, window) for u in utilities)
+def protocol_system(protocol: str, game: Game) -> KRecallSystem:
+    """The interaction system a deterministic protocol induces for a game,
+    built from the per-node reference steps (the checkers use the array form
+    in ``_window_successors``)."""
+    k = _recall(protocol, game.space)
+    utilities = [node_utility(game, i) for i in range(1, game.n + 1)]
+    step = three_recall_step if k == 3 else two_recall_step
+
+    def rule(window):
+        return tuple(step(u, window) for u in utilities)
 
     return KRecallSystem(space=game.space, k=k, rule=rule, stationary=True, name=protocol)
 
 
 def stay_or_roll_support(u: NodeUtility, state) -> frozenset[int]:
     """Positive-probability moves of the stay-or-roll rule: keep the current
-    action when best-responding, otherwise any action (uniform roll)."""
+    action when best-responding, otherwise any action (uniform roll).  The
+    per-node reference for ``check_self_stabilization_randomized``."""
     state = u.space.validate_state(state)
     i = u.node - 1
     if state[i] in u.best_responses(state):
@@ -130,7 +145,8 @@ def stay_or_roll_support(u: NodeUtility, state) -> frozenset[int]:
 @dataclass(frozen=True)
 class SupportSystem:
     """Support abstraction of a randomized synchronous system: per node and
-    state, the set of actions played with positive probability."""
+    state, the set of actions played with positive probability.  A reference
+    form that tests replay witnesses with; the checker does not build it."""
 
     space: ActionSpace
     supports: tuple[tuple[frozenset[int], ...], ...]  # [node-1][encoded state]
@@ -146,6 +162,8 @@ class SupportSystem:
 
 
 def support_system(game: Game, budget: int | None = None) -> SupportSystem:
+    """The stay-or-roll supports of every node at every state, from the
+    per-node reference ``stay_or_roll_support``."""
     game.space.check_budget(budget)
     utilities = [node_utility(game, i) for i in range(1, game.n + 1)]
     supports = tuple(
@@ -175,9 +193,88 @@ class NoPNE:
 StabilizationVerdict = Union[SelfStabilizing, Fails, NoPNE]
 
 
-def _pne_mask(game: Game) -> list[bool]:
-    pne = enumerate_pne(game)
-    return [s in pne for s in game.space.states()]
+def _window_successors(protocol: str, space: ActionSpace, is_br, least) -> np.ndarray:
+    """(B, N^k) index of the window that follows each window of each game
+    under the synchronous schedule: drop the oldest state, append the new one.
+
+    Windows are encoded oldest state most significant.  Each protocol decides
+    its case on whole states, so a window has one new state: under 3-recall
+    ``f[c]`` (keep a best response, else play the least one) after a repeated
+    state c, the cyclic successor of a after a rejected repetition (a, a, c),
+    else c again; under 2-recall the analogous cases on (a, b), with the
+    best-response mask at b as the game's only input.
+    """
+    n_states = space.num_states
+    digits = space.digits()
+    if protocol == "three-recall":
+        w = np.arange(n_states ** 3, dtype=np.int64)
+        a, b, c = w // n_states ** 2, w // n_states % n_states, w % n_states
+        answer = np.where(is_br, digits, least) @ space.weights  # (B, N)
+        new = np.where(b == c, answer[:, c], np.where(a == b, (a + 1) % n_states, c))
+    else:
+        w = np.arange(n_states ** 2, dtype=np.int64)
+        a, b = w // n_states, w % n_states
+        sizes = np.array(space.sizes, dtype=np.int64)
+        move_on = (a != b) & ((digits[a] - digits[b]) % sizes <= 1).all(-1)
+        query = ((digits[b] - digits[a]) % sizes <= 2).all(-1)
+        answer = np.where(is_br, digits, (digits - 1) % sizes) @ space.weights
+        new = np.where(move_on, (a + 1) % n_states, np.where(query, answer[:, b], b))
+    return w % (w.size // n_states) * n_states + new
+
+
+def _failing_windows(nxt: np.ndarray, pne_newest: np.ndarray) -> np.ndarray:
+    """(B, M) mask of the windows whose trajectory under ``nxt`` (B, M) ends
+    in a cycle through a window whose newest state is not a PNE.
+
+    Pointer doubling (Wyllie's list ranking with OR accumulation): after t
+    rounds ``h`` is the 2^t-th successor and ``bad[w]`` tells whether one of
+    w's next 2^t windows ends at a non-PNE.  After ceil(log2 M) rounds h[w]
+    lies on w's cycle and bad[h[w]] covers that whole cycle.
+    """
+    games, m = nxt.shape
+    h = (nxt + np.arange(games, dtype=np.int64)[:, None] * m).ravel()
+    bad = ~pne_newest.ravel()[h]
+    for _ in range((m - 1).bit_length()):
+        bad |= bad[h]
+        h = h[h]
+    return bad[h].reshape(games, m)
+
+
+def check_self_stabilization_many(
+    protocol: str, space: ActionSpace, utilities, budget: int | None = None
+) -> list[StabilizationVerdict]:
+    """``check_self_stabilization`` for B games on one space at once;
+    ``utilities`` has shape (B, n, N) as in ``games.best_response_table``.
+
+    Returns one verdict per game, equal to the single-game verdict.  The N^k
+    windows of one game are counted against the budget once some game has a
+    PNE, before any window array exists; games are then processed in chunks
+    whose windows together fit the budget.
+    """
+    k = _recall(protocol, space)
+    is_br, least = best_response_table(space, utilities)
+    pne = is_br.all(-1)  # (B, N)
+    verdicts: list[StabilizationVerdict] = [NoPNE()] * len(pne)
+    todo = np.flatnonzero(pne.any(-1))
+    if not todo.size:
+        return verdicts
+    n_states = space.num_states
+    limit = resolve_budget(budget)
+    windows = _check_count(n_states ** k, "window states", limit)
+    newest = np.arange(windows) % n_states
+    step = limit // windows
+    for start in range(0, todo.size, step):
+        chunk = todo[start:start + step]
+        nxt = _window_successors(protocol, space, is_br[chunk], least[chunk])
+        fails = _failing_windows(nxt, pne[chunk][:, newest])
+        for g, row in zip(chunk.tolist(), fails):
+            if row.any():  # the least failing window in encoded order
+                w = int(row.argmax())
+                witness = tuple(space.decode(w // n_states ** j % n_states) for j in reversed(range(k)))
+                verdicts[g] = Fails(witness=witness)
+            else:
+                verdicts[g] = SelfStabilizing()
+    return verdicts
 
 
 def check_self_stabilization(
@@ -188,47 +285,9 @@ def check_self_stabilization(
 
     The synchronous successor is a function on windows, so each trajectory ends
     in a cycle; the system self-stabilizes iff every reachable cycle visits
-    only PNE states.
+    only PNE states.  The one-game case of ``check_self_stabilization_many``.
     """
-    system = protocol_system(protocol, game)
-    pne = _pne_mask(game)
-    if not any(pne):
-        return NoPNE()
-    lifted = lift_k_recall(system)
-    nstates = game.space.num_states
-    total = lifted.num_states
-    # window successor: drop the oldest state, append the reaction
-    shift = np.arange(total, dtype=np.int64) % (total // nstates) * nstates
-    nxt = (shift + lifted.reaction_rows(budget) @ game.space.weights).tolist()
-
-    # functional-graph classification: a window is bad iff its eventual cycle
-    # contains a non-PNE state
-    status = [0] * total  # 0 new, 1 in progress, 2 done
-    bad = [False] * total
-    for start in range(total):
-        if status[start] != 0:
-            continue
-        chain = []
-        node = start
-        while status[node] == 0:
-            status[node] = 1
-            chain.append(node)
-            node = nxt[node]
-        if status[node] == 1:  # found a fresh cycle; classify it
-            cycle_start = chain.index(node)
-            cycle = chain[cycle_start:]
-            cycle_bad = any(not pne[w % nstates] for w in cycle)
-            for w in cycle:
-                bad[w] = cycle_bad
-                status[w] = 2
-            chain = chain[:cycle_start]
-        inherited = bad[node]
-        for w in reversed(chain):
-            bad[w] = inherited
-            status[w] = 2
-    if any(bad):
-        return Fails(witness=lifted.decode(bad.index(True)))
-    return SelfStabilizing()
+    return check_self_stabilization_many(protocol, game.space, [game.utilities], budget)[0]
 
 
 def check_self_stabilization_randomized(
@@ -236,30 +295,47 @@ def check_self_stabilization_randomized(
 ) -> StabilizationVerdict:
     """Support-reachability check of the stay-or-roll protocol under the
     synchronous schedule: self-stabilizing iff every PNE is absorbing and some
-    PNE is reachable in the support graph from every state."""
-    game.space.check_budget(budget)
-    pne = enumerate_pne(game)
-    if not pne:
-        return NoPNE()
-    sup = support_system(game, budget)
+    PNE is reachable in the support graph from every state.
+
+    A state t is a one-step successor of s iff t agrees with s on the nodes
+    that best-respond at s.  So s reaches a set R iff R meets the subcube
+    keyed by (best-response mask at s, s's actions on that mask); the set of
+    states that reach a PNE is grown from the PNEs by that test, with one
+    row of keys per mask that occurs.  The N states are counted against the
+    budget, and the (masks, N) key rows are built in chunks of at most
+    budget entries.
+    """
     space = game.space
-    for p in pne:
-        assert sup.successors(p) == [p], "a PNE must be absorbing under stay-or-roll"
-    can_reach = {p for p in pne}
-    changed = True
-    all_states = list(space.states())
-    while changed:
-        changed = False
-        for s in all_states:
-            if s in can_reach:
-                continue
-            if any(t in can_reach for t in sup.successors(s)):
-                can_reach.add(s)
-                changed = True
-    for s in all_states:  # encoded order gives the least witness
-        if s not in can_reach:
-            return Fails(witness=s)
-    return SelfStabilizing()
+    space.check_budget(budget)
+    is_br = best_response_table(space, [game.utilities])[0][0]
+    reach = is_br.all(-1)
+    if not reach.any():
+        return NoPNE()
+    # a node with one action always stays, so masks are codes over the others
+    live = np.flatnonzero(np.array(space.sizes) > 1)
+    codes = (is_br[:, live] @ (1 << np.arange(live.size))).tolist()
+    index: dict[int, int] = {}  # mask code -> row, in order of first occurrence
+    group = np.array([index.setdefault(c, len(index)) for c in codes])
+    masks = np.array(list(index))
+    place = (masks[:, None] >> np.arange(live.size) & 1) * space.weights[live]  # (G, live)
+    digits = space.digits()[:, live]
+    own = (digits * place[group]).sum(-1)  # each state's key under its own mask
+    assert (own[reach] == np.flatnonzero(reach)).all(), "a PNE must be absorbing under stay-or-roll"
+    step = resolve_budget(budget) // space.num_states
+    while True:
+        grown = reach.copy()
+        for lo in range(0, len(masks), step):
+            keys = place[lo:lo + step] @ digits.T  # (masks in chunk, N)
+            hit = np.zeros(keys.shape, dtype=bool)
+            hit[np.arange(len(keys))[:, None], keys[:, reach]] = True
+            mine = (group >= lo) & (group < lo + step)
+            grown[mine] |= hit[group[mine] - lo, own[mine]]
+        if (grown == reach).all():
+            break
+        reach = grown
+    if reach.all():
+        return SelfStabilizing()
+    return Fails(witness=space.decode(int(reach.argmin())))  # least in encoded order
 
 
 def simulate_stay_or_roll(

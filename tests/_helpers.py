@@ -12,6 +12,7 @@ import itertools
 from collections import deque
 
 from asyncdyn.core import ActionSpace, HistorylessSystem, KRecallSystem, LiftedSystem, lift_k_recall
+from asyncdyn.errors import NonUniqueBestResponse
 
 
 def all_subsets(n):
@@ -167,6 +168,112 @@ def naive_r_convergent(system, r: int) -> bool:
                 if p in reach_from[q]:
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Games and uncoupled self-stabilization
+# ---------------------------------------------------------------------------
+
+
+def naive_pne(game) -> frozenset:
+    """PNEs by the per-state best-response sets."""
+    from asyncdyn.games import is_pne
+
+    return frozenset(s for s in game.space.states() if is_pne(game, s))
+
+
+def naive_br_rows(game, tie_break=None) -> tuple:
+    """Best-response reaction rows state by state, refusing the first tie
+    in (state, node) order unless tie_break is "min"."""
+    from asyncdyn.games import best_responses
+
+    rows = []
+    for state in game.space.states():
+        row = []
+        for node in range(1, game.n + 1):
+            brs = best_responses(game, node, state)
+            if len(brs) > 1 and tie_break is None:
+                raise NonUniqueBestResponse(
+                    f"node {node} has best responses {sorted(brs)} at state {state}"
+                )
+            row.append(min(brs))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def naive_failing_windows(nxt, pne_newest) -> list:
+    """Per window of the functional graph ``nxt``: does its trajectory end in
+    a cycle through a window whose newest state is not a PNE?  Walks each
+    fresh chain until it meets a classified or an in-progress window."""
+    total = len(nxt)
+    status = [0] * total  # 0 new, 1 in progress, 2 done
+    bad = [False] * total
+    for start in range(total):
+        if status[start] != 0:
+            continue
+        chain = []
+        node = start
+        while status[node] == 0:
+            status[node] = 1
+            chain.append(node)
+            node = nxt[node]
+        if status[node] == 1:  # found a fresh cycle; classify it
+            cycle_start = chain.index(node)
+            cycle = chain[cycle_start:]
+            cycle_bad = any(not pne_newest[w] for w in cycle)
+            for w in cycle:
+                bad[w] = cycle_bad
+                status[w] = 2
+            chain = chain[:cycle_start]
+        inherited = bad[node]
+        for w in reversed(chain):
+            bad[w] = inherited
+            status[w] = 2
+    return bad
+
+
+def naive_check_self_stabilization(protocol, game):
+    """The deterministic check through the per-node reference steps: tabulate
+    the protocol's rule on every window, classify the windows with
+    ``naive_failing_windows`` and report the least failing one."""
+    from asyncdyn.uncoupled import Fails, NoPNE, SelfStabilizing, protocol_system
+
+    lifted = lift_k_recall(protocol_system(protocol, game))
+    pne = naive_pne(game)
+    if not pne:
+        return NoPNE()
+    nstates = game.space.num_states
+    windows = list(itertools.product(game.space.states(), repeat=lifted.k))
+    nxt = [lifted.encode(w[1:] + (lifted.base.rule(w),)) for w in windows]
+    bad = naive_failing_windows(nxt, [w[-1] in pne for w in windows])
+    if any(bad):
+        return Fails(witness=windows[bad.index(True)])
+    return SelfStabilizing()
+
+
+def naive_stay_or_roll(game):
+    """Stay-or-roll verdict by growing the set of states that reach a PNE in
+    the support graph until nothing changes; the witness is the least state
+    left out, in encoded order."""
+    from asyncdyn.uncoupled import Fails, NoPNE, SelfStabilizing, support_system
+
+    pne = naive_pne(game)
+    if not pne:
+        return NoPNE()
+    sup = support_system(game)
+    can_reach = set(pne)
+    all_states = list(game.space.states())
+    changed = True
+    while changed:
+        changed = False
+        for s in all_states:
+            if s not in can_reach and any(t in can_reach for t in sup.successors(s)):
+                can_reach.add(s)
+                changed = True
+    for s in all_states:
+        if s not in can_reach:
+            return Fails(witness=s)
+    return SelfStabilizing()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from asyncdyn.core import ActionSpace, HistorylessSystem, check_self_independent
 from asyncdyn.errors import NonUniqueBestResponse
 from asyncdyn.games import (
     Game,
+    best_response_table,
     best_responses,
     br_system,
     enumerate_pne,
@@ -20,7 +21,7 @@ from asyncdyn.games import (
 from asyncdyn.reductions import SocialGraph, build_majority, fixture
 from asyncdyn.uncoupled import fixture_game_2x2x2
 
-from _helpers import random_game, random_self_independent_system
+from _helpers import naive_br_rows, naive_pne, random_game, random_self_independent_system
 
 
 @pytest.fixture
@@ -95,6 +96,36 @@ class TestBrSystem:
 
     def test_result_is_self_independent(self, coordination):
         assert check_self_independent(br_system(coordination)).ok
+
+
+class TestBestResponseTable:
+    @given(
+        st.integers(min_value=0, max_value=10 ** 6),
+        st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2), (4, 4), (1, 3)]),
+        st.sampled_from([0, 1, 9, 10 ** 30]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_per_state_oracle(self, seed, sizes, hi):
+        """PNEs, best-response rows, ties and the tie message agree with the
+        per-state best-response sets, also for utilities beyond 64 bits."""
+        rng = random.Random(seed)
+        game = random_game(rng, sizes, lo=-hi, hi=hi)
+        is_br, least = best_response_table(game.space, [game.utilities])
+        for s, state in enumerate(game.space.states()):
+            for i in range(game.n):
+                brs = best_responses(game, i + 1, state)
+                assert is_br[0, s, i] == (state[i] in brs)
+                assert least[0, s, i] == min(brs)
+        assert enumerate_pne(game) == naive_pne(game)
+        assert br_system(game, tie_break="min").table == naive_br_rows(game, "min")
+        try:
+            expected = naive_br_rows(game)
+        except NonUniqueBestResponse as exc:
+            with pytest.raises(NonUniqueBestResponse) as got:
+                br_system(game)
+            assert str(got.value) == str(exc)
+        else:
+            assert br_system(game).table == expected
 
 
 class TestInducedGame:

@@ -51,3 +51,15 @@ def test_tm_equivalence_single_state_machines():
     proc = run_script("tm_equivalence.py", "--max-states", "1")
     assert proc.returncode == 0, proc.stderr
     assert re.search(r"144 machines: .* halts-or-freezes -> 0 mismatches", proc.stdout)
+
+
+def test_stabilization_grid_default_run():
+    proc = run_script("stabilization_grid.py")
+    assert proc.returncode == 0, proc.stderr
+    assert re.search(
+        r"three-recall on all 6561 2x2 games: \{'self-stabilizing': 6399, 'fails': 0, 'no-pne': 162\}",
+        proc.stdout,
+    )
+    sweeps = re.findall(r"^(two-recall|stay-or-roll) on \d+ random .*: (\d+) failures", proc.stdout, re.M)
+    assert len(sweeps) == 5 and all(fails == "0" for _, fails in sweeps)
+    assert "stay-or-roll on the 2x2x2 fixture game: Fails, witness (1, 1, 2)" in proc.stdout

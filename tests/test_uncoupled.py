@@ -1,16 +1,17 @@
 """Uncoupled protocols: step case analyses, proof-structure properties, and
 the exhaustive self-stabilization checkers."""
 
-import dataclasses
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asyncdyn.core import ActionSpace, Synchronous
+from asyncdyn.core import ActionSpace, Synchronous, lift_k_recall
 from asyncdyn.errors import BudgetExceeded, Unsupported
-from asyncdyn.games import Game, enumerate_pne
+from asyncdyn.games import Game, best_response_table, enumerate_pne
 from asyncdyn import uncoupled
 from asyncdyn.simulate import run, Converged
 from asyncdyn.uncoupled import (
@@ -18,6 +19,7 @@ from asyncdyn.uncoupled import (
     NoPNE,
     SelfStabilizing,
     check_self_stabilization,
+    check_self_stabilization_many,
     check_self_stabilization_randomized,
     cyclic_successor,
     fixture_game_2x2x2,
@@ -31,7 +33,12 @@ from asyncdyn.uncoupled import (
     two_recall_step,
 )
 
-from _helpers import random_game
+from _helpers import (
+    naive_check_self_stabilization,
+    naive_failing_windows,
+    naive_stay_or_roll,
+    random_game,
+)
 
 
 @pytest.fixture
@@ -203,6 +210,29 @@ class TestUncoupledness:
         for s in states:
             assert stay_or_roll_support(u2, s) == stay_or_roll_support(u2_mutated, s)
 
+    @given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([(2, 2, 2), (2, 3), (4, 4)]))
+    @settings(max_examples=30, deadline=None)
+    def test_arrays_read_only_own_utility(self, seed, sizes):
+        """Redrawing the other nodes' utility tables never changes node i's
+        best-response entries nor node i's action in any window successor."""
+        rng = random.Random(seed)
+        game = random_game(rng, sizes, hi=3)
+        space = game.space
+        protocol = "two-recall" if min(sizes) >= 4 else "three-recall"
+        digits = space.digits()
+        is_br, least = best_response_table(space, [game.utilities])
+        actions = digits[uncoupled._window_successors(protocol, space, is_br, least) % space.num_states]
+        for i in range(space.n):
+            other = random_game(rng, sizes, hi=3)
+            tables = list(other.utilities)
+            tables[i] = game.utilities[i]
+            mutated = Game(space, tuple(tables))
+            is_br2, least2 = best_response_table(space, [mutated.utilities])
+            assert (is_br2[..., i] == is_br[..., i]).all()
+            assert (least2[..., i] == least[..., i]).all()
+            nxt2 = uncoupled._window_successors(protocol, space, is_br2, least2)
+            assert (digits[nxt2 % space.num_states][..., i] == actions[..., i]).all()
+
 
 class TestStayOrRoll:
     def test_m1m2_node3_stays(self, m1m2):
@@ -271,14 +301,29 @@ class TestCheckSelfStabilization:
         """A rule that repeats the last state is stuck wherever a window
         ends; the witness is the first window, in encoded order (oldest state
         most significant), that ends at a non-PNE state."""
-        real = uncoupled.protocol_system
 
-        def repeat_last(protocol, game):
-            return dataclasses.replace(real(protocol, game), rule=lambda window: window[-1])
+        def repeat_last(protocol, space, is_br, least):
+            n_states = space.num_states
+            w = np.arange(n_states ** 3)
+            return np.tile(w % n_states ** 2 * n_states + w % n_states, (len(is_br), 1))
 
-        monkeypatch.setattr(uncoupled, "protocol_system", repeat_last)
+        monkeypatch.setattr(uncoupled, "_window_successors", repeat_last)
         verdict = check_self_stabilization("three-recall", coordination)
         assert verdict == Fails(witness=((0, 0), (0, 0), (0, 1)))
+
+    def test_window_budget_is_checked_before_any_window_array(self):
+        """A 3x3x3x3 game has 81^3 windows (4 MB of int64 successors); over
+        the budget it is refused before any of them is allocated."""
+        game = random_game(random.Random(8), (3, 3, 3, 3), hi=9)
+        assert enumerate_pne(game)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="531441 window states"):
+                check_self_stabilization("three-recall", game, budget=10 ** 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_three_recall_trajectory_agrees(self, coordination):
         """The checker's verdict matches a direct synchronous run."""
@@ -287,6 +332,102 @@ class TestCheckSelfStabilization:
             _, verdict = run(system, w0, Synchronous(), max_steps=300)
             assert isinstance(verdict, Converged)
             assert verdict.state in enumerate_pne(coordination)
+
+
+class TestArrayProtocols:
+    @given(
+        st.integers(min_value=0, max_value=10 ** 6),
+        st.sampled_from([("three-recall", (2, 2)), ("three-recall", (2, 3)),
+                         ("three-recall", (2, 2, 2)), ("two-recall", (4, 4))]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_window_successors_equal_the_reference_rule(self, seed, case):
+        """For every window of every game in a batch, the array successor is
+        the window shifted by the per-node reference rule's new state."""
+        protocol, sizes = case
+        rng = random.Random(seed)
+        batch = [random_game(rng, sizes, hi=rng.choice([1, 2, 9])) for _ in range(3)]
+        space = batch[0].space
+        is_br, least = best_response_table(space, [g.utilities for g in batch])
+        nxt = uncoupled._window_successors(protocol, space, is_br, least)
+        for game, row in zip(batch, nxt):
+            lifted = lift_k_recall(protocol_system(protocol, game))
+            windows = itertools.product(space.states(), repeat=lifted.k)
+            assert row.tolist() == [lifted.encode(w[1:] + (lifted.base.rule(w),)) for w in windows]
+
+    def test_doubling_classifier_matches_the_chain_walk(self):
+        """On random functions over at most 300 points, batched, with random
+        PNE masks, pointer doubling marks the same failing windows as the
+        chain walk; many of the draws have failing windows, some have none."""
+        outcomes = []
+
+        def rho(rnd, m):
+            """One path through all m points in random order, closed into a
+            cycle at a random point of it: tail plus cycle span every point."""
+            order = rnd.sample(range(m), m)
+            nxt = [0] * m
+            for j, p in enumerate(order):
+                nxt[p] = order[j + 1] if j + 1 < m else order[rnd.randrange(m)]
+            return nxt
+
+        @given(
+            st.integers(min_value=1, max_value=300),
+            st.integers(1, 3),
+            st.integers(0, 10 ** 6),
+            st.booleans(),
+        )
+        @settings(max_examples=200, deadline=None)
+        def classify(m, batch, seed, long_paths):
+            rnd = random.Random(seed)
+            sizes = range(batch)
+            if long_paths:
+                nxt = [rho(rnd, m) for _ in sizes]
+            else:
+                nxt = [[rnd.randrange(m) for _ in range(m)] for _ in sizes]
+            density = rnd.random() ** 0.25  # mostly few non-PNE windows
+            pne_newest = [[rnd.random() < density for _ in range(m)] for _ in sizes]
+            fails = uncoupled._failing_windows(np.array(nxt), np.array(pne_newest))
+            for row, f, p in zip(fails, nxt, pne_newest):
+                expected = naive_failing_windows(f, p)
+                assert row.tolist() == expected
+                least = int(row.argmax()) if row.any() else None
+                assert least == (expected.index(True) if any(expected) else None)
+                outcomes.append(any(expected))
+
+        classify()
+        assert sum(outcomes) >= len(outcomes) // 4
+        assert not all(outcomes)
+
+    def test_many_equals_one_by_one_on_all_2x2_games(self):
+        space = ActionSpace((2, 2))
+        tables = list(itertools.product(range(3), repeat=4))
+        utilities = [(u1, u2) for u1 in tables for u2 in tables]
+        singles = [check_self_stabilization("three-recall", Game(space, u)) for u in utilities]
+        assert check_self_stabilization_many("three-recall", space, utilities) == singles
+        # 64 windows a game: chunks of 10 games
+        assert check_self_stabilization_many("three-recall", space, utilities, budget=640) == singles
+
+    @given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([(2, 2, 2), (2, 3)]))
+    @settings(max_examples=15, deadline=None)
+    def test_many_equals_the_reference_check_on_seeded_families(self, seed, sizes):
+        rng = random.Random(seed)
+        batch = [random_game(rng, sizes, hi=rng.choice([1, 2])) for _ in range(20)]
+        space = batch[0].space
+        for protocol in ("three-recall", "two-recall"):
+            try:
+                expected = [naive_check_self_stabilization(protocol, g) for g in batch]
+            except Unsupported:
+                with pytest.raises(Unsupported):
+                    check_self_stabilization_many(protocol, space, [g.utilities for g in batch])
+                continue
+            got = check_self_stabilization_many(protocol, space, [g.utilities for g in batch], budget=3000)
+            assert got == expected
+
+    @given(st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=15, deadline=None)
+    def test_two_recall_equals_the_reference_check(self, seed):
+        game = random_game(random.Random(seed), (4, 4), hi=2)
+        assert check_self_stabilization("two-recall", game) == naive_check_self_stabilization("two-recall", game)
 
 
 class TestRandomizedChecker:
@@ -307,6 +448,15 @@ class TestRandomizedChecker:
         assert isinstance(verdict, Fails)
         assert to_one_based(verdict.witness) == (1, 1, 2)
 
+    def test_single_action_nodes_change_no_verdict(self, m1m2):
+        """Seventy nodes with one action each (always best-responding) put in
+        front of m1m2 leave the state indices and both verdicts as they were."""
+        space = ActionSpace((1,) * 70 + (2, 2, 2))
+        game = Game(space, ((0,) * 8,) * 70 + m1m2.utilities)
+        assert check_self_stabilization_randomized(game) == Fails(witness=(0,) * 70 + (0, 0, 1))
+        assert check_self_stabilization("three-recall", game) == SelfStabilizing()
+        assert enumerate_pne(game) == {(0,) * 73}
+
     def test_all_pne_game_stabilizes(self):
         space = ActionSpace((2, 2))
         game = Game(space, ((1,) * 4, (1,) * 4))
@@ -325,6 +475,40 @@ class TestRandomizedChecker:
             seen |= frontier
         assert not (seen & enumerate_pne(m1m2))
         assert not simulate_stay_or_roll(m1m2, verdict.witness, seed=17, max_steps=3000)
+
+    def test_reachability_equals_the_fixpoint(self, m1m2):
+        """Verdicts and least witnesses equal the repeat-until-unchanged
+        fixpoint over the support graph; the draws include failing games."""
+        outcomes = []
+
+        @given(
+            st.integers(min_value=0, max_value=10 ** 6),
+            st.sampled_from([(2, 2, 2), (2, 3), (3, 3), (2, 2, 3)]),
+            st.booleans(),
+        )
+        @settings(max_examples=150, deadline=None)
+        def compare(seed, sizes, trap):
+            rng = random.Random(seed)
+            game = random_game(rng, sizes, hi=rng.choice([1, 2, 4]))
+            if trap and len(sizes) == 3:
+                # like m1m2: node 3's last action is always a best response,
+                # and nodes 1 and 2 play matching pennies while node 3 plays it
+                last = sizes[2] - 1
+                tables = [list(t) for t in game.utilities]
+                for idx, (a, b, c) in enumerate(game.space.states()):
+                    tables[2][idx] = 1 if c == last else rng.randrange(2)
+                    if c == last:
+                        tables[0][idx], tables[1][idx] = int(a == b), int(a != b)
+                game = Game(game.space, tuple(map(tuple, tables)))
+            verdict = check_self_stabilization_randomized(game)
+            assert verdict == naive_stay_or_roll(game)
+            # a budget of N states builds the key rows one mask at a time
+            assert check_self_stabilization_randomized(game, budget=game.space.num_states) == verdict
+            outcomes.append(isinstance(verdict, Fails))
+
+        compare()
+        assert sum(outcomes) >= 10
+        assert check_self_stabilization_randomized(m1m2) == naive_stay_or_roll(m1m2)
 
     @given(st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=15, deadline=None)
