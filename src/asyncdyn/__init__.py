@@ -10,6 +10,7 @@ from .analyze import (
     TransitionGraph,
     committed_map,
     decide_convergence,
+    decide_convergence_many,
     decide_r_convergence,
     spectrum,
     stable_states,
@@ -75,6 +76,7 @@ from .reductions import (
     build_tm,
     fixture,
     longest_snake,
+    tm_family_rows,
 )
 
 __version__ = "0.1.0"

@@ -39,6 +39,8 @@ from .core import (
     HistorylessSystem,
     LiftedSystem,
     _check_count,
+    _checked_rows,
+    resolve_budget,
 )
 from .errors import BudgetExceeded, InvalidInput, Unsupported
 from .simulate import Witness
@@ -200,13 +202,19 @@ def successor_matrix(system, budget: int | None = None) -> SuccessorGraph:
         space = system.base.space
     else:
         raise Unsupported(f"no transition interface for {type(system).__name__}")
-    n = space.n
+    rows = system.reaction_rows(budget)
+    return _successor_blocks(space, rows, rows.shape[0], budget)
+
+
+def _successor_blocks(space: ActionSpace, rows: np.ndarray, block: int, budget: int | None) -> SuccessorGraph:
+    """One CSR over reaction rows stacked in blocks of ``block`` rows: the
+    windows (or states) of one system, each block a separate system whose
+    node ids are offset by the block's first row."""
+    n, nb = space.n, space.num_states
     if n > MAX_SUBSET_NODES:
         raise BudgetExceeded(
             f"{n} nodes means 2^{n} activation subsets per state; refusing beyond {MAX_SUBSET_NODES}"
         )
-    rows = system.reaction_rows(budget)
-    nb = space.num_states
     count = rows.shape[0]
     # the digits of a window index are those of its newest state
     delta = ((rows.reshape(-1, nb, n) - space.digits()) * space.weights).reshape(count, n)
@@ -223,7 +231,8 @@ def successor_matrix(system, budget: int | None = None) -> SuccessorGraph:
     dst = np.empty(total, dtype=np.int64)
     label = np.empty(total, dtype=np.int64)
     idx = np.arange(count, dtype=np.int64)
-    dst[indptr[:-1]] = (idx % (count // nb)) * nb + idx % nb
+    window = idx % block
+    dst[indptr[:-1]] = idx - window + (window % (block // nb)) * nb + idx % nb
     label[indptr[:-1]] = ~changes @ (1 << np.arange(n, dtype=np.int64))
     first_d = np.cumsum(degree) - degree
     step, bit = delta[rows_d, nodes_d], 1 << nodes_d
@@ -260,8 +269,10 @@ def _row_edges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _strong_components(graph: SuccessorGraph) -> tuple[int, np.ndarray]:
     """(number of SCCs, SCC label of every node) of a CSR graph."""
+    # float64 data is what scipy works on: other types are converted by a copy
+    # that also sorts and deduplicates, though each row's targets are distinct
     adjacency = sparse.csr_matrix(
-        (np.ones(graph.size, dtype=np.int8), graph.dst, graph.indptr),
+        (np.ones(graph.size, dtype=np.float64), graph.dst, graph.indptr),
         shape=(graph.rows, graph.rows),
     )
     ncomp, labels = connected_components(adjacency, directed=True, connection="strong")
@@ -402,6 +413,40 @@ def decide_convergence(system, budget: int | None = None) -> ConvergenceVerdict:
     succ = graph.succ
     found = _oscillation(succ, graph.components, graph.n, succ.src, succ.dst)
     return Convergent() if found is None else NonConvergent(graph.witness(*found))
+
+
+def decide_convergence_many(space: ActionSpace, rows, budget: int | None = None) -> np.ndarray:
+    """Convergence of a family of historyless systems over one action space.
+
+    ``rows`` has shape (B, N, n): ``rows[b]`` is the reaction rows of system
+    b.  Returns a (B,) bool array, True where the system is convergent.  The
+    systems are decided in chunks of consecutive systems whose edges fit the
+    budget: one CSR with one block per system, one SCC pass and one
+    oscillation scan per chunk.  A witness for a non-convergent system comes
+    from ``decide_convergence`` on that system alone.
+    """
+    rows = np.asarray(rows)
+    N, n = space.num_states, space.n
+    if rows.ndim != 3 or rows.shape[1:] != (N, n):
+        raise InvalidInput(f"rows must have shape (B, {N}, {n}), got {rows.shape}")
+    space.check_budget(budget)
+    B = rows.shape[0]
+    rows = _checked_rows(space, rows.reshape(B * N, n), B * N).reshape(B, N, n)
+    edges = np.cumsum((1 << (rows != space.digits()).sum(axis=2)).sum(axis=1))
+    limit = resolve_budget(budget)
+    convergent = np.empty(B, dtype=bool)
+    start = 0
+    while start < B:
+        # the most systems whose edges fit; a lone system over the budget is
+        # refused by the builder
+        before = edges[start - 1] if start else 0
+        stop = max(int(np.searchsorted(edges, before + limit, side="right")), start + 1)
+        succ = _successor_blocks(space, rows[start:stop].reshape(-1, n), N, budget)
+        components = _strong_components(succ)
+        osc = _oscillating_components(succ, components, n, succ.src, succ.dst)
+        convergent[start:stop] = ~osc[components[1]].reshape(-1, N).any(axis=1)
+        start = stop
+    return convergent
 
 
 def committed_map(system, budget: int | None = None) -> CommitMap:

@@ -13,6 +13,7 @@ import operator
 import os
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property, partial
 from itertools import product
 from typing import Callable, Iterable, Iterator, Union
 
@@ -93,13 +94,16 @@ class ActionSpace:
             idx //= k
         return tuple(reversed(out))
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        """Mixed-radix place values: ``encode(s) == s @ weights``."""
-        return np.cumprod((1,) + self.sizes[:0:-1], dtype=np.int64)[::-1]
+        """Mixed-radix place values, read-only: ``encode(s) == s @ weights``."""
+        weights = np.cumprod((1,) + self.sizes[:0:-1], dtype=np.int64)[::-1]
+        weights.flags.writeable = False
+        return weights
 
     def digits(self) -> np.ndarray:
-        """(N, n) array whose row i is ``decode(i)``."""
+        """(N, n) array whose row i is ``decode(i)``; built afresh at every
+        call, so a large space keeps no array alive."""
         idx = np.arange(self.num_states, dtype=np.int64)
         return idx[:, None] // self.weights % np.array(self.sizes, dtype=np.int64)
 
@@ -141,19 +145,31 @@ def _checked_rows(space: ActionSpace, rows, count: int) -> np.ndarray:
             f"reaction must give {count} rows of {space.n} integer actions, got an array "
             f"of shape {rows.shape} and type {rows.dtype}"
         )
-    rows = rows.astype(np.int64)
+    rows = rows.astype(np.int64, copy=False)
     if (rows < 0).any() or (rows >= np.array(space.sizes, dtype=np.int64)).any():
         raise InvalidInput(f"reaction produced an action out of range for sizes {space.sizes}")
     return rows
+
+
+ArrayRule = Callable[[np.ndarray], np.ndarray]
+
+
+def _array_rule_at(space: ActionSpace, array_rule: ArrayRule, state: State) -> State:
+    """An array rule evaluated at one state: the per-state rule it defines."""
+    row = _checked_rows(space, array_rule(np.array([state], dtype=np.int64)), 1)
+    return tuple(row[0].tolist())
 
 
 @dataclass(frozen=True)
 class HistorylessSystem:
     """System whose reaction map reads only the current state.
 
-    The reaction is stored as an explicit table (indexed by encoded state), as a
-    rule evaluated lazily, or both.  ``self_independent_hint`` is a declared
-    property trusted only when the space is too large to check exhaustively.
+    The reaction is stored as an explicit table (indexed by encoded state), as
+    an array rule, or as a per-state rule evaluated lazily.  An array rule maps
+    an (m, n) matrix of states, one action per column, to their (m, n)
+    reactions; when present it is the reaction, and ``rule`` is its per-state
+    view, derived here.  ``self_independent_hint`` is a declared property
+    trusted only when the space is too large to check exhaustively.
     """
 
     space: ActionSpace
@@ -161,10 +177,13 @@ class HistorylessSystem:
     rule: Callable[[State], State] | None = None
     self_independent_hint: bool | None = None
     name: str = ""
+    array_rule: ArrayRule | None = None
 
     def __post_init__(self):
-        if self.table is None and self.rule is None:
+        if self.table is None and self.rule is None and self.array_rule is None:
             raise InvalidInput("a system needs a reaction table or a reaction rule")
+        if self.rule is None and self.array_rule is not None:
+            object.__setattr__(self, "rule", partial(_array_rule_at, self.space, self.array_rule))
 
     @classmethod
     def from_table(cls, space: ActionSpace, rows: Iterable[State], name: str = "") -> "HistorylessSystem":
@@ -181,6 +200,16 @@ class HistorylessSystem:
     ) -> "HistorylessSystem":
         return cls(space=space, rule=rule, self_independent_hint=self_independent_hint, name=name)
 
+    @classmethod
+    def from_array_rule(
+        cls,
+        space: ActionSpace,
+        array_rule: ArrayRule,
+        self_independent_hint: bool | None = None,
+        name: str = "",
+    ) -> "HistorylessSystem":
+        return cls(space=space, array_rule=array_rule, self_independent_hint=self_independent_hint, name=name)
+
     @property
     def n(self) -> int:
         return self.space.n
@@ -190,19 +219,44 @@ class HistorylessSystem:
         return self.space.num_states
 
     def reaction(self, state: State) -> State:
+        """The reaction at one state.  An array rule within the default budget
+        is read off its rows, tabulated once; beyond it, evaluated on one row."""
         state = self.space.validate_state(state)
         if self.table is not None:
             return self.table[self.space.encode(state)]
-        return self.space.validate_state(self.rule(state))
+        if self.array_rule is None:
+            return self.space.validate_state(self.rule(state))
+        if self._caches_rows:
+            return tuple(self._rows[self.space.encode(state)].tolist())
+        return _array_rule_at(self.space, self.array_rule, state)
 
     def transition(self, state: State, active: Iterable[int]) -> State:
         return step(self, state, active)
 
     def reaction_rows(self, budget: int | None = None) -> np.ndarray:
         """(N, n) int64 array whose row i is the reaction at the state with
-        index i: the one tabulation of a reaction, checked once."""
+        index i: the one tabulation of a reaction, checked once.  The rows of
+        an array rule within the default budget are cached, read-only."""
         self.space.check_budget(budget)
-        rows = self.table if self.table is not None else list(map(self.rule, self.space.states()))
+        return self._rows if self._caches_rows else self._tabulated()
+
+    @property
+    def _caches_rows(self) -> bool:
+        return self.table is None and self.array_rule is not None and self.num_states <= DEFAULT_STATE_BUDGET
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        rows = self._tabulated()
+        rows.flags.writeable = False
+        return rows
+
+    def _tabulated(self) -> np.ndarray:
+        if self.table is not None:
+            rows = self.table
+        elif self.array_rule is not None:
+            rows = self.array_rule(self.space.digits())
+        else:
+            rows = list(map(self.rule, self.space.states()))
         return _checked_rows(self.space, rows, self.num_states)
 
     def tabulate(self, budget: int | None = None) -> "HistorylessSystem":

@@ -7,9 +7,11 @@ set-disjointness system, plus the named example fixtures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .core import ActionSpace, HistorylessSystem, State
+import numpy as np
+
+from .core import ActionSpace, HistorylessSystem, _check_count
 from .errors import BudgetExceeded, InvalidInput
 from .uncoupled import fixture_game_2x2x2
 
@@ -76,29 +78,26 @@ def build_circuit(circuit: CircuitDescription) -> HistorylessSystem:
     for g in circuit.gates:
         if g.name in g.inputs:
             identity_of[g.name] = len(base_names) + len(identity_of)
-    sources = []
-    for g in circuit.gates:
-        sources.append(
-            tuple(identity_of[w] if w == g.name else index[w] for w in g.inputs)
-        )
-    input_values = tuple(v for _, v in circuit.inputs)
-    tables = [g.table for g in circuit.gates]
+    sources = [
+        [identity_of[w] if w == g.name else index[w] for w in g.inputs] for g in circuit.gates
+    ]
+    tables = [np.array(g.table, dtype=np.int64) for g in circuit.gates]
+    input_values = [v for _, v in circuit.inputs]
     identity_reads = [index[name] for name in identity_of]
-    total = len(base_names) + len(identity_of)
+    ni, total = len(input_values), len(base_names) + len(identity_of)
 
-    def rule(state: State) -> State:
-        out = list(input_values)
-        for table, srcs in zip(tables, sources):
-            idx = 0
-            for s in srcs:
-                idx = (idx << 1) | state[s]
-            out.append(table[idx])
-        for src in identity_reads:
-            out.append(state[src])
-        return tuple(out)
+    def array_rule(d: np.ndarray) -> np.ndarray:
+        out = np.empty_like(d)
+        out[:, :ni] = input_values
+        for g, (table, srcs) in enumerate(zip(tables, sources)):
+            # the first input wire is the most significant bit of the row
+            place = 1 << np.arange(len(srcs) - 1, -1, -1, dtype=np.int64)
+            out[:, ni + g] = table[d[:, srcs] @ place]
+        out[:, ni + len(tables):] = d[:, identity_reads]
+        return out
 
     space = ActionSpace((2,) * total)
-    return HistorylessSystem.from_rule(space, rule, self_independent_hint=True, name="circuit")
+    return HistorylessSystem.from_array_rule(space, array_rule, self_independent_hint=True, name="circuit")
 
 
 # ---------------------------------------------------------------------------
@@ -135,24 +134,17 @@ def build_majority(graph: SocialGraph) -> HistorylessSystem:
     """Each user adopts technology X (action 0) when at least half of their
     friends use it, else Y (action 1); ties favour X, and friendless users
     stick with X."""
-    neighbors: list[list[int]] = [[] for _ in range(graph.n)]
+    adjacency = np.zeros((graph.n, graph.n), dtype=np.int64)
     for u, v in graph.edges:
-        neighbors[u - 1].append(v - 1)
-        neighbors[v - 1].append(u - 1)
+        adjacency[u - 1, v - 1] = adjacency[v - 1, u - 1] = 1
+    degree = adjacency.sum(axis=0)
 
-    def rule(state: State) -> State:
-        out = []
-        for i in range(graph.n):
-            nbs = neighbors[i]
-            if not nbs:
-                out.append(0)
-                continue
-            using_x = sum(1 for j in nbs if state[j] == 0)
-            out.append(0 if 2 * using_x >= len(nbs) else 1)
-        return tuple(out)
+    def array_rule(d: np.ndarray) -> np.ndarray:
+        using_x = (d == 0).astype(np.int64) @ adjacency
+        return (2 * using_x < degree).astype(np.int64)
 
     space = ActionSpace((2,) * graph.n)
-    return HistorylessSystem.from_rule(space, rule, self_independent_hint=True, name="majority")
+    return HistorylessSystem.from_array_rule(space, array_rule, self_independent_hint=True, name="majority")
 
 
 # ---------------------------------------------------------------------------
@@ -221,39 +213,40 @@ def build_bgp(instance: BgpInstance) -> HistorylessSystem:
     as_ids = [a for a, _ in instance.rankings]
     node_of = {a: i for i, a in enumerate(as_ids)}
     ranked = {a: list(routes) for a, routes in instance.rankings}
-    rank_index = {a: {r: i for i, r in enumerate(routes)} for a, routes in instance.rankings}
     adjacency = instance.adjacency()
     denied = set(instance.export_deny)
     sizes = tuple(len(ranked[a]) + 1 for a in as_ids)  # last action = empty route
+    # AS a's reaction is its best-ranked candidate, or the empty route (its
+    # last action) when none is available: the direct route when adjacent to
+    # the destination, and for each neighbour AS nb, the route through nb's
+    # current route when that is nonempty, loop-free and exported to a.
+    # ``through[i]`` holds AS i's rank of the direct route and, for each
+    # neighbour AS, its node and the rank of the candidate through each of
+    # its actions; an unavailable candidate ranks as the empty route.
+    through = []
+    for a in as_ids:
+        rank_of = {r: i for i, r in enumerate(ranked[a])}
+        empty = len(ranked[a])
+        direct = rank_of.get((a, instance.dest), empty) if instance.dest in adjacency.get(a, ()) else empty
+        tables = []
+        for nb in sorted(adjacency.get(a, set()) & set(node_of)):
+            routes = ranked[nb] + [()]
+            tables.append((node_of[nb], np.array([
+                rank_of.get((a,) + r, empty) if r and a not in r and (nb, r, a) not in denied else empty
+                for r in routes
+            ], dtype=np.int64)))
+        through.append((direct, tables))
 
-    def route_of(a: int, action: int) -> Route:
-        routes = ranked[a]
-        return routes[action] if action < len(routes) else ()
-
-    def rule(state: State) -> State:
-        out = []
-        for a in as_ids:
-            best: int | None = None
-            for nb in adjacency.get(a, ()):
-                if nb == instance.dest:
-                    candidate = (a, instance.dest)
-                elif nb in node_of:
-                    r_nb = route_of(nb, state[node_of[nb]])
-                    if not r_nb or a in r_nb:
-                        continue
-                    if (nb, r_nb, a) in denied:
-                        continue
-                    candidate = (a,) + r_nb
-                else:
-                    continue
-                idx = rank_index[a].get(candidate)
-                if idx is not None and (best is None or idx < best):
-                    best = idx
-            out.append(best if best is not None else len(ranked[a]))
-        return tuple(out)
+    def array_rule(d: np.ndarray) -> np.ndarray:
+        out = np.empty_like(d)
+        for i, (direct, tables) in enumerate(through):
+            out[:, i] = direct
+            for j, rank in tables:
+                np.minimum(out[:, i], rank[d[:, j]], out=out[:, i])
+        return out
 
     space = ActionSpace(sizes)
-    return HistorylessSystem.from_rule(space, rule, self_independent_hint=True, name="bgp")
+    return HistorylessSystem.from_array_rule(space, array_rule, self_independent_hint=True, name="bgp")
 
 
 def bgp_route_of_action(instance: BgpInstance, node: int, action: int) -> Route:
@@ -333,22 +326,70 @@ def build_tm(tm: TMDescription) -> HistorylessSystem:
     addressed cell shows the pending symbol, then moves (clamped to the tape)
     and applies the transition table at the new position.  The head is the
     identity on halting machine states, so halting configurations are stable."""
-    n = tm.tape_cells
+    space, halting, delta = _tm_family([tm])
 
-    def rule(state: State) -> State:
-        cells = state[:n]
-        q, sym, pos, move = tm.head_decode(state[n])
-        out = [sym if i + 1 == pos else cells[i] for i in range(n)]
-        if q in tm.halting or cells[pos - 1] != sym:
-            out.append(state[n])
-        else:
-            new_pos = pos + move if 1 <= pos + move <= n else pos
-            q2, sym2, move2 = tm.delta[(q, cells[new_pos - 1])]
-            out.append(tm.head_encode(q2, sym2, new_pos, move2))
-        return tuple(out)
+    def array_rule(d: np.ndarray) -> np.ndarray:
+        return _tm_rows(tm.tape_cells, tm.n_symbols, halting, delta, d)[0]
 
-    space = ActionSpace((tm.n_symbols,) * n + (tm.head_actions,))
-    return HistorylessSystem.from_rule(space, rule, self_independent_hint=False, name="tm")
+    return HistorylessSystem.from_array_rule(space, array_rule, self_independent_hint=False, name="tm")
+
+
+def tm_family_rows(tms: Sequence[TMDescription], budget: int | None = None) -> tuple[ActionSpace, np.ndarray]:
+    """The action space and the (B, N, n) reaction rows of ``build_tm`` for
+    each of B machines that share their machine states, halting states,
+    alphabet and tape: the input of ``analyze.decide_convergence_many``.
+    The B * N rows are counted against the budget before they are built."""
+    space, halting, delta = _tm_family(tms)
+    _check_count(len(tms) * space.num_states, "machine-system states", budget)
+    tm = tms[0]
+    return space, _tm_rows(tm.tape_cells, tm.n_symbols, halting, delta, space.digits())
+
+
+def _tm_family(tms: Sequence[TMDescription]) -> tuple[ActionSpace, np.ndarray, np.ndarray]:
+    """The shared space, the (Q,) halting mask and the (B, Q, symbols, 3)
+    transition array (next state index, written symbol, move + 1) of
+    machines that share states, halting set, alphabet and tape; a halting
+    state's entries are 0."""
+    if not tms:
+        raise InvalidInput("a machine family needs at least one machine")
+    tm = tms[0]
+    shape = (tm.states, tm.halting, tm.n_symbols, tm.tape_cells)
+    if any((t.states, t.halting, t.n_symbols, t.tape_cells) != shape for t in tms):
+        raise InvalidInput("the machines of a family must share states, halting states, symbols and cells")
+    index = {q: i for i, q in enumerate(tm.states)}
+    keys = list(tm.delta)  # the same keys for every machine: all non-halting (state, symbol)
+    delta = np.zeros((len(tms), len(tm.states), tm.n_symbols, 3), dtype=np.int64)
+    entries = np.array(
+        [[(index[q2], sym2, move + 1) for q2, sym2, move in map(t.delta.__getitem__, keys)] for t in tms],
+        dtype=np.int64,
+    ).reshape(len(tms), len(keys), 3)
+    at = np.array([(index[q], sym) for q, sym in keys], dtype=np.int64).reshape(-1, 2)
+    delta[:, at[:, 0], at[:, 1]] = entries
+    halting = np.array([q in tm.halting for q in tm.states])
+    space = ActionSpace((tm.n_symbols,) * tm.tape_cells + (tm.head_actions,))
+    return space, halting, delta
+
+
+def _tm_rows(cells: int, symbols: int, halting: np.ndarray, delta: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(B, m, cells + 1) reactions of B machines at the m states of ``d``:
+    every cell but the addressed one keeps its symbol, which becomes the
+    pending symbol; the head waits on a halting state or until the addressed
+    cell shows the pending symbol, then moves (clamped to the tape) and
+    applies the machine's transition at the new position."""
+    tape, head = d[:, :cells], d[:, cells]
+    move = head % 3 - 1
+    pos = head // 3 % cells
+    sym = head // (3 * cells) % symbols
+    q = head // (3 * cells * symbols)
+    at = np.arange(d.shape[0])
+    waits = halting[q] | (tape[at, pos] != sym)
+    new_pos = np.where((pos + move < 0) | (pos + move >= cells), pos, pos + move)
+    q2, sym2, move2 = np.moveaxis(delta[:, q, tape[at, new_pos]], -1, 0)
+    out = np.empty((delta.shape[0],) + d.shape, dtype=np.int64)
+    out[:, :, :cells] = tape
+    out[:, at, pos] = sym
+    out[:, :, cells] = np.where(waits, head, ((q2 * symbols + sym2) * cells + new_pos) * 3 + move2)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +541,16 @@ def _orientation_bits(z: int, vertices: tuple[int, ...]) -> list[list[int]]:
     return bits
 
 
-def _cube_vertex(state: State) -> int:
-    v = 0
-    for a in state[2:]:
-        v = (v << 1) | a
-    return v
+def _cube_columns(z: int, vertices: tuple[int, ...]) -> np.ndarray:
+    """(2^z, z) array: at cube vertex v, the actions of the cube nodes 3..n
+    along the snake orientation; node j reads dimension n - j."""
+    return np.array(_orientation_bits(z, vertices), dtype=np.int64)[:, ::-1]
+
+
+def _cube_vertex(d: np.ndarray) -> np.ndarray:
+    """The cube vertex of each state: node 3's action is the most significant bit."""
+    cube = d[:, 2:]
+    return cube @ (1 << np.arange(cube.shape[1] - 1, -1, -1, dtype=np.int64))
 
 
 def snake_for_system(n: int) -> Snake:
@@ -520,21 +566,18 @@ def build_snake_system(n: int) -> HistorylessSystem:
     which case they head for all-ones.  The unique stable state is all-ones,
     and the system is r-convergent exactly below the snake length."""
     snake = snake_for_system(n)
-    z = n - 2
-    bits = _orientation_bits(z, snake.vertices)
+    cube = _cube_columns(n - 2, snake.vertices)
 
-    def rule(state: State) -> State:
-        out1 = 0 if all(a == 0 for a in state[1:]) else 1
-        out2 = 0 if state[0] == 0 and all(a == 0 for a in state[2:]) else 1
-        v = _cube_vertex(state)
-        if state[0] == 1 and state[1] == 1:
-            cube = [1] * z
-        else:
-            cube = [bits[v][n - j] for j in range(3, n + 1)]
-        return (out1, out2, *cube)
+    def array_rule(d: np.ndarray) -> np.ndarray:
+        out = np.ones_like(d)
+        out[:, 0] = d[:, 1:].any(axis=1)
+        out[:, 1] = d[:, 0] | d[:, 2:].any(axis=1)
+        walk = (d[:, 0] == 0) | (d[:, 1] == 0)
+        out[walk, 2:] = cube[_cube_vertex(d[walk])]
+        return out
 
     space = ActionSpace((2,) * n)
-    return HistorylessSystem.from_rule(space, rule, self_independent_hint=True, name="snake")
+    return HistorylessSystem.from_array_rule(space, array_rule, self_independent_hint=True, name="snake")
 
 
 def disjointness_snake(n: int) -> Snake:
@@ -569,22 +612,23 @@ def build_disjointness(n: int, A: Iterable[int], B: Iterable[int]) -> Historyles
     for j in A | B:
         if not 1 <= j <= q:
             raise InvalidInput(f"index {j} outside the universe 1..{q}")
-    a_vertices = {snake.vertices[j - 1] for j in A}
-    b_vertices = {snake.vertices[j - 1] for j in B}
-    bits = _orientation_bits(z, snake.vertices)
+    in_a = np.zeros(1 << z, dtype=bool)
+    in_a[[snake.vertices[j - 1] for j in A]] = True
+    in_b = np.zeros(1 << z, dtype=bool)
+    in_b[[snake.vertices[j - 1] for j in B]] = True
+    cube = _cube_columns(z, snake.vertices)
 
-    def rule(state: State) -> State:
-        v = _cube_vertex(state)
-        out1 = 0 if (v in a_vertices and state[1] == 1) else 1
-        out2 = 0 if (v in b_vertices and state[0] == 1) else 1
-        if state[0] == 0 and state[1] == 0:
-            cube = [bits[v][n - j] for j in range(3, n + 1)]
-        else:
-            cube = [1] * z
-        return (out1, out2, *cube)
+    def array_rule(d: np.ndarray) -> np.ndarray:
+        v = _cube_vertex(d)
+        out = np.ones_like(d)
+        out[:, 0] = ~(in_a[v] & (d[:, 1] == 1))
+        out[:, 1] = ~(in_b[v] & (d[:, 0] == 1))
+        walk = (d[:, 0] == 0) & (d[:, 1] == 0)
+        out[walk, 2:] = cube[v[walk]]
+        return out
 
     space = ActionSpace((2,) * n)
-    return HistorylessSystem.from_rule(space, rule, self_independent_hint=True, name="disjointness")
+    return HistorylessSystem.from_array_rule(space, array_rule, self_independent_hint=True, name="disjointness")
 
 
 # ---------------------------------------------------------------------------
@@ -594,19 +638,16 @@ def build_disjointness(n: int, A: Iterable[int], B: Iterable[int]) -> Historyles
 
 def _fig1() -> HistorylessSystem:
     space = ActionSpace((2, 2))
-    table = [(b, a) for (a, b) in space.states()]  # each node copies the other
-    return HistorylessSystem.from_table(space, table, name="fig1")
+    return HistorylessSystem.from_table(space, space.digits()[:, ::-1], name="fig1")  # each node copies the other
 
 
 def _ex_three_stable() -> HistorylessSystem:
     space = ActionSpace((2, 2))
 
-    def rule(state: State) -> State:
-        if state == (0, 0):
-            return (1, 1)
-        return state
+    def array_rule(d: np.ndarray) -> np.ndarray:
+        return np.where((d == 0).all(axis=1, keepdims=True), 1, d)  # (0, 0) -> (1, 1)
 
-    return HistorylessSystem.from_rule(space, rule, self_independent_hint=False, name="ex-three-stable")
+    return HistorylessSystem.from_array_rule(space, array_rule, self_independent_hint=False, name="ex-three-stable")
 
 
 def _ex_unbounded_latched() -> HistorylessSystem:
@@ -617,12 +658,11 @@ def _ex_unbounded_latched() -> HistorylessSystem:
     projecting to (0,0) and (1,1) on the first two nodes."""
     space = ActionSpace((2, 2, 2))
 
-    def rule(state: State) -> State:
-        a1, a2, latch = state
-        new_latch = 1 if (latch == 1 or a2 == 1) else 0
-        return (1 if latch == 1 else 0, a1, new_latch)
+    def array_rule(d: np.ndarray) -> np.ndarray:
+        a1, a2, latch = d.T
+        return np.stack([latch, a1, latch | a2], axis=1)
 
-    return HistorylessSystem.from_rule(space, rule, self_independent_hint=False, name="ex-unbounded-latched")
+    return HistorylessSystem.from_array_rule(space, array_rule, self_independent_hint=False, name="ex-unbounded-latched")
 
 
 def _ring(n: int) -> HistorylessSystem:
@@ -630,13 +670,12 @@ def _ring(n: int) -> HistorylessSystem:
         raise InvalidInput("the ring example needs n >= 2")
     space = ActionSpace((2,) * n)
 
-    def rule(state: State) -> State:
-        return tuple(
-            0 if all(a == 0 for j, a in enumerate(state) if j != i) else 1
-            for i in range(n)
-        )
+    def array_rule(d: np.ndarray) -> np.ndarray:
+        # a node plays 0 exactly when every other node does
+        playing_1 = d != 0
+        return (playing_1.sum(axis=1, keepdims=True) - playing_1 > 0).astype(np.int64)
 
-    return HistorylessSystem.from_rule(space, rule, self_independent_hint=True, name="ring")
+    return HistorylessSystem.from_array_rule(space, array_rule, self_independent_hint=True, name="ring")
 
 
 def _futile(n: int) -> HistorylessSystem:
@@ -650,27 +689,18 @@ def _futile(n: int) -> HistorylessSystem:
     if n < 3:
         raise InvalidInput("the futile example needs n >= 3")
     space = ActionSpace((3,) * n)
-    all_ones = (1,) * n
 
-    def rule(state: State) -> State:
-        trapped = (
-            sum(1 for a in state if a == 0) <= n - 2
-            and sum(1 for a in state if a == 2) <= n - 2
-        )
-        out = []
-        for i in range(n):
-            others = state[:i] + state[i + 1:]
-            if all(a == 0 for a in others):
-                out.append(0)
-            elif all(a == 2 for a in others):
-                out.append(2)
-            elif trapped and state == all_ones and i == n - 1:
-                out.append(2)
-            else:
-                out.append(1)
-        return tuple(out)
+    def array_rule(d: np.ndarray) -> np.ndarray:
+        zeros, twos = d == 0, d == 2
+        # a node follows the others when they all play 0 or all play 2,
+        # else it plays 1; the last node of the all-1 state plays 2
+        out = np.ones_like(d)
+        out[:, n - 1] += (d == 1).all(axis=1)
+        out[zeros.sum(axis=1, keepdims=True) - zeros == n - 1] = 0
+        out[twos.sum(axis=1, keepdims=True) - twos == n - 1] = 2
+        return out
 
-    return HistorylessSystem.from_rule(space, rule, self_independent_hint=False, name="futile")
+    return HistorylessSystem.from_array_rule(space, array_rule, self_independent_hint=False, name="futile")
 
 
 def fixture(name: str, **params):

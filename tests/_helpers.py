@@ -446,3 +446,234 @@ def random_game(rng, sizes, lo=0, hi=4):
             for _ in range(space.n)
         ),
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-state reaction rules of the builders
+# ---------------------------------------------------------------------------
+#
+# The builders in ``reductions`` give their reactions as array rules over a
+# whole matrix of states; these are the same reactions written state by
+# state, straight from each gadget's definition.
+
+
+def circuit_rule(circuit):
+    base_names = [n for n, _ in circuit.inputs] + [g.name for g in circuit.gates]
+    index = {name: i for i, name in enumerate(base_names)}
+    identity_of = {}
+    for g in circuit.gates:
+        if g.name in g.inputs:
+            identity_of[g.name] = len(base_names) + len(identity_of)
+    sources = [
+        tuple(identity_of[w] if w == g.name else index[w] for w in g.inputs) for g in circuit.gates
+    ]
+    input_values = tuple(v for _, v in circuit.inputs)
+    tables = [g.table for g in circuit.gates]
+    identity_reads = [index[name] for name in identity_of]
+
+    def rule(state):
+        out = list(input_values)
+        for table, srcs in zip(tables, sources):
+            idx = 0
+            for s in srcs:
+                idx = (idx << 1) | state[s]
+            out.append(table[idx])
+        for src in identity_reads:
+            out.append(state[src])
+        return tuple(out)
+
+    return rule
+
+
+def majority_rule(graph):
+    neighbors = [[] for _ in range(graph.n)]
+    for u, v in graph.edges:
+        neighbors[u - 1].append(v - 1)
+        neighbors[v - 1].append(u - 1)
+
+    def rule(state):
+        out = []
+        for i in range(graph.n):
+            nbs = neighbors[i]
+            if not nbs:
+                out.append(0)
+                continue
+            using_x = sum(1 for j in nbs if state[j] == 0)
+            out.append(0 if 2 * using_x >= len(nbs) else 1)
+        return tuple(out)
+
+    return rule
+
+
+def bgp_rule(instance):
+    as_ids = [a for a, _ in instance.rankings]
+    node_of = {a: i for i, a in enumerate(as_ids)}
+    ranked = {a: list(routes) for a, routes in instance.rankings}
+    rank_index = {a: {r: i for i, r in enumerate(routes)} for a, routes in instance.rankings}
+    adjacency = instance.adjacency()
+    denied = set(instance.export_deny)
+
+    def route_of(a, action):
+        routes = ranked[a]
+        return routes[action] if action < len(routes) else ()
+
+    def rule(state):
+        out = []
+        for a in as_ids:
+            best = None
+            for nb in adjacency.get(a, ()):
+                if nb == instance.dest:
+                    candidate = (a, instance.dest)
+                elif nb in node_of:
+                    r_nb = route_of(nb, state[node_of[nb]])
+                    if not r_nb or a in r_nb:
+                        continue
+                    if (nb, r_nb, a) in denied:
+                        continue
+                    candidate = (a,) + r_nb
+                else:
+                    continue
+                idx = rank_index[a].get(candidate)
+                if idx is not None and (best is None or idx < best):
+                    best = idx
+            out.append(best if best is not None else len(ranked[a]))
+        return tuple(out)
+
+    return rule
+
+
+def tm_rule(tm):
+    n = tm.tape_cells
+
+    def rule(state):
+        cells = state[:n]
+        q, sym, pos, move = tm.head_decode(state[n])
+        out = [sym if i + 1 == pos else cells[i] for i in range(n)]
+        if q in tm.halting or cells[pos - 1] != sym:
+            out.append(state[n])
+        else:
+            new_pos = pos + move if 1 <= pos + move <= n else pos
+            q2, sym2, move2 = tm.delta[(q, cells[new_pos - 1])]
+            out.append(tm.head_encode(q2, sym2, new_pos, move2))
+        return tuple(out)
+
+    return rule
+
+
+def _cube_vertex(state):
+    v = 0
+    for a in state[2:]:
+        v = (v << 1) | a
+    return v
+
+
+def snake_rule(n):
+    from asyncdyn.reductions import _orientation_bits, snake_for_system
+
+    z = n - 2
+    bits = _orientation_bits(z, snake_for_system(n).vertices)
+
+    def rule(state):
+        out1 = 0 if all(a == 0 for a in state[1:]) else 1
+        out2 = 0 if state[0] == 0 and all(a == 0 for a in state[2:]) else 1
+        v = _cube_vertex(state)
+        if state[0] == 1 and state[1] == 1:
+            cube = [1] * z
+        else:
+            cube = [bits[v][n - j] for j in range(3, n + 1)]
+        return (out1, out2, *cube)
+
+    return rule
+
+
+def disjointness_rule(n, A, B):
+    from asyncdyn.reductions import _orientation_bits, disjointness_snake
+
+    snake = disjointness_snake(n)
+    z = n - 2
+    a_vertices = {snake.vertices[j - 1] for j in A}
+    b_vertices = {snake.vertices[j - 1] for j in B}
+    bits = _orientation_bits(z, snake.vertices)
+
+    def rule(state):
+        v = _cube_vertex(state)
+        out1 = 0 if (v in a_vertices and state[1] == 1) else 1
+        out2 = 0 if (v in b_vertices and state[0] == 1) else 1
+        if state[0] == 0 and state[1] == 0:
+            cube = [bits[v][n - j] for j in range(3, n + 1)]
+        else:
+            cube = [1] * z
+        return (out1, out2, *cube)
+
+    return rule
+
+
+def fig1_rule(state):
+    a, b = state
+    return (b, a)
+
+
+def three_stable_rule(state):
+    if state == (0, 0):
+        return (1, 1)
+    return state
+
+
+def latched_rule(state):
+    a1, a2, latch = state
+    new_latch = 1 if (latch == 1 or a2 == 1) else 0
+    return (1 if latch == 1 else 0, a1, new_latch)
+
+
+def ring_rule(n):
+    def rule(state):
+        return tuple(
+            0 if all(a == 0 for j, a in enumerate(state) if j != i) else 1
+            for i in range(n)
+        )
+
+    return rule
+
+
+def futile_rule(n):
+    all_ones = (1,) * n
+
+    def rule(state):
+        trapped = (
+            sum(1 for a in state if a == 0) <= n - 2
+            and sum(1 for a in state if a == 2) <= n - 2
+        )
+        out = []
+        for i in range(n):
+            others = state[:i] + state[i + 1:]
+            if all(a == 0 for a in others):
+                out.append(0)
+            elif all(a == 2 for a in others):
+                out.append(2)
+            elif trapped and state == all_ones and i == n - 1:
+                out.append(2)
+            else:
+                out.append(1)
+        return tuple(out)
+
+    return rule
+
+
+def fixture_rule(name, **params):
+    """The per-state rule of a named system fixture."""
+    if name == "fig1":
+        return fig1_rule
+    if name == "ex-three-stable":
+        return three_stable_rule
+    if name == "ex-unbounded-latched":
+        return latched_rule
+    if name == "ring":
+        return ring_rule(int(params.get("n", 4)))
+    if name == "futile":
+        return futile_rule(int(params.get("n", 3)))
+    raise ValueError(f"no system fixture {name!r}")
+
+
+def rule_rows(space, rule):
+    """A per-state rule tabulated state by state, as nested lists."""
+    return [list(rule(s)) for s in space.states()]

@@ -21,6 +21,7 @@ from asyncdyn.analyze import (
     Convergent,
     NonConvergent,
     decide_convergence,
+    decide_convergence_many,
     decide_r_convergence,
     spectrum,
     stable_states,
@@ -35,6 +36,7 @@ from asyncdyn.reductions import (
     disjointness_snake,
     fixture,
     longest_snake,
+    tm_family_rows,
 )
 from asyncdyn.simulate import Cycling, replay_witness
 from asyncdyn.uncoupled import (
@@ -234,26 +236,37 @@ class TmSweep:
     elapsed: float
 
 
+TM_CHUNK = 4096  # machines tabulated at once: (4096, 144, 3) int64 rows, 14 MB
+
+
 @pytest.fixture(scope="module")
 def tm_sweep():
+    """Every machine's verdict from the batched family path, compared with
+    both simulation oracles; every 97th non-convergent machine is decided
+    alone and its witness replayed."""
     t0 = time.perf_counter()
     machines = strict_mm = stab_mm = witness_failures = 0
     replay_stride = 0
     for n_q in (1, 2):
-        for tm in enumerate_tms(n_q, symbols=2, cells=2):
-            machines += 1
-            system = build_tm(tm)
-            verdict = decide_convergence(system)
-            convergent = isinstance(verdict, Convergent)
-            if convergent != oracle_shc(tm):
-                strict_mm += 1
-            if convergent != oracle_always_stabilizes(tm):
-                stab_mm += 1
-            if isinstance(verdict, NonConvergent):
-                replay_stride += 1
-                if replay_stride % 97 == 0:  # replay a systematic sample
-                    if not isinstance(replay_witness(system, verdict.witness), Cycling):
-                        witness_failures += 1
+        family = enumerate_tms(n_q, symbols=2, cells=2)
+        while chunk := list(itertools.islice(family, TM_CHUNK)):
+            space, rows = tm_family_rows(chunk)
+            for tm, convergent in zip(chunk, decide_convergence_many(space, rows).tolist()):
+                machines += 1
+                if convergent != oracle_shc(tm):
+                    strict_mm += 1
+                if convergent != oracle_always_stabilizes(tm):
+                    stab_mm += 1
+                if not convergent:
+                    replay_stride += 1
+                    if replay_stride % 97 == 0:  # replay a systematic sample
+                        system = build_tm(tm)
+                        verdict = decide_convergence(system)
+                        if not (
+                            isinstance(verdict, NonConvergent)
+                            and isinstance(replay_witness(system, verdict.witness), Cycling)
+                        ):
+                            witness_failures += 1
     return TmSweep(
         machines=machines,
         strict_mismatches=strict_mm,

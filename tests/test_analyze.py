@@ -10,6 +10,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +19,7 @@ from asyncdyn.analyze import (
     NonConvergent,
     committed_map,
     decide_convergence,
+    decide_convergence_many,
     decide_r_convergence,
     scc_count,
     spectrum,
@@ -507,3 +509,63 @@ class TestSparseGraphAgainstOracles:
                 witness = verdict.witness
                 sched = list(witness.prefix) + list(witness.cycle) * 3
                 assert check_r_fair(sched, r, graph.n)
+
+
+def random_family(seed, self_independent):
+    """A space of at most four nodes and up to 12 random systems over it, as
+    (space, (B, N, n) rows).  A self-independent system's node i reads only
+    the others: its column is constant along axis i."""
+    gen = np.random.default_rng(seed)
+    space = ActionSpace(tuple(gen.integers(1, 4, size=gen.integers(1, 5)).tolist()))
+    rows = gen.integers(0, space.sizes, size=(gen.integers(1, 13), space.num_states, space.n))
+    if self_independent:
+        for i in range(space.n):
+            column = rows[:, :, i].reshape((-1,) + space.sizes)
+            rows[:, :, i] = np.broadcast_to(column.take([0], axis=i + 1), column.shape).reshape(rows.shape[:2])
+    return space, rows
+
+
+class TestDecideConvergenceMany:
+    @pytest.mark.parametrize("self_independent", [False, True])
+    @given(st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_one_by_one(self, self_independent, seed):
+        space, rows = random_family(seed, self_independent)
+        expected = [
+            isinstance(decide_convergence(HistorylessSystem.from_table(space, r)), Convergent) for r in rows
+        ]
+        assert decide_convergence_many(space, rows).tolist() == expected
+        # a budget of the largest system's edges splits the family into chunks
+        edges = [successor_matrix(HistorylessSystem.from_table(space, r)).size for r in rows]
+        assert decide_convergence_many(space, rows, budget=max(edges)).tolist() == expected
+
+    def test_one_chunk_per_system_at_the_tightest_budget(self):
+        space = ActionSpace((2, 2, 2))
+        copy_next = space.digits()[:, [1, 2, 0]]  # node i copies node i+1
+        flip = 1 - space.digits()  # every node flips: 8 edges per state
+        rows = np.stack([space.digits(), copy_next, flip, fixture("ex-unbounded-latched").reaction_rows()])
+        expected = [True, False, False, True]
+        for budget in (8 * 8, 8 * 8 + 1, 10 ** 6):
+            assert decide_convergence_many(space, rows, budget).tolist() == expected
+
+    def test_empty_family(self):
+        space = ActionSpace((2, 2))
+        assert decide_convergence_many(space, np.zeros((0, 4, 2), dtype=np.int64)).tolist() == []
+
+    def test_refuses_malformed_rows(self):
+        space = ActionSpace((2, 2))
+        with pytest.raises(InvalidInput):
+            decide_convergence_many(space, np.zeros((4, 2), dtype=np.int64))
+        with pytest.raises(InvalidInput):
+            decide_convergence_many(space, np.zeros((1, 3, 2), dtype=np.int64))
+        with pytest.raises(InvalidInput):
+            decide_convergence_many(space, np.full((1, 4, 2), 2))
+        with pytest.raises(InvalidInput):
+            decide_convergence_many(space, np.full((1, 4, 2), 0.5))
+
+    def test_a_system_over_the_budget_is_refused(self):
+        space = ActionSpace((2,) * 4)
+        rows = np.stack([space.digits(), 1 - space.digits()])
+        assert decide_convergence_many(space, rows[:1], budget=16).tolist() == [True]
+        with pytest.raises(BudgetExceeded):
+            decide_convergence_many(space, rows, budget=16 * 16 - 1)

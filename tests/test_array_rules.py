@@ -1,0 +1,280 @@
+"""Each builder's array rule against its per-state rule in ``_helpers``, the
+batched machine-family tabulation against the one-machine builder, and the
+per-state views of an array rule: ``reaction`` and ``rule``."""
+
+import dataclasses
+import itertools
+import random
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from asyncdyn.core import DEFAULT_STATE_BUDGET, ActionSpace, HistorylessSystem
+from asyncdyn.errors import BudgetExceeded, InvalidInput
+from asyncdyn.reductions import (
+    BgpInstance,
+    CircuitDescription,
+    GateSpec,
+    SocialGraph,
+    TMDescription,
+    build_bgp,
+    build_circuit,
+    build_disjointness,
+    build_majority,
+    build_snake_system,
+    build_tm,
+    disjointness_snake,
+    fixture,
+    tm_family_rows,
+)
+
+from _helpers import (
+    bgp_rule,
+    circuit_rule,
+    disjointness_rule,
+    enumerate_tms,
+    fixture_rule,
+    majority_rule,
+    rule_rows,
+    snake_rule,
+    tm_rule,
+)
+
+SEEDS = st.integers(min_value=0, max_value=10 ** 6)
+
+
+def random_graph(rng, max_users=9):
+    n = rng.randrange(1, max_users + 1)
+    p = rng.random()
+    return SocialGraph(n=n, edges=tuple(
+        (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if rng.random() < p
+    ))
+
+
+def random_circuit(rng):
+    inputs = tuple((f"x{i}", rng.randrange(2)) for i in range(rng.randrange(3)))
+    names = [f"g{i}" for i in range(rng.randrange(1, 5))]
+    wires = [name for name, _ in inputs] + names
+    gates = []
+    for name in names:
+        reads = tuple(rng.choice(wires) for _ in range(rng.randrange(1, 4)))
+        gates.append(GateSpec(name, reads, tuple(rng.randrange(2) for _ in range(1 << len(reads)))))
+    return CircuitDescription(inputs=inputs, gates=tuple(gates))
+
+
+def simple_paths(adjacency, a, dest, path=()):
+    path = path + (a,)
+    if a == dest:
+        yield path
+        return
+    for b in sorted(adjacency.get(a, ())):
+        if b not in path:
+            yield from simple_paths(adjacency, b, dest, path)
+
+
+def random_bgp(rng):
+    ases = list(range(1, rng.randrange(2, 5)))
+    edges = tuple(
+        (u, v) for u in [0] + ases for v in ases if u < v and rng.random() < 0.7
+    ) + ((0, ases[0]),)
+    adjacency = {}
+    for u, v in edges:
+        adjacency.setdefault(u, set()).add(v)
+        adjacency.setdefault(v, set()).add(u)
+    rankings = []
+    for a in ases:
+        paths = list(simple_paths(adjacency, a, 0))
+        rng.shuffle(paths)
+        rankings.append((a, tuple(paths[: rng.randrange(len(paths) + 1)])))
+    deny = tuple(
+        (nb, route, a)
+        for nb, routes in rankings
+        for route in routes
+        for a in sorted(adjacency.get(nb, ()))
+        if a != 0 and rng.random() < 0.3
+    )
+    return BgpInstance(dest=0, edges=edges, rankings=tuple(rankings), export_deny=deny)
+
+
+def random_tm(rng):
+    count = rng.randrange(2, 4)
+    states = tuple(f"s{i}" for i in range(count))
+    halting = frozenset(rng.sample(states, rng.randrange(1, count)))
+    symbols, cells = rng.randrange(1, 4), rng.randrange(1, 4)
+    delta = {
+        (q, s): (rng.choice(states), rng.randrange(symbols), rng.choice((-1, 0, 1)))
+        for q in states if q not in halting for s in range(symbols)
+    }
+    return TMDescription(states=states, halting=halting, n_symbols=symbols, tape_cells=cells, delta=delta)
+
+
+def assert_rows_match(system, rule):
+    assert system.reaction_rows().tolist() == rule_rows(system.space, rule)
+
+
+@given(SEEDS)
+@settings(max_examples=40, deadline=None)
+def test_majority(seed):
+    graph = random_graph(random.Random(seed))
+    assert_rows_match(build_majority(graph), majority_rule(graph))
+
+
+@given(SEEDS)
+@settings(max_examples=40, deadline=None)
+def test_circuit(seed):
+    circuit = random_circuit(random.Random(seed))
+    assert_rows_match(build_circuit(circuit), circuit_rule(circuit))
+
+
+@given(SEEDS)
+@settings(max_examples=40, deadline=None)
+def test_bgp(seed):
+    instance = random_bgp(random.Random(seed))
+    assert_rows_match(build_bgp(instance), bgp_rule(instance))
+
+
+@given(SEEDS)
+@settings(max_examples=40, deadline=None)
+def test_tm(seed):
+    tm = random_tm(random.Random(seed))
+    assert_rows_match(build_tm(tm), tm_rule(tm))
+
+
+@given(SEEDS)
+@settings(max_examples=20, deadline=None)
+def test_tm_family_rows_stack_the_builder_rows(seed):
+    rng = random.Random(seed)
+    states = ("q0", "q1", "h")[-rng.randrange(2, 4):]
+    machines = [
+        TMDescription(
+            states=states, halting=frozenset({"h"}), n_symbols=2, tape_cells=2,
+            delta={(q, s): (rng.choice(states), rng.randrange(2), rng.choice((-1, 0, 1)))
+                   for q in states[:-1] for s in range(2)},
+        )
+        for _ in range(rng.randrange(1, 40))
+    ]
+    space, rows = tm_family_rows(machines)
+    assert rows.shape == (len(machines), space.num_states, space.n)
+    for tm, r in zip(machines, rows):
+        system = build_tm(tm)
+        assert system.space == space
+        assert r.tolist() == system.reaction_rows().tolist() == rule_rows(space, tm_rule(tm))
+
+
+def test_tm_family_rows_refuse_mixed_empty_and_oversized_families():
+    one, two = next(enumerate_tms(1)), next(enumerate_tms(2))
+    with pytest.raises(InvalidInput):
+        tm_family_rows([one, two])
+    with pytest.raises(InvalidInput):
+        tm_family_rows([])
+    space, _ = tm_family_rows([one])
+    with pytest.raises(BudgetExceeded):
+        tm_family_rows([one, one], budget=2 * space.num_states - 1)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_snake(n):
+    assert_rows_match(build_snake_system(n), snake_rule(n))
+
+
+@given(SEEDS)
+@settings(max_examples=20, deadline=None)
+def test_disjointness(seed):
+    rng = random.Random(seed)
+    n = rng.choice((5, 6))
+    q = len(disjointness_snake(n))
+    A = {j for j in range(1, q + 1) if rng.random() < 0.4}
+    B = {j for j in range(1, q + 1) if rng.random() < 0.4}
+    assert_rows_match(build_disjointness(n, A, B), disjointness_rule(n, A, B))
+
+
+FIXTURES = [
+    ("fig1", {}),
+    ("ex-three-stable", {}),
+    ("ex-unbounded-latched", {}),
+    ("ring", {"n": 2}),
+    ("ring", {"n": 5}),
+    ("futile", {"n": 3}),
+    ("futile", {"n": 4}),
+]
+
+
+@pytest.mark.parametrize("name, params", FIXTURES, ids=lambda x: str(x))
+def test_fixtures(name, params):
+    assert_rows_match(fixture(name, **params), fixture_rule(name, **params))
+
+
+# fig1 is given by its table, so it has no per-state rule to derive
+@pytest.mark.parametrize("name, params", FIXTURES[1:], ids=lambda x: str(x))
+def test_derived_rule_and_reaction_are_the_per_state_rule(name, params):
+    system, oracle = fixture(name, **params), fixture_rule(name, **params)
+    for state in system.space.states():
+        assert system.rule(state) == system.reaction(state) == oracle(state)
+        assert all(type(a) is int for a in system.rule(state) + system.reaction(state))
+
+
+def test_replacing_the_rule_keeps_the_array_reaction():
+    """A per-state wrapper around ``rule`` (as a tracer installs) sees only
+    direct calls: the tabulation and ``reaction`` read the array rule."""
+    system = build_majority(SocialGraph(n=3, edges=((1, 2), (2, 3))))
+    calls = []
+    wrapped = dataclasses.replace(system, rule=lambda s: calls.append(s) or system.rule(s))
+    assert wrapped.reaction_rows().tolist() == system.reaction_rows().tolist()
+    assert wrapped.reaction((0, 1, 1)) == system.reaction((0, 1, 1))
+    assert calls == []
+    assert wrapped.rule((0, 1, 1)) == (1, 0, 1) and calls == [(0, 1, 1)]
+
+
+def test_reaction_reads_the_rows_tabulated_once():
+    system = build_majority(SocialGraph(n=4, edges=((1, 2), (2, 3), (3, 4))))
+    rows = system.reaction_rows()
+    assert rows is system.reaction_rows()
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1
+    assert [system.reaction(s) for s in system.space.states()] == list(map(tuple, rows.tolist()))
+
+
+def test_reaction_beyond_the_default_budget_evaluates_one_row():
+    """A 24-user majority system has 2^24 states, beyond the default budget:
+    ``reaction`` must not tabulate them (that would be 3 GB of rows)."""
+    rng = random.Random(24)
+    graph = SocialGraph(n=24, edges=tuple(
+        (u, v) for u, v in itertools.combinations(range(1, 25), 2) if rng.random() < 0.3
+    ))
+    system, oracle = build_majority(graph), majority_rule(graph)
+    assert system.num_states > DEFAULT_STATE_BUDGET
+    states = [tuple(rng.randrange(2) for _ in range(24)) for _ in range(50)]
+    tracemalloc.start()
+    try:
+        reactions = [system.reaction(s) for s in states]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reactions == [oracle(s) for s in states]
+    assert peak < 1 << 20
+    with pytest.raises(BudgetExceeded):
+        system.reaction_rows()
+
+
+def test_array_rules_are_checked_like_every_tabulation():
+    space = ActionSpace((2, 2))
+    too_big = HistorylessSystem.from_array_rule(space, lambda d: d + 1)
+    with pytest.raises(InvalidInput):
+        too_big.reaction_rows()
+    with pytest.raises(InvalidInput):
+        too_big.reaction((1, 1))
+    with pytest.raises(InvalidInput):
+        too_big.rule((1, 1))
+    floats = HistorylessSystem.from_array_rule(space, lambda d: d / 2)
+    with pytest.raises(InvalidInput):
+        floats.reaction_rows()
+    narrow = HistorylessSystem.from_array_rule(space, lambda d: d[:, :1])
+    with pytest.raises(InvalidInput):
+        narrow.reaction((0, 0))
+    assert np.array_equal(
+        HistorylessSystem.from_array_rule(space, lambda d: d[:, ::-1]).reaction_rows(),
+        fixture("fig1").reaction_rows(),
+    )
