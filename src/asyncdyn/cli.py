@@ -14,6 +14,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import string
 import sys
 import time
@@ -96,11 +97,11 @@ def _validate_system(spec, path: str):
         _expect(all(isinstance(k, int) and k >= 1 for k in sizes), f"{path}.sizes", "expected positive integers")
         table = _list_field(spec, "table", path)
         n = len(sizes)
-        import math
-
         _expect(len(table) == math.prod(sizes), f"{path}.table", f"expected {math.prod(sizes)} rows")
         for i, row in enumerate(table):
             _expect(isinstance(row, list) and len(row) == n, f"{path}.table", f"row {i} must list {n} actions")
+            for j, (a, k) in enumerate(zip(row, sizes)):
+                _expect(type(a) is int and 0 <= a < k, f"{path}.table[{i}][{j}]", f"expected an integer action in [0, {k})")
     elif kind == "circuit":
         inputs = _list_field(spec, "inputs", path)
         for i, item in enumerate(inputs):
@@ -160,14 +161,11 @@ def _validate_game(spec, path: str):
     _expect(all(isinstance(k, int) and k >= 1 for k in sizes), f"{path}.sizes", "expected positive integers")
     utilities = _list_field(spec, "utilities", path)
     _expect(len(utilities) == len(sizes), f"{path}.utilities", "expected one table per node")
-    import math
-
+    count = math.prod(sizes)
     for i, table in enumerate(utilities):
-        _expect(
-            isinstance(table, list) and len(table) == math.prod(sizes),
-            f"{path}.utilities[{i}]",
-            f"expected {math.prod(sizes)} integers",
-        )
+        _expect(isinstance(table, list) and len(table) == count, f"{path}.utilities[{i}]", f"expected {count} integers")
+        for j, u in enumerate(table):
+            _expect(type(u) is int, f"{path}.utilities[{i}][{j}]", "expected an integer")
 
 
 def _validate_analysis(spec, path: str):

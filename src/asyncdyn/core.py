@@ -12,8 +12,8 @@ import math
 import operator
 import os
 import random
-from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Iterator, Union
 
@@ -140,11 +140,10 @@ def _checked_rows(space: ActionSpace, rows, count: int) -> np.ndarray:
         rows = np.array(rows)
     except (TypeError, ValueError) as exc:
         raise InvalidInput(f"reaction produced a malformed state: {exc}") from exc
-    if rows.shape != (count, space.n) or rows.dtype.kind not in "biu":
-        raise InvalidInput(
-            f"reaction must give {count} rows of {space.n} integer actions, got an array "
-            f"of shape {rows.shape} and type {rows.dtype}"
-        )
+    if rows.dtype.kind not in "biu":
+        raise InvalidInput(f"reaction produced an action that is not an integer (type {rows.dtype})")
+    if rows.shape != (count, space.n):
+        raise InvalidInput(f"reaction must give {count} rows of {space.n} actions, got shape {rows.shape}")
     rows = rows.astype(np.int64, copy=False)
     if (rows < 0).any() or (rows >= np.array(space.sizes, dtype=np.int64)).any():
         raise InvalidInput(f"reaction produced an action out of range for sizes {space.sizes}")
@@ -154,41 +153,72 @@ def _checked_rows(space: ActionSpace, rows, count: int) -> np.ndarray:
 ArrayRule = Callable[[np.ndarray], np.ndarray]
 
 
-def _array_rule_at(space: ActionSpace, array_rule: ArrayRule, state: State) -> State:
-    """An array rule evaluated at one state: the per-state rule it defines."""
-    row = _checked_rows(space, array_rule(np.array([state], dtype=np.int64)), 1)
-    return tuple(row[0].tolist())
+class _Reaction:
+    """The tabulation of an array rule that a system's ``reaction`` and its
+    default ``rule`` share.  It holds no reference to its system, so
+    dropping the system frees the cached rows at once."""
+
+    __slots__ = ("space", "array_rule", "_rows")
+
+    def __init__(self, space: ActionSpace, array_rule: ArrayRule):
+        self.space, self.array_rule, self._rows = space, array_rule, None
+
+    def rows(self, budget: int | None) -> np.ndarray:
+        self.space.check_budget(budget)
+        if self._rows is not None:
+            return self._rows
+        rows = _checked_rows(self.space, self.array_rule(self.space.digits()), self.space.num_states)
+        if self.space.num_states <= DEFAULT_STATE_BUDGET:
+            rows.flags.writeable = False
+            self._rows = rows
+        return rows
+
+    def __call__(self, state: State) -> State:
+        state = self.space.validate_state(state)
+        if self.space.num_states > DEFAULT_STATE_BUDGET:
+            return tuple(_checked_rows(self.space, self.array_rule(np.array([state], dtype=np.int64)), 1)[0].tolist())
+        rows = self._rows if self._rows is not None else self.rows(DEFAULT_STATE_BUDGET)
+        return tuple(rows[self.space.encode(state)].tolist())
 
 
 @dataclass(frozen=True)
 class HistorylessSystem:
     """System whose reaction map reads only the current state.
 
-    The reaction is stored as an explicit table (indexed by encoded state), as
-    an array rule, or as a per-state rule evaluated lazily.  An array rule maps
-    an (m, n) matrix of states, one action per column, to their (m, n)
-    reactions; when present it is the reaction, and ``rule`` is its per-state
-    view, derived here.  ``self_independent_hint`` is a declared property
-    trusted only when the space is too large to check exhaustively.
+    The reaction is an array rule: it maps an (m, n) matrix of states, one
+    action per column, to their (m, n) reactions.  ``from_table`` and
+    ``from_rule`` adapt a table of rows and a per-state rule to one.
+    ``rule`` is a per-state view of the reaction; by default it reads the
+    same tabulation as ``reaction``, and ``reaction`` never calls it.
+    ``self_independent_hint`` is a declared property trusted only when the
+    space is too large to check exhaustively.
     """
 
     space: ActionSpace
-    table: tuple[State, ...] | None = None
     rule: Callable[[State], State] | None = None
     self_independent_hint: bool | None = None
     name: str = ""
     array_rule: ArrayRule | None = None
+    _reaction: _Reaction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.table is None and self.rule is None and self.array_rule is None:
-            raise InvalidInput("a system needs a reaction table or a reaction rule")
-        if self.rule is None and self.array_rule is not None:
-            object.__setattr__(self, "rule", partial(_array_rule_at, self.space, self.array_rule))
+        if self.array_rule is None:
+            raise InvalidInput("a system needs a reaction: build it with from_table, from_rule or from_array_rule")
+        object.__setattr__(self, "_reaction", _Reaction(self.space, self.array_rule))
+        if self.rule is None:
+            object.__setattr__(self, "rule", self._reaction)
 
     @classmethod
-    def from_table(cls, space: ActionSpace, rows: Iterable[State], name: str = "") -> "HistorylessSystem":
+    def from_table(
+        cls,
+        space: ActionSpace,
+        rows: Iterable[State],
+        self_independent_hint: bool | None = None,
+        name: str = "",
+    ) -> "HistorylessSystem":
+        """The system whose reaction at the state with index i is ``rows[i]``."""
         rows = _checked_rows(space, list(rows), space.num_states)
-        return cls(space=space, table=tuple(map(tuple, rows.tolist())), name=name)
+        return cls.from_array_rule(space, lambda d: rows[d @ space.weights], self_independent_hint, name)
 
     @classmethod
     def from_rule(
@@ -198,7 +228,9 @@ class HistorylessSystem:
         self_independent_hint: bool | None = None,
         name: str = "",
     ) -> "HistorylessSystem":
-        return cls(space=space, rule=rule, self_independent_hint=self_independent_hint, name=name)
+        """The system whose reaction at a state is ``rule(state)``, called once
+        per state when the reaction is tabulated."""
+        return cls.from_array_rule(space, lambda d: list(map(rule, map(tuple, d.tolist()))), self_independent_hint, name)
 
     @classmethod
     def from_array_rule(
@@ -219,49 +251,14 @@ class HistorylessSystem:
         return self.space.num_states
 
     def reaction(self, state: State) -> State:
-        """The reaction at one state.  An array rule within the default budget
-        is read off its rows, tabulated once; beyond it, evaluated on one row."""
-        state = self.space.validate_state(state)
-        if self.table is not None:
-            return self.table[self.space.encode(state)]
-        if self.array_rule is None:
-            return self.space.validate_state(self.rule(state))
-        if self._caches_rows:
-            return tuple(self._rows[self.space.encode(state)].tolist())
-        return _array_rule_at(self.space, self.array_rule, state)
-
-    def transition(self, state: State, active: Iterable[int]) -> State:
-        return step(self, state, active)
+        """The reaction at one state; beyond the default budget, the array rule on one row."""
+        return self._reaction(state)
 
     def reaction_rows(self, budget: int | None = None) -> np.ndarray:
         """(N, n) int64 array whose row i is the reaction at the state with
-        index i: the one tabulation of a reaction, checked once.  The rows of
-        an array rule within the default budget are cached, read-only."""
-        self.space.check_budget(budget)
-        return self._rows if self._caches_rows else self._tabulated()
-
-    @property
-    def _caches_rows(self) -> bool:
-        return self.table is None and self.array_rule is not None and self.num_states <= DEFAULT_STATE_BUDGET
-
-    @cached_property
-    def _rows(self) -> np.ndarray:
-        rows = self._tabulated()
-        rows.flags.writeable = False
-        return rows
-
-    def _tabulated(self) -> np.ndarray:
-        if self.table is not None:
-            rows = self.table
-        elif self.array_rule is not None:
-            rows = self.array_rule(self.space.digits())
-        else:
-            rows = list(map(self.rule, self.space.states()))
-        return _checked_rows(self.space, rows, self.num_states)
-
-    def tabulate(self, budget: int | None = None) -> "HistorylessSystem":
-        """Copy backed by a table of the reaction rows, within budget."""
-        return replace(self, table=tuple(map(tuple, self.reaction_rows(budget).tolist())))
+        index i: the one tabulation of a reaction, checked once.  Within the
+        default budget it is made on first use and cached, read-only."""
+        return self._reaction.rows(budget)
 
 
 @dataclass(frozen=True)
@@ -407,8 +404,8 @@ class LiftedSystem:
     and applies the recall rule at the activated coordinates; non-activated
     coordinates copy the most recent state.  This is deliberately not a
     coordinate-wise reaction table over the window space (the shift moves every
-    node's column), so the object exposes the same generic transition interface
-    the analyzer and simulator consume.
+    node's column).  The analyzer compiles it from ``reaction_rows``, the
+    recall rule at every window; ``transition`` is the one-window step.
     """
 
     base: KRecallSystem

@@ -4,7 +4,8 @@ direction, indicator utilities in the other)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +29,16 @@ class Game:
             raise InvalidInput(
                 f"need one utility table per node, got {len(self.utilities)} for n={self.space.n}"
             )
-        tables = []
-        for table in self.utilities:
-            table = tuple(int(u) for u in table)
+        try:
+            tables = tuple(tuple(map(operator.index, table)) for table in self.utilities)
+        except TypeError as exc:
+            raise InvalidInput(f"utilities must be tables of integers: {exc}") from None
+        for table in tables:
             if len(table) != self.space.num_states:
                 raise InvalidInput(
                     f"utility table has {len(table)} entries, expected {self.space.num_states}"
                 )
-            tables.append(table)
-        object.__setattr__(self, "utilities", tuple(tables))
+        object.__setattr__(self, "utilities", tables)
 
     @property
     def n(self) -> int:
@@ -136,8 +138,7 @@ def br_system(game: Game, tie_break: str | None = None, budget: int | None = Non
             state = space.decode(s)
             brs = best_responses(game, i + 1, state)
             raise NonUniqueBestResponse(f"node {i + 1} has best responses {sorted(brs)} at state {state}")
-    system = HistorylessSystem.from_table(space, least[0].tolist(), name="best-response")
-    return replace(system, self_independent_hint=True)
+    return HistorylessSystem.from_table(space, least[0], self_independent_hint=True, name="best-response")
 
 
 def induced_game(system: HistorylessSystem, budget: int | None = None) -> Game:

@@ -638,7 +638,7 @@ def build_disjointness(n: int, A: Iterable[int], B: Iterable[int]) -> Historyles
 
 def _fig1() -> HistorylessSystem:
     space = ActionSpace((2, 2))
-    return HistorylessSystem.from_table(space, space.digits()[:, ::-1], name="fig1")  # each node copies the other
+    return HistorylessSystem.from_array_rule(space, lambda d: d[:, ::-1], name="fig1")  # each node copies the other
 
 
 def _ex_three_stable() -> HistorylessSystem:

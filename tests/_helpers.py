@@ -182,7 +182,7 @@ def naive_pne(game) -> frozenset:
     return frozenset(s for s in game.space.states() if is_pne(game, s))
 
 
-def naive_br_rows(game, tie_break=None) -> tuple:
+def naive_br_rows(game, tie_break=None) -> list:
     """Best-response reaction rows state by state, refusing the first tie
     in (state, node) order unless tie_break is "min"."""
     from asyncdyn.games import best_responses
@@ -197,8 +197,8 @@ def naive_br_rows(game, tie_break=None) -> tuple:
                     f"node {node} has best responses {sorted(brs)} at state {state}"
                 )
             row.append(min(brs))
-        rows.append(tuple(row))
-    return tuple(rows)
+        rows.append(row)
+    return rows
 
 
 def naive_failing_windows(nxt, pne_newest) -> list:

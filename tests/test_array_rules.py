@@ -3,9 +3,11 @@ batched machine-family tabulation against the one-machine builder, and the
 per-state views of an array rule: ``reaction`` and ``rule``."""
 
 import dataclasses
+import gc
 import itertools
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from asyncdyn.core import DEFAULT_STATE_BUDGET, ActionSpace, HistorylessSystem
 from asyncdyn.errors import BudgetExceeded, InvalidInput
+from asyncdyn.games import br_system
 from asyncdyn.reductions import (
     BgpInstance,
     CircuitDescription,
@@ -206,8 +209,7 @@ def test_fixtures(name, params):
     assert_rows_match(fixture(name, **params), fixture_rule(name, **params))
 
 
-# fig1 is given by its table, so it has no per-state rule to derive
-@pytest.mark.parametrize("name, params", FIXTURES[1:], ids=lambda x: str(x))
+@pytest.mark.parametrize("name, params", FIXTURES, ids=lambda x: str(x))
 def test_derived_rule_and_reaction_are_the_per_state_rule(name, params):
     system, oracle = fixture(name, **params), fixture_rule(name, **params)
     for state in system.space.states():
@@ -215,16 +217,65 @@ def test_derived_rule_and_reaction_are_the_per_state_rule(name, params):
         assert all(type(a) is int for a in system.rule(state) + system.reaction(state))
 
 
-def test_replacing_the_rule_keeps_the_array_reaction():
+BUILT = {
+    "majority": lambda: build_majority(SocialGraph(n=3, edges=((1, 2), (2, 3)))),
+    "circuit": lambda: build_circuit(random_circuit(random.Random(1))),
+    "bgp": lambda: build_bgp(random_bgp(random.Random(1))),
+    "tm": lambda: build_tm(random_tm(random.Random(1))),
+    "snake": lambda: build_snake_system(5),
+    "disjointness": lambda: build_disjointness(5, {1, 3}, {2}),
+    "best-response": lambda: br_system(fixture("m1m2"), tie_break="min"),
+    **{f"{name}-{params}": lambda name=name, params=params: fixture(name, **params) for name, params in FIXTURES},
+}
+
+
+@pytest.mark.parametrize("build", BUILT.values(), ids=BUILT.keys())
+def test_replacing_the_rule_keeps_the_array_reaction(build):
     """A per-state wrapper around ``rule`` (as a tracer installs) sees only
     direct calls: the tabulation and ``reaction`` read the array rule."""
-    system = build_majority(SocialGraph(n=3, edges=((1, 2), (2, 3))))
+    system = build()
+    state = system.space.decode(system.num_states - 1)
     calls = []
     wrapped = dataclasses.replace(system, rule=lambda s: calls.append(s) or system.rule(s))
     assert wrapped.reaction_rows().tolist() == system.reaction_rows().tolist()
-    assert wrapped.reaction((0, 1, 1)) == system.reaction((0, 1, 1))
+    assert wrapped.reaction(state) == system.reaction(state)
     assert calls == []
-    assert wrapped.rule((0, 1, 1)) == (1, 0, 1) and calls == [(0, 1, 1)]
+    assert wrapped.rule(state) == system.reaction(state) and calls == [state]
+
+
+def test_one_tabulation_serves_rule_and_reaction():
+    """The array rule runs once, on every state; ``rule`` and ``reaction``
+    then read its rows at every state without calling it again."""
+    calls = []
+    space = ActionSpace((2, 3, 2))
+    system = HistorylessSystem.from_array_rule(space, lambda d: calls.append(len(d)) or d[:, [2, 0, 0]])
+    assert system.rule((1, 2, 0)) == (0, 1, 1) and calls == [space.num_states]
+    rows = system.reaction_rows()
+    for state, row in zip(space.states(), rows.tolist()):
+        assert system.rule(state) == system.reaction(state) == tuple(row)
+    assert system.reaction_rows() is rows and calls == [space.num_states]
+
+
+def test_cached_rows_are_freed_with_their_system():
+    """With the cyclic collector off, dropping a system frees its rows at
+    once: nothing the system holds refers back to it."""
+    systems = [
+        lambda: fixture("fig1"),
+        lambda: HistorylessSystem.from_table(ActionSpace((2, 2)), [(1, 1), (0, 1), (1, 0), (0, 0)]),
+        lambda: HistorylessSystem.from_rule(ActionSpace((2, 2)), lambda s: (s[1], 1 - s[0])),
+        BUILT["majority"],
+    ]
+    gc.disable()
+    try:
+        for build in systems:
+            system = build()
+            system.rule(system.space.decode(0))
+            rows = weakref.ref(system.reaction_rows())
+            assert rows() is not None
+            del system
+            assert rows() is None
+    finally:
+        gc.enable()
 
 
 def test_reaction_reads_the_rows_tabulated_once():

@@ -310,6 +310,10 @@ class TestExportDot:
         )
 
 
+def table_system(rows):
+    return {"kind": "table", "sizes": [2, 2], "table": rows}
+
+
 class TestMalformedInputExit2:
     """Malformed input ends with exit code 2 and names the bad field."""
 
@@ -386,7 +390,13 @@ class TestMalformedInputExit2:
             ("analyze", {"system": {"kind": "fixture", "name": "ring", "params": {"n": "x"}}}, "system"),
             ("analyze", {"system": {"kind": "fixture", "name": "ring", "params": 5}}, "system"),
             ("analyze", {"system": {"kind": "disjointness", "n": 5, "A": ["x"], "B": [1]}}, "system"),
-            ("pne", {"game": {"sizes": [2], "utilities": [["a", "b"]]}}, "game"),
+            ("pne", {"game": {"sizes": [2], "utilities": [["a", "b"]]}}, "game.utilities[0][0]"),
+            ("pne", {"game": {"sizes": [2], "utilities": [[1.5, 1]]}}, "game.utilities[0][0]"),
+            ("pne", {"game": {"sizes": [2, 1], "utilities": [[0, 1], [1, True]]}}, "game.utilities[1][1]"),
+            ("analyze", {"system": table_system([[True, True], [1, 0], [0, 1], [1, 1]])}, "system.table[0][0]"),
+            ("analyze", {"system": table_system([[0, 0], [1, 0], [0, "a"], [1, 1]])}, "system.table[2][1]"),
+            ("analyze", {"system": table_system([[0, 0], [1.0, 0], [0, 1], [1, 1]])}, "system.table[1][0]"),
+            ("analyze", {"system": table_system([[0, 0], [1, 0], [0, 1], [1, 2]])}, "system.table[3][1]"),
             ("simulate", {"schedule": {"kind": "periodic", "cycle": [5]}}, "simulation.schedule"),
             ("simulate", {"schedule": {"kind": "periodic", "cycle": [["a"]]}}, "simulation.schedule"),
             ("simulate", {"initial": 5, "schedule": {"kind": "synchronous"}}, "simulation.initial"),
@@ -395,7 +405,8 @@ class TestMalformedInputExit2:
         ],
         ids=[
             "majority-edge", "bgp-edge", "bgp-routes", "tm-read", "circuit-gate-inputs", "fixture-n",
-            "fixture-params", "disjointness-A", "game-utilities", "periodic-int", "periodic-letter",
+            "fixture-params", "disjointness-A", "game-utilities", "game-utility-fraction", "game-utility-bool",
+            "table-bool", "table-string", "table-float", "table-out-of-range", "periodic-int", "periodic-letter",
             "simulation-initial", "simulation-window-row", "schedule-seed",
         ],
     )

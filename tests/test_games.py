@@ -3,12 +3,13 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from asyncdyn.analyze import Convergent, NonConvergent, decide_convergence, stable_states
 from asyncdyn.core import ActionSpace, HistorylessSystem, check_self_independent
-from asyncdyn.errors import NonUniqueBestResponse
+from asyncdyn.errors import InvalidInput, NonUniqueBestResponse
 from asyncdyn.games import (
     Game,
     best_response_table,
@@ -35,6 +36,17 @@ def all_2x2_games(values=(0, 1, 2)):
     for u1 in itertools.product(values, repeat=4):
         for u2 in itertools.product(values, repeat=4):
             yield Game(space, (u1, u2))
+
+
+def test_utilities_must_be_integers():
+    """A fraction is refused, not truncated: [1.5, 1] has one PNE, not two."""
+    space = ActionSpace((2,))
+    for bad in (1.5, 1.0, "1", None):
+        with pytest.raises(InvalidInput, match="integers"):
+            Game(space, ((bad, 1),))
+    game = Game(space, ((np.int64(2), 1),))
+    assert game.utilities == ((2, 1),) and type(game.utilities[0][0]) is int
+    assert enumerate_pne(game) == {(0,)}
 
 
 class TestBestResponses:
@@ -72,7 +84,7 @@ class TestBrSystem:
         graph = SocialGraph(n=2, edges=((1, 2),))
         game = induced_game(build_majority(graph))
         system = br_system(game)
-        assert system.table == fixture("fig1").table
+        assert system.reaction_rows().tolist() == fixture("fig1").reaction_rows().tolist()
 
     def test_dominant_actions_give_constant_reactions(self):
         space = ActionSpace((2, 3))
@@ -117,7 +129,7 @@ class TestBestResponseTable:
                 assert is_br[0, s, i] == (state[i] in brs)
                 assert least[0, s, i] == min(brs)
         assert enumerate_pne(game) == naive_pne(game)
-        assert br_system(game, tie_break="min").table == naive_br_rows(game, "min")
+        assert br_system(game, tie_break="min").reaction_rows().tolist() == naive_br_rows(game, "min")
         try:
             expected = naive_br_rows(game)
         except NonUniqueBestResponse as exc:
@@ -125,7 +137,7 @@ class TestBestResponseTable:
                 br_system(game)
             assert str(got.value) == str(exc)
         else:
-            assert br_system(game).table == expected
+            assert br_system(game).reaction_rows().tolist() == expected
 
 
 class TestInducedGame:
@@ -164,12 +176,12 @@ class TestConversionInvariants:
             for g2 in itertools.product(range(2), repeat=2):
                 rows = [(g1[b], g2[a]) for (a, b) in space.states()]
                 system = HistorylessSystem.from_table(space, rows)
-                assert br_system(induced_game(system)).table == system.table
+                assert br_system(induced_game(system)).reaction_rows().tolist() == system.reaction_rows().tolist()
 
     def test_stables_equal_pne_of_induced_for_self_independent(self):
         rng = random.Random(99)
         for _ in range(30):
-            system = random_self_independent_system(rng).tabulate()
+            system = random_self_independent_system(rng)
             assert stable_states(system) == enumerate_pne(induced_game(system))
 
     def test_stables_equal_pne_of_induced_for_three_stable_example(self):
@@ -220,7 +232,7 @@ class TestConversionInvariants:
             assert best_responses(game, node, state) == best_responses(scaled, node, state)
         assert enumerate_pne(game) == enumerate_pne(scaled)
         try:
-            assert br_system(game).table == br_system(scaled).table
+            assert br_system(game).reaction_rows().tolist() == br_system(scaled).reaction_rows().tolist()
         except NonUniqueBestResponse:
             with pytest.raises(NonUniqueBestResponse):
                 br_system(scaled)
