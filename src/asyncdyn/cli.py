@@ -44,10 +44,6 @@ EXIT_NEGATIVE = 10
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
-SYSTEM_KINDS = ("table", "circuit", "majority", "bgp", "tm", "snake", "disjointness", "fixture")
-ANALYSIS_KINDS = ("convergence", "r-convergence", "spectrum", "committed", "pne", "uncoupled-check")
-PROTOCOL_KINDS = ("three-recall", "two-recall", "stay-or-roll")
-
 
 @dataclass(frozen=True)
 class ScenarioDocument:
@@ -63,152 +59,134 @@ def _expect(cond: bool, path: str, msg: str):
         raise SchemaError(path, msg)
 
 
-def _field(obj: dict, key: str, path: str, required: bool = True, default=None):
-    if key not in obj:
-        _expect(not required, f"{path}.{key}", "missing required field")
-        return default
-    return obj[key]
+# ---------------------------------------------------------------------------
+# The scenario schema.  A dict is an object whose keys ending in "?" are
+# optional and which has no other keys; [s] is a list of s; a tuple is a list
+# of fixed length; a callable checks a leaf.  Errors name the field's path.
+# ---------------------------------------------------------------------------
 
 
-def _int_field(obj, key, path, required=True, default=None, minimum=None):
-    value = _field(obj, key, path, required, default)
-    if value is default and not required:
-        return default
-    _expect(isinstance(value, int) and not isinstance(value, bool), f"{path}.{key}", "expected an integer")
-    if minimum is not None:
-        _expect(value >= minimum, f"{path}.{key}", f"must be >= {minimum}")
-    return value
+def _check(value, schema, path: str):
+    if callable(schema):
+        schema(value, path)
+    elif isinstance(schema, dict):
+        _expect(isinstance(value, dict), path, "expected an object")
+        fields = {key.rstrip("?"): key for key in schema}
+        for name in value:
+            if name not in fields:
+                raise SchemaError(f"{path}.{name}".removeprefix("$."), "unknown field")
+        for name, key in fields.items():
+            at = f"{path}.{name}".removeprefix("$.")
+            if name in value:
+                _check(value[name], schema[key], at)
+            else:
+                _expect(key.endswith("?"), at, "missing required field")
+    else:
+        fixed = isinstance(schema, tuple)
+        if not isinstance(value, list) or fixed and len(value) != len(schema):
+            raise SchemaError(path, f"expected a list of {len(schema)}" if fixed else "expected a list")
+        for i, item in enumerate(value):
+            _check(item, schema[i if fixed else 0], f"{path}[{i}]")
 
 
-def _list_field(obj, key, path, required=True, default=None):
-    value = _field(obj, key, path, required, default)
-    if value is default and not required:
-        return default
-    _expect(isinstance(value, list), f"{path}.{key}", "expected a list")
-    return value
+def _leaf(test, msg: str):
+    def check(value, path):
+        if not test(value):
+            raise SchemaError(path, msg)
+
+    return check
 
 
-def _validate_system(spec, path: str):
-    _expect(isinstance(spec, dict), path, "expected an object")
-    kind = _field(spec, "kind", path)
-    _expect(kind in SYSTEM_KINDS, f"{path}.kind", f"expected one of {SYSTEM_KINDS}")
-    if kind == "table":
-        sizes = _list_field(spec, "sizes", path)
-        _expect(all(isinstance(k, int) and k >= 1 for k in sizes), f"{path}.sizes", "expected positive integers")
-        table = _list_field(spec, "table", path)
-        n = len(sizes)
-        _expect(len(table) == math.prod(sizes), f"{path}.table", f"expected {math.prod(sizes)} rows")
-        for i, row in enumerate(table):
-            _expect(isinstance(row, list) and len(row) == n, f"{path}.table", f"row {i} must list {n} actions")
-            for j, (a, k) in enumerate(zip(row, sizes)):
-                _expect(type(a) is int and 0 <= a < k, f"{path}.table[{i}][{j}]", f"expected an integer action in [0, {k})")
-    elif kind == "circuit":
-        inputs = _list_field(spec, "inputs", path)
-        for i, item in enumerate(inputs):
-            _expect(isinstance(item, dict) and "name" in item and "value" in item, f"{path}.inputs[{i}]", "expected {name, value}")
-            _expect(item["value"] in (0, 1), f"{path}.inputs[{i}].value", "expected a bit (0 or 1)")
-        gates = _list_field(spec, "gates", path)
-        for i, item in enumerate(gates):
-            _expect(
-                isinstance(item, dict) and {"name", "inputs", "table"} <= set(item),
-                f"{path}.gates[{i}]",
-                "expected {name, inputs, table}",
-            )
-    elif kind == "majority":
-        _int_field(spec, "users", path, minimum=1)
-        edges = _list_field(spec, "edges", path)
-        for i, e in enumerate(edges):
-            _expect(isinstance(e, list) and len(e) == 2, f"{path}.edges[{i}]", "expected a pair")
-    elif kind == "bgp":
-        _int_field(spec, "dest", path)
-        _list_field(spec, "edges", path)
-        rankings = _list_field(spec, "rankings", path)
-        for i, item in enumerate(rankings):
-            _expect(
-                isinstance(item, dict) and "as" in item and "routes" in item,
-                f"{path}.rankings[{i}]",
-                "expected {as, routes}",
-            )
-    elif kind == "tm":
-        _list_field(spec, "states", path)
-        _list_field(spec, "halting", path)
-        _int_field(spec, "symbols", path, minimum=1)
-        _int_field(spec, "cells", path, minimum=1)
-        delta = _list_field(spec, "delta", path)
-        for i, item in enumerate(delta):
-            _expect(
-                isinstance(item, dict) and {"state", "read", "next", "write", "move"} <= set(item),
-                f"{path}.delta[{i}]",
-                "expected {state, read, next, write, move}",
-            )
-    elif kind == "snake":
-        _int_field(spec, "n", path, minimum=5)
-    elif kind == "disjointness":
-        _int_field(spec, "n", path, minimum=5)
-        _list_field(spec, "A", path)
-        _list_field(spec, "B", path)
-    elif kind == "fixture":
-        name = _field(spec, "name", path)
-        _expect(isinstance(name, str), f"{path}.name", "expected a string")
+def _int(lo=-math.inf, hi=math.inf):
+    """An integer leaf in [lo, hi]: JSON true, false and 1.0 are never integers."""
+    span = "" if lo == -math.inf else f" >= {lo}" if hi == math.inf else f" in [{lo}, {hi}]"
+    return _leaf(lambda v: type(v) is int and lo <= v <= hi, f"expected an integer{span}")
 
 
-def _validate_game(spec, path: str):
-    _expect(isinstance(spec, dict), path, "expected an object")
-    if "fixture" in spec:
-        _expect(isinstance(spec["fixture"], str), f"{path}.fixture", "expected a string")
-        return
-    sizes = _list_field(spec, "sizes", path)
-    _expect(all(isinstance(k, int) and k >= 1 for k in sizes), f"{path}.sizes", "expected positive integers")
-    utilities = _list_field(spec, "utilities", path)
-    _expect(len(utilities) == len(sizes), f"{path}.utilities", "expected one table per node")
-    count = math.prod(sizes)
-    for i, table in enumerate(utilities):
-        _expect(isinstance(table, list) and len(table) == count, f"{path}.utilities[{i}]", f"expected {count} integers")
-        for j, u in enumerate(table):
-            _expect(type(u) is int, f"{path}.utilities[{i}][{j}]", "expected an integer")
+def _one_of(names: tuple):
+    return _leaf(lambda v: v in names, f"expected one of {names}")
 
 
-def _validate_analysis(spec, path: str):
-    _expect(isinstance(spec, dict), path, "expected an object")
-    kind = _field(spec, "kind", path)
-    _expect(kind in ANALYSIS_KINDS, f"{path}.kind", f"expected one of {ANALYSIS_KINDS}")
-    if kind == "r-convergence":
-        _int_field(spec, "r", path, minimum=1)
-    elif kind == "spectrum":
-        _list_field(spec, "state", path)
-    elif kind == "uncoupled-check":
-        protocol = _field(spec, "protocol", path)
-        _expect(protocol in PROTOCOL_KINDS, f"{path}.protocol", f"expected one of {PROTOCOL_KINDS}")
+def _by_kind(kinds: dict, common: dict | None = None):
+    """An object whose ``kind`` picks its other fields from ``kinds``."""
+    names = tuple(kinds)
+
+    def check(value, path):
+        _expect(isinstance(value, dict), path, "expected an object")
+        kind = value.get("kind")
+        _expect(kind in names, f"{path}.kind", f"expected one of {names}")
+        _check(value, {"kind": _NAME, **(common or {}), **kinds[kind]}, path)
+
+    return check
 
 
-def _validate_simulation(spec, path: str):
-    _expect(isinstance(spec, dict), path, "expected an object")
-    initial = _list_field(spec, "initial", path)
-    states = initial if initial and isinstance(initial[0], list) else [initial]
-    _expect(
-        all(isinstance(s, list) and all(isinstance(a, int) for a in s) for s in states),
-        f"{path}.initial",
-        "expected a state or a window of states, each a list of integer actions",
-    )
-    _int_field(spec, "seed", path, required=False)
-    schedule = _field(spec, "schedule", path)
-    _expect(isinstance(schedule, dict), f"{path}.schedule", "expected an object")
-    _int_field(schedule, "seed", f"{path}.schedule", required=False)
-    kind = _field(schedule, "kind", f"{path}.schedule")
-    kinds = ("synchronous", "round-robin", "periodic", "explicit", "random", "r-fair")
-    _expect(kind in kinds, f"{path}.schedule.kind", f"expected one of {kinds}")
-    if kind == "periodic":
-        cycle = _list_field(schedule, "cycle", f"{path}.schedule")
-        _expect(len(cycle) > 0, f"{path}.schedule.cycle", "cycle must be nonempty")
-    if kind == "explicit":
-        _list_field(schedule, "sets", f"{path}.schedule")
-    if kind == "r-fair":
-        _int_field(schedule, "r", f"{path}.schedule", minimum=1)
-    if kind == "random" and "p" in schedule:
-        p = schedule["p"]
-        _expect(isinstance(p, (int, float)) and 0 <= p <= 1, f"{path}.schedule.p", "expected a probability in [0, 1]")
-    if "max_steps" in spec:
-        _int_field(spec, "max_steps", path, minimum=1)
+def _game(value, path):
+    fixture = isinstance(value, dict) and "fixture" in value
+    _check(value, {"fixture": _NAME} if fixture else {"sizes": [_int(1)], "utilities": [[_INT]]}, path)
+
+
+def _initial(value, path):
+    window = isinstance(value, list) and value and isinstance(value[0], list)
+    _check(value, [[_ACTION]] if window else [_ACTION], path)
+
+
+_INT, _ACTION, _NODE, _BIT = _int(), _int(0), _int(1), _int(0, 1)
+_NAME = _leaf(lambda v: type(v) is str, "expected a string")
+_PROBABILITY = _leaf(lambda v: type(v) in (int, float) and 0 <= v <= 1, "expected a probability in [0, 1]")
+_SETS = [[_NODE]]
+
+SYSTEMS = {
+    "table": {"sizes": [_int(1)], "table": [[_ACTION]]},
+    "circuit": {
+        "inputs": [{"name": _NAME, "value": _BIT}],
+        "gates": [{"name": _NAME, "inputs": [_NAME], "table": [_BIT]}],
+    },
+    "majority": {"users": _int(1), "edges": [(_NODE, _NODE)]},
+    "bgp": {
+        "dest": _INT,
+        "edges": [(_INT, _INT)],
+        "rankings": [{"as": _INT, "routes": [[_INT]]}],
+        "export_deny?": [{"as": _INT, "route": [_INT], "to": _INT}],
+    },
+    "tm": {
+        "states": [_NAME],
+        "halting": [_NAME],
+        "symbols": _int(1),
+        "cells": _int(1),
+        "delta": [{"state": _NAME, "read": _ACTION, "next": _NAME, "write": _ACTION, "move": _int(-1, 1)}],
+    },
+    "snake": {"n": _int(5, 9)},
+    "disjointness": {"n": _int(5, 9), "A": [_NODE], "B": [_NODE]},
+    "fixture": {"name": _NAME, "params?": {"n?": _INT}},
+}
+ANALYSES = {
+    "convergence": {},
+    "r-convergence": {"r": _int(1)},
+    "spectrum": {"state": [_ACTION]},
+    "committed": {},
+    "pne": {},
+    "uncoupled-check": {"protocol": _one_of(("three-recall", "two-recall", "stay-or-roll"))},
+}
+SCHEDULES = {
+    "synchronous": {},
+    "round-robin": {},
+    "periodic": {"cycle": _SETS, "prefix?": _SETS},
+    "explicit": {"sets": _SETS},
+    "random": {"p?": _PROBABILITY},
+    "r-fair": {"r": _int(1)},
+}
+SCENARIO = {
+    "version?": _INT,
+    "system?": _by_kind(SYSTEMS),
+    "game?": _game,
+    "analysis?": _by_kind(ANALYSES),
+    "simulation?": {
+        "initial": _initial,
+        "schedule": _by_kind(SCHEDULES, {"seed?": _INT}),
+        "seed?": _INT,
+        "max_steps?": _int(1),
+    },
+}
 
 
 def parse_scenario(text: str) -> ScenarioDocument:
@@ -218,28 +196,27 @@ def parse_scenario(text: str) -> ScenarioDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
-    _expect(isinstance(raw, dict), "$", "expected a JSON object")
-    version = raw.get("version", 1)
-    _expect(isinstance(version, int), "version", "expected an integer")
-    system = raw.get("system")
-    game = raw.get("game")
-    _expect(
-        (system is None) != (game is None),
-        "$",
-        "exactly one of 'system' or 'game' must be declared",
-    )
-    if system is not None:
-        _validate_system(system, "system")
-    if game is not None:
-        _validate_game(game, "game")
-    analysis = raw.get("analysis")
-    if analysis is not None:
-        _validate_analysis(analysis, "analysis")
-    simulation = raw.get("simulation")
-    if simulation is not None:
-        _validate_simulation(simulation, "simulation")
+    _check(raw, SCENARIO, "$")
+    system, game, simulation = raw.get("system"), raw.get("game"), raw.get("simulation")
+    _expect((system is None) != (game is None), "$", "exactly one of 'system' or 'game' must be declared")
+    if system is not None and system["kind"] == "table":
+        sizes, table = system["sizes"], system["table"]
+        _expect(len(table) == math.prod(sizes), "system.table", f"expected {math.prod(sizes)} rows")
+        for i, row in enumerate(table):
+            if len(row) != len(sizes):
+                raise SchemaError("system.table", f"row {i} must list {len(sizes)} actions")
+            for j, (a, k) in enumerate(zip(row, sizes)):
+                if a >= k:
+                    raise SchemaError(f"system.table[{i}][{j}]", f"expected an integer action in [0, {k})")
+    if game is not None and "sizes" in game:
+        count = math.prod(game["sizes"])
+        _expect(len(game["utilities"]) == len(game["sizes"]), "game.utilities", "expected one table per node")
+        for i, table in enumerate(game["utilities"]):
+            _expect(len(table) == count, f"game.utilities[{i}]", f"expected {count} integers")
+    if simulation is not None and simulation["schedule"]["kind"] == "periodic":
+        _expect(len(simulation["schedule"]["cycle"]) > 0, "simulation.schedule.cycle", "cycle must be nonempty")
     return ScenarioDocument(
-        version=version, system=system, game=game, analysis=analysis, simulation=simulation
+        version=raw.get("version", 1), system=system, game=game, analysis=raw.get("analysis"), simulation=simulation
     )
 
 
@@ -311,12 +288,10 @@ def _system_from_spec(spec: dict) -> HistorylessSystem:
         return reductions.build_snake_system(spec["n"])
     if kind == "disjointness":
         return reductions.build_disjointness(spec["n"], spec["A"], spec["B"])
-    if kind == "fixture":
-        fx = reductions.fixture(spec["name"], **spec.get("params", {}))
-        if not isinstance(fx, HistorylessSystem):
-            raise SchemaError("system.name", f"fixture {spec['name']!r} is not a system")
-        return fx
-    raise SchemaError("system.kind", f"unknown kind {kind!r}")
+    fx = reductions.fixture(spec["name"], **spec.get("params", {}))
+    if not isinstance(fx, HistorylessSystem):
+        raise SchemaError("system.name", f"fixture {spec['name']!r} is not a system")
+    return fx
 
 
 @_builds("game")
@@ -349,9 +324,7 @@ def _schedule_from_spec(spec: dict, seed: int | None) -> Schedule:
         raise SchemaError("simulation.schedule.seed", "seeded schedules need a seed")
     if kind == "random":
         return SeededRandom(seed=effective_seed, p=spec.get("p", 0.5))
-    if kind == "r-fair":
-        return SeededRFair(seed=effective_seed, r=spec["r"])
-    raise SchemaError("simulation.schedule.kind", f"unknown kind {kind!r}")
+    return SeededRFair(seed=effective_seed, r=spec["r"])
 
 
 # ---------------------------------------------------------------------------
@@ -457,34 +430,27 @@ def _cmd_analyze(doc: ScenarioDocument, args, result: dict) -> int:
         "states": system.num_states,
         "sccs": analyze.scc_count(graph),
     }
-    if kind == "convergence":
-        verdict = analyze.decide_convergence(graph)
-    elif kind == "r-convergence":
-        verdict = analyze.decide_r_convergence(graph, doc.analysis["r"], budget)
-    elif kind == "spectrum":
+    if kind == "spectrum":
         reachable = sorted(analyze.spectrum(graph, tuple(doc.analysis["state"])))
-        result["spectrum"] = [_state_json(s) for s in reachable]
-        result["verdict"] = "ok"
-        result["statistics"]["runtime_s"] = round(time.perf_counter() - t0, 6)
-        return EXIT_OK
-    else:  # committed
-        cmap = analyze.committed_map(graph)
-        result["committed"] = [
-            {
-                "state": _state_json(s),
-                "committed_to": _state_json(t) if t is not None else None,
-            }
-            for s, t in sorted(cmap.entries.items())
-        ]
-        result["verdict"] = "ok"
-        result["statistics"]["runtime_s"] = round(time.perf_counter() - t0, 6)
-        return EXIT_OK
-    payload, code = _verdict_json(verdict)
-    if isinstance(verdict, analyze.NonConvergent):
-        replay = simulate.replay_witness(system, verdict.witness, budget)
-        if not isinstance(replay, simulate.Cycling):
-            raise AsyncdynError("internal error: witness failed to replay as cycling")
-    result.update(payload)
+        result.update(verdict="ok", spectrum=[_state_json(s) for s in reachable])
+        code = EXIT_OK
+    elif kind == "committed":
+        result.update(verdict="ok", committed=[
+            {"state": _state_json(s), "committed_to": _state_json(t) if t is not None else None}
+            for s, t in sorted(analyze.committed_map(graph).entries.items())
+        ])
+        code = EXIT_OK
+    else:
+        if kind == "convergence":
+            verdict = analyze.decide_convergence(graph)
+        else:
+            verdict = analyze.decide_r_convergence(graph, doc.analysis["r"], budget)
+        payload, code = _verdict_json(verdict)
+        if isinstance(verdict, analyze.NonConvergent):
+            replay = simulate.replay_witness(system, verdict.witness, budget)
+            if not isinstance(replay, simulate.Cycling):
+                raise AsyncdynError("internal error: witness failed to replay as cycling")
+        result.update(payload)
     result["statistics"]["runtime_s"] = round(time.perf_counter() - t0, 6)
     return code
 
@@ -504,7 +470,7 @@ def _cmd_simulate(doc: ScenarioDocument, args, result: dict) -> int:
         initial = tuple(tuple(s) for s in initial)
     else:
         initial = tuple(initial)
-    max_steps = args.max_steps or spec.get("max_steps", simulate.DEFAULT_MAX_STEPS)
+    max_steps = args.max_steps if args.max_steps is not None else spec.get("max_steps", simulate.DEFAULT_MAX_STEPS)
     t0 = time.perf_counter()
     trajectory, verdict = simulate.run(system, initial, schedule, max_steps=max_steps)
     payload, code = _verdict_json(verdict)

@@ -160,8 +160,8 @@ class _Reaction:
 
     __slots__ = ("space", "array_rule", "_rows")
 
-    def __init__(self, space: ActionSpace, array_rule: ArrayRule):
-        self.space, self.array_rule, self._rows = space, array_rule, None
+    def __init__(self, space: ActionSpace, array_rule: ArrayRule, rows: np.ndarray | None = None):
+        self.space, self.array_rule, self._rows = space, array_rule, rows
 
     def rows(self, budget: int | None) -> np.ndarray:
         self.space.check_budget(budget)
@@ -199,13 +199,17 @@ class HistorylessSystem:
     self_independent_hint: bool | None = None
     name: str = ""
     array_rule: ArrayRule | None = None
-    _reaction: _Reaction = field(init=False, repr=False, compare=False)
+    _reaction: _Reaction | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.array_rule is None:
             raise InvalidInput("a system needs a reaction: build it with from_table, from_rule or from_array_rule")
-        object.__setattr__(self, "_reaction", _Reaction(self.space, self.array_rule))
-        if self.rule is None:
+        # ``dataclasses.replace`` passes the old holder on: keep it, and its
+        # tabulation, while the space and the array rule are unchanged
+        held = self._reaction
+        if held is None or (held.space, held.array_rule) != (self.space, self.array_rule):
+            object.__setattr__(self, "_reaction", _Reaction(self.space, self.array_rule))
+        if self.rule is None or self.rule is held:
             object.__setattr__(self, "rule", self._reaction)
 
     @classmethod
@@ -218,7 +222,18 @@ class HistorylessSystem:
     ) -> "HistorylessSystem":
         """The system whose reaction at the state with index i is ``rows[i]``."""
         rows = _checked_rows(space, list(rows), space.num_states)
-        return cls.from_array_rule(space, lambda d: rows[d @ space.weights], self_independent_hint, name)
+        rows.flags.writeable = False
+
+        def array_rule(d):
+            return rows[d @ space.weights]
+
+        return cls(
+            space=space,
+            self_independent_hint=self_independent_hint,
+            name=name,
+            array_rule=array_rule,
+            _reaction=_Reaction(space, array_rule, rows),
+        )
 
     @classmethod
     def from_rule(

@@ -256,6 +256,31 @@ def test_one_tabulation_serves_rule_and_reaction():
     assert system.reaction_rows() is rows and calls == [space.num_states]
 
 
+def test_replace_keeps_the_one_tabulation():
+    """A copy made by ``dataclasses.replace`` with the same array rule shares
+    its tabulation: ``rule`` and ``reaction`` run the array rule once in all."""
+    calls = []
+    space = ActionSpace((2, 2))
+    system = HistorylessSystem.from_array_rule(space, lambda d: calls.append(len(d)) or 1 - d)
+    renamed = dataclasses.replace(system, name="renamed")
+    assert renamed.rule((0, 1)) == renamed.reaction((0, 1)) == (1, 0)
+    assert calls == [space.num_states]
+    traced = dataclasses.replace(system, rule=lambda s: system.rule(s))
+    assert traced.reaction((1, 1)) == traced.rule((1, 1)) == (0, 0)
+    assert system.reaction((0, 0)) == (1, 1) and calls == [space.num_states]
+    identity = dataclasses.replace(system, array_rule=lambda d: d)
+    assert identity.rule((0, 1)) == identity.reaction((0, 1)) == (0, 1)
+
+
+def test_from_table_keeps_one_copy_of_its_table():
+    """The rows that the array rule indexes are the cached tabulation itself."""
+    system = HistorylessSystem.from_table(ActionSpace((2, 2)), [(1, 1), (0, 1), (1, 0), (0, 0)])
+    held = [c.cell_contents for c in system.array_rule.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+    assert len(held) == 1
+    assert np.shares_memory(system.reaction_rows(), held[0])
+    assert system.reaction((1, 0)) == (1, 0) and system.rule((0, 1)) == (0, 1)
+
+
 def test_cached_rows_are_freed_with_their_system():
     """With the cyclic collector off, dropping a system frees its rows at
     once: nothing the system holds refers back to it."""

@@ -3,6 +3,7 @@
 import copy
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import asyncdyn
 from asyncdyn.analyze import transition_graph
-from asyncdyn.cli import export_dot, parse_scenario, run_command
+from asyncdyn.cli import ANALYSES, SCHEDULES, SYSTEMS, export_dot, parse_scenario, run_command
 from asyncdyn.core import ActionSpace, HistorylessSystem
 from asyncdyn.errors import ParseError, SchemaError
 from asyncdyn.reductions import fixture
@@ -71,6 +72,15 @@ class TestParseScenario:
         with pytest.raises(SchemaError) as err:
             parse_scenario(json.dumps(doc))
         assert err.value.path == "system.table"
+
+    @pytest.mark.parametrize(
+        "heading, table",
+        [("System sources", SYSTEMS), ("Analysis requests", ANALYSES), ("Simulation requests", SCHEDULES)],
+    )
+    def test_documented_kinds_are_the_schema_kinds(self, heading, table):
+        text = (Path(__file__).parents[1] / "docs" / "scenario-schema.md").read_text()
+        section = text.split(f"\n## {heading}", 1)[1].split("\n## ", 1)[0]
+        assert re.findall(r"^\| `([^`]+)` \|", section, flags=re.M) == list(table)
 
     def test_exactly_one_source(self):
         with pytest.raises(SchemaError):
@@ -211,6 +221,16 @@ class TestSimulateCommand:
             doc["statistics"].pop("runtime_s")
         assert r1 == r2
 
+    def test_zero_max_steps_is_refused(self, tmp_path):
+        scenario = dict(
+            FIG1_ANALYZE,
+            simulation={"initial": [0, 1], "schedule": {"kind": "synchronous"}, "max_steps": 50},
+        )
+        path = write_scenario(tmp_path, scenario)
+        code, doc = invoke_json(["simulate", "--scenario", path, "--max-steps", "0"])
+        assert code == 2
+        assert "max_steps must be positive" in doc["error"]
+
     def test_seeded_schedule_requires_seed(self, tmp_path):
         scenario = dict(
             FIG1_ANALYZE,
@@ -314,6 +334,26 @@ def table_system(rows):
     return {"kind": "table", "sizes": [2, 2], "table": rows}
 
 
+def tm_system(**last):
+    """A two-state machine whose last transition is updated with ``last``."""
+    delta = [
+        {"state": "q", "read": 0, "next": "q", "write": 1, "move": 1},
+        dict({"state": "q", "read": 1, "next": "h", "write": 1, "move": 0}, **last),
+    ]
+    return {"kind": "tm", "states": ["q", "h"], "halting": ["h"], "symbols": 2, "cells": 2, "delta": delta}
+
+
+def circuit_system(value=1, table=(1, 0, 0, 1)):
+    return {
+        "kind": "circuit",
+        "inputs": [{"name": "x", "value": value}],
+        "gates": [{"name": "g", "inputs": ["x", "g"], "table": list(table)}],
+    }
+
+
+BGP_ROUTES = [{"as": 1, "routes": [[1, 2, 0], [1, 0]]}, {"as": 2, "routes": [[2, 1, 0], [2, 0]]}]
+
+
 class TestMalformedInputExit2:
     """Malformed input ends with exit code 2 and names the bad field."""
 
@@ -354,14 +394,18 @@ class TestMalformedInputExit2:
         assert doc["error"].startswith("simulation.schedule.p:")
 
     @pytest.mark.parametrize(
-        "command, source, block",
+        "command, source, field",
         [
-            ("analyze", {"system": {"kind": "majority", "users": 2, "edges": [["a", 2]]}}, "system"),
-            ("analyze", {"system": {"kind": "bgp", "dest": 0, "edges": [[0, "x"]], "rankings": []}}, "system"),
+            ("analyze", {"system": {"kind": "majority", "users": 2, "edges": [["a", 2]]}}, "system.edges[0][0]"),
+            (
+                "analyze",
+                {"system": {"kind": "bgp", "dest": 0, "edges": [[0, "x"]], "rankings": []}},
+                "system.edges[0][1]",
+            ),
             (
                 "analyze",
                 {"system": {"kind": "bgp", "dest": 0, "edges": [[0, 1]], "rankings": [{"as": 1, "routes": [5]}]}},
-                "system",
+                "system.rankings[0].routes[0]",
             ),
             (
                 "analyze",
@@ -374,7 +418,7 @@ class TestMalformedInputExit2:
                         ],
                     }
                 },
-                "system",
+                "system.delta[0].read",
             ),
             (
                 "analyze",
@@ -385,11 +429,11 @@ class TestMalformedInputExit2:
                         "gates": [{"name": "g", "inputs": 5, "table": [1, 0]}],
                     }
                 },
-                "system",
+                "system.gates[0].inputs",
             ),
-            ("analyze", {"system": {"kind": "fixture", "name": "ring", "params": {"n": "x"}}}, "system"),
-            ("analyze", {"system": {"kind": "fixture", "name": "ring", "params": 5}}, "system"),
-            ("analyze", {"system": {"kind": "disjointness", "n": 5, "A": ["x"], "B": [1]}}, "system"),
+            ("analyze", {"system": {"kind": "fixture", "name": "ring", "params": {"n": "x"}}}, "system.params.n"),
+            ("analyze", {"system": {"kind": "fixture", "name": "ring", "params": 5}}, "system.params"),
+            ("analyze", {"system": {"kind": "disjointness", "n": 5, "A": ["x"], "B": [1]}}, "system.A[0]"),
             ("pne", {"game": {"sizes": [2], "utilities": [["a", "b"]]}}, "game.utilities[0][0]"),
             ("pne", {"game": {"sizes": [2], "utilities": [[1.5, 1]]}}, "game.utilities[0][0]"),
             ("pne", {"game": {"sizes": [2, 1], "utilities": [[0, 1], [1, True]]}}, "game.utilities[1][1]"),
@@ -397,20 +441,49 @@ class TestMalformedInputExit2:
             ("analyze", {"system": table_system([[0, 0], [1, 0], [0, "a"], [1, 1]])}, "system.table[2][1]"),
             ("analyze", {"system": table_system([[0, 0], [1.0, 0], [0, 1], [1, 1]])}, "system.table[1][0]"),
             ("analyze", {"system": table_system([[0, 0], [1, 0], [0, 1], [1, 2]])}, "system.table[3][1]"),
-            ("simulate", {"schedule": {"kind": "periodic", "cycle": [5]}}, "simulation.schedule"),
-            ("simulate", {"schedule": {"kind": "periodic", "cycle": [["a"]]}}, "simulation.schedule"),
+            ("simulate", {"schedule": {"kind": "periodic", "cycle": [5]}}, "simulation.schedule.cycle[0]"),
+            ("simulate", {"schedule": {"kind": "periodic", "cycle": [["a"]]}}, "simulation.schedule.cycle[0][0]"),
             ("simulate", {"initial": 5, "schedule": {"kind": "synchronous"}}, "simulation.initial"),
-            ("simulate", {"initial": [[0, 1], 5], "schedule": {"kind": "synchronous"}}, "simulation.initial"),
+            ("simulate", {"initial": [[0, 1], 5], "schedule": {"kind": "synchronous"}}, "simulation.initial[1]"),
             ("simulate", {"schedule": {"kind": "r-fair", "r": 2, "seed": [["a"]]}}, "simulation.schedule.seed"),
+            # values a builder would coerce with int() or bool into a verdict
+            ("analyze", {"system": {"kind": "fixture", "name": "ring", "params": {"n": 3.7}}}, "system.params.n"),
+            ("analyze", {"system": {"kind": "fixture", "name": "ring", "params": {"N": 6}}}, "system.params.N"),
+            ("analyze", {"system": {"kind": "majority", "users": 2, "edges": [[True, 2]]}}, "system.edges[0][0]"),
+            ("analyze", {"system": tm_system(read=True)}, "system.delta[1].read"),
+            ("analyze", {"system": tm_system(write=True)}, "system.delta[1].write"),
+            ("analyze", {"system": tm_system(move=True)}, "system.delta[1].move"),
+            ("analyze", {"system": circuit_system(value=True)}, "system.inputs[0].value"),
+            ("analyze", {"system": circuit_system(table=(1.0, 0, 0, 1))}, "system.gates[0].table[0]"),
+            (
+                "analyze",
+                {"system": {"kind": "bgp", "dest": 0, "edges": [[0, True], [1, 2], [0, 2]], "rankings": BGP_ROUTES}},
+                "system.edges[0][1]",
+            ),
+            ("analyze", {"system": {"kind": "disjointness", "n": 5, "A": [1], "B": [1.0]}}, "system.B[0]"),
+            ("analyze", {"version": True, "system": FIG1_ANALYZE["system"]}, "version"),
+            (
+                "analyze",
+                {"system": FIG1_ANALYZE["system"], "analysis": {"kind": "spectrum", "state": [True, 1]}},
+                "analysis.state[0]",
+            ),
+            ("simulate", {"schedule": {"kind": "periodic", "cycle": [[True]]}}, "simulation.schedule.cycle[0][0]"),
+            ("simulate", {"initial": [True, 1], "schedule": {"kind": "synchronous"}}, "simulation.initial[0]"),
+            ("simulate", {"schedule": {"kind": "random", "p": True, "seed": 1}}, "simulation.schedule.p"),
         ],
         ids=[
             "majority-edge", "bgp-edge", "bgp-routes", "tm-read", "circuit-gate-inputs", "fixture-n",
             "fixture-params", "disjointness-A", "game-utilities", "game-utility-fraction", "game-utility-bool",
             "table-bool", "table-string", "table-float", "table-out-of-range", "periodic-int", "periodic-letter",
             "simulation-initial", "simulation-window-row", "schedule-seed",
+            "fixture-n-float", "fixture-unknown-param", "majority-edge-bool", "tm-read-bool", "tm-write-bool",
+            "tm-move-bool", "circuit-input-bool", "circuit-table-float", "bgp-edge-bool", "disjointness-B-float",
+            "version-bool", "spectrum-state-bool", "periodic-bool", "simulation-initial-bool", "random-p-bool",
         ],
     )
-    def test_model_errors_name_their_block(self, tmp_path, command, source, block):
+    def test_model_errors_name_their_block(self, tmp_path, command, source, field):
+        """Each case is refused by the schema at its field, before any
+        model is built."""
         if command == "simulate":
             scenario = dict(FIG1_ANALYZE, simulation=dict({"initial": [0, 1]}, **source))
         else:
@@ -418,7 +491,8 @@ class TestMalformedInputExit2:
         code, doc = invoke_json([command, "--scenario", write_scenario(tmp_path, scenario)])
         assert code == 2
         assert doc["error_kind"] == "SchemaError"
-        assert doc["error"].startswith(f"{block}:")
+        assert doc["error"].startswith(f"{field}:")
+        assert "cannot build the model" not in doc["error"]
 
 
 # ---------------------------------------------------------------------------
