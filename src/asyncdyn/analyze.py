@@ -19,19 +19,24 @@ edges cover every node.
 
 A system is compiled once by ``transition_graph``; every operation accepts
 the resulting TransitionGraph in place of the system, so a caller asking
-several questions builds the graph and its SCCs once.
+several questions builds the graph and its SCCs once.  The graph is one
+int32 CSR, and every search is a scipy.sparse.csgraph call on the one scipy
+matrix that wraps it: the SCCs, the spectrum (one breadth-first search), each
+leg of a witness walk (a breadth-first search to the first goal node) and the
+commitment map (two multi-source searches on the reversed graph).  The
+r-fair witness walk needs no detours to cover nodes, because every cycle of
+the r-counter product activates every node.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
 
 from .core import (
     ActionSpace,
@@ -46,6 +51,7 @@ from .errors import BudgetExceeded, InvalidInput, Unsupported
 from .simulate import Witness
 
 MAX_SUBSET_NODES = 16  # export-dot lists 2^n activation subsets per state
+_INDEX_MAX = np.iinfo(np.int32).max  # scipy's sparse graphs index with int32
 
 
 def subset_to_nodes(s: int, n: int) -> ActivationSet:
@@ -71,11 +77,11 @@ class SuccessorGraph:
 
     The edges of node u are ``indptr[u]:indptr[u+1]``; edge e leads from
     ``src[e]`` to ``dst[e]`` under the activation set ``label[e]`` (a bitmask,
-    bit i-1 = node i).
+    bit i-1 = node i).  The arrays are int32, scipy's index type, so
+    ``adjacency`` wraps ``indptr`` and ``dst`` without copying them.
     """
 
     indptr: np.ndarray
-    src: np.ndarray
     dst: np.ndarray
     label: np.ndarray
 
@@ -90,7 +96,19 @@ class SuccessorGraph:
 
     @property
     def nbytes(self) -> int:
-        return self.indptr.nbytes + self.src.nbytes + self.dst.nbytes + self.label.nbytes
+        return self.indptr.nbytes + self.dst.nbytes + self.label.nbytes
+
+    @cached_property
+    def src(self) -> np.ndarray:
+        # intp, which numpy indexes with without a converted copy
+        return np.arange(self.rows).repeat(self.indptr[1:] - self.indptr[:-1])
+
+    @cached_property
+    def adjacency(self) -> sparse.csr_matrix:
+        """The graph as the one scipy matrix every search reads."""
+        # float64 data is what scipy works on: other types are converted by a copy
+        # that also sorts and deduplicates, though each row's targets are distinct
+        return sparse.csr_matrix((np.ones(self.size), self.dst, self.indptr), shape=(self.rows, self.rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,13 +241,12 @@ def _successor_blocks(space: ActionSpace, rows: np.ndarray, block: int, budget: 
     rows_d, nodes_d = np.nonzero(changes)
     degree = np.bincount(rows_d, minlength=count)
     width = 1 << degree
-    total = _check_count(int(width.sum()), "distinct transitions", budget)
+    total = _check_index(_check_count(int(width.sum()), "distinct transitions", budget), "distinct transitions")
 
     indptr = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(width, out=indptr[1:])
-    src = np.repeat(np.arange(count, dtype=np.int64), width)
-    dst = np.empty(total, dtype=np.int64)
-    label = np.empty(total, dtype=np.int64)
+    dst = np.empty(total, dtype=np.int32)
+    label = np.empty(total, dtype=np.int32)
     idx = np.arange(count, dtype=np.int64)
     window = idx % block
     dst[indptr[:-1]] = idx - window + (window % (block // nb)) * nb + idx % nb
@@ -244,7 +261,7 @@ def _successor_blocks(space: ActionSpace, rows: np.ndarray, block: int, budget: 
         k = np.repeat(first_d[a] + b, 1 << b)
         dst[e] = dst[e - (1 << b)] + step[k]
         label[e] = label[e - (1 << b)] | bit[k]
-    return SuccessorGraph(indptr, src, dst, label)
+    return SuccessorGraph(indptr.astype(np.int32), dst, label)
 
 
 def transition_graph(system, budget: int | None = None) -> TransitionGraph:
@@ -255,6 +272,12 @@ def transition_graph(system, budget: int | None = None) -> TransitionGraph:
 
 def _compiled(system, budget: int | None) -> TransitionGraph:
     return system if isinstance(system, TransitionGraph) else transition_graph(system, budget)
+
+
+def _check_index(count: int, what: str) -> int:
+    if count > _INDEX_MAX:
+        raise BudgetExceeded(f"{count} {what} do not fit the int32 indices of a sparse graph")
+    return count
 
 
 def _row_edges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,40 +292,25 @@ def _row_edges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _strong_components(graph: SuccessorGraph) -> tuple[int, np.ndarray]:
     """(number of SCCs, SCC label of every node) of a CSR graph."""
-    # float64 data is what scipy works on: other types are converted by a copy
-    # that also sorts and deduplicates, though each row's targets are distinct
-    adjacency = sparse.csr_matrix(
-        (np.ones(graph.size, dtype=np.float64), graph.dst, graph.indptr),
-        shape=(graph.rows, graph.rows),
-    )
-    ncomp, labels = connected_components(adjacency, directed=True, connection="strong")
+    ncomp, labels = connected_components(graph.adjacency, directed=True, connection="strong")
     return int(ncomp), labels
 
 
-def _bfs_inside(graph: SuccessorGraph, labels, comp, start: int, is_goal):
-    """Deterministic BFS over the edges that stay inside component comp;
-    returns (activation labels along the path, goal node)."""
-    if is_goal(start):
-        return [], start
-    indptr, dst, label = graph.indptr, graph.dst, graph.label
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        lo, hi = indptr[u], indptr[u + 1]
-        for v, s in zip(dst[lo:hi].tolist(), label[lo:hi].tolist()):
-            if labels[v] != comp or v in parent:
-                continue
-            parent[v] = (u, s)
-            if is_goal(v):
-                path = []
-                node = v
-                while parent[node] is not None:
-                    node, ps = parent[node]
-                    path.append(ps)
-                return list(reversed(path)), v
-            queue.append(v)
-    raise AssertionError("no internal path found; SCC invariant violated")
+def _path(graph: SuccessorGraph, start: int, goal: np.ndarray) -> tuple[list, int]:
+    """(activation labels along the path, goal node) to the first node of the
+    ``goal`` mask in breadth-first order from start.  scipy visits each row in
+    CSR order, and a path between two nodes of one SCC never leaves it, so
+    inside an SCC this is the BFS restricted to that SCC."""
+    order, parent = breadth_first_order(graph.adjacency, start, return_predecessors=True)
+    v = reached = int(order[np.argmax(goal[order])])
+    assert goal[v], "no path to the goal; SCC invariant violated"
+    path = []
+    while v != start:
+        u = int(parent[v])
+        lo = graph.indptr[u]
+        path.append(int(graph.label[lo + graph.dst[lo : graph.indptr[u + 1]].tolist().index(v)]))
+        v = u
+    return path[::-1], reached
 
 
 def _primitive_cycle(cycle: tuple) -> tuple:
@@ -313,60 +321,54 @@ def _primitive_cycle(cycle: tuple) -> tuple:
     return cycle
 
 
-def _oscillating_components(succ: SuccessorGraph, components, n: int, src, dst) -> np.ndarray:
-    """Components with an internal edge that changes the underlying state,
-    from ``src[e]`` to ``dst[e]``, and whose internal labels jointly activate
-    every node."""
+def _oscillating_components(succ: SuccessorGraph, components, cover: int, changing: np.ndarray) -> np.ndarray:
+    """Components with an internal edge in the ``changing`` mask (one that
+    changes the underlying state) and whose internal labels jointly activate
+    every node of the ``cover`` bitmask."""
     ncomp, labels = components
     comp = labels[succ.src]
     internal = comp == labels[succ.dst]
-    cover = np.zeros(ncomp, dtype=np.int64)
-    np.bitwise_or.at(cover, comp[internal], succ.label[internal])
-    changing = np.zeros(ncomp, dtype=bool)
-    changing[comp[internal & (dst != src)]] = True
-    return changing & (cover == (1 << n) - 1)
+    osc = np.zeros(ncomp, dtype=bool)
+    osc[comp[internal & changing]] = True
+    if cover:
+        covered = np.zeros(ncomp, dtype=succ.label.dtype)
+        np.bitwise_or.at(covered, comp[internal], succ.label[internal])
+        osc &= (covered & cover) == cover
+    return osc
 
 
-def _oscillation(succ: SuccessorGraph, components, n: int, src, dst):
+def _oscillation(succ: SuccessorGraph, components, n: int, cover: int, changing: np.ndarray):
     """None if no component oscillates.  Otherwise (u, cycle): the activation
-    sets of a covering, state-changing closed walk from node u inside the
-    oscillating component that holds the lowest-numbered node."""
+    sets of a closed walk from node u that takes a ``changing`` edge and
+    activates every node of ``cover``, inside the oscillating component that
+    holds the lowest-numbered node."""
     labels = components[1]
-    osc = _oscillating_components(succ, components, n, src, dst)
+    osc = _oscillating_components(succ, components, cover, changing)
     if not osc.any():
         return None
     comp = int(labels[np.argmax(osc[labels])])
-    return _component_witness(succ, labels, comp, n, src, dst)
-
-
-def _component_witness(succ: SuccessorGraph, labels, comp: int, n: int, src, dst):
     inside = (labels[succ.src] == comp) & (labels[succ.dst] == comp)
-    # deterministic first state-changing internal edge
-    moves = inside & (dst != src)
-    assert moves.any(), "oscillating component must contain a changing edge"
-    e0 = int(np.argmax(moves))
+    # deterministic first changing internal edge
+    e0 = int(np.argmax(inside & changing))
     u0 = int(succ.src[e0])
     walk = [int(succ.label[e0])]
-    covered = walk[0]
+    covered = walk[0] | ~cover  # nodes outside cover count as covered
     pos = int(succ.dst[e0])
-    full = (1 << n) - 1
     for b in range(n):
-        if covered == full:
-            break
         if covered >> b & 1:
             continue
-        # the first internal edge activating node b+1 of every node that has one
-        with_b = np.flatnonzero(inside & (succ.label >> b & 1 == 1))
-        nodes, first = np.unique(succ.src[with_b], return_index=True)
-        b_edge = dict(zip(nodes.tolist(), with_b[first].tolist()))
-        path, reached = _bfs_inside(succ, labels, comp, pos, b_edge.__contains__)
-        e = b_edge[reached]
-        walk.extend(path)
-        walk.append(int(succ.label[e]))
+        # the first internal edge activating node b+1, out of the first node
+        # in BFS order that has one
+        with_b = inside & (succ.label >> b & 1 == 1)
+        goal = np.zeros(succ.rows, dtype=bool)
+        goal[succ.src[with_b]] = True
+        path, reached = _path(succ, pos, goal)
+        lo = succ.indptr[reached]
+        e = int(lo + np.argmax(with_b[lo : succ.indptr[reached + 1]]))
+        walk += path + [int(succ.label[e])]
         covered |= walk[-1]
         pos = int(succ.dst[e])
-    back, _ = _bfs_inside(succ, labels, comp, pos, lambda x: x == u0)
-    walk.extend(back)
+    walk += _path(succ, pos, np.arange(succ.rows) == u0)[0]
     return u0, _primitive_cycle(tuple(subset_to_nodes(s, n) for s in walk))
 
 
@@ -389,17 +391,8 @@ def stable_states(system, budget: int | None = None) -> frozenset:
 def spectrum(system, state, budget: int | None = None) -> frozenset:
     """Stable states reachable from the given state in the transition graph."""
     graph = _compiled(system, budget)
-    succ = graph.succ
-    start = graph.index(state)
-    visited = np.zeros(succ.rows, dtype=bool)
-    visited[start] = True
-    frontier = np.array([start], dtype=np.int64)
-    while frontier.size:
-        nxt = np.unique(succ.dst[_row_edges(succ.indptr, frontier)[0]])
-        nxt = nxt[~visited[nxt]]
-        visited[nxt] = True
-        frontier = nxt
-    return frozenset(graph.node(int(i)) for i in np.where(graph.fixed & visited)[0])
+    reached = breadth_first_order(graph.succ.adjacency, graph.index(state), return_predecessors=False)
+    return frozenset(graph.node(int(i)) for i in reached[graph.fixed[reached]])
 
 
 def decide_convergence(system, budget: int | None = None) -> ConvergenceVerdict:
@@ -410,8 +403,8 @@ def decide_convergence(system, budget: int | None = None) -> ConvergenceVerdict:
     walk inside that SCC.
     """
     graph = _compiled(system, budget)
-    succ = graph.succ
-    found = _oscillation(succ, graph.components, graph.n, succ.src, succ.dst)
+    succ, n = graph.succ, graph.n
+    found = _oscillation(succ, graph.components, n, (1 << n) - 1, succ.src != succ.dst)
     return Convergent() if found is None else NonConvergent(graph.witness(*found))
 
 
@@ -433,7 +426,7 @@ def decide_convergence_many(space: ActionSpace, rows, budget: int | None = None)
     B = rows.shape[0]
     rows = _checked_rows(space, rows.reshape(B * N, n), B * N).reshape(B, N, n)
     edges = np.cumsum((1 << (rows != space.digits()).sum(axis=2)).sum(axis=1))
-    limit = resolve_budget(budget)
+    limit = min(resolve_budget(budget), _INDEX_MAX)
     convergent = np.empty(B, dtype=bool)
     start = 0
     while start < B:
@@ -443,7 +436,7 @@ def decide_convergence_many(space: ActionSpace, rows, budget: int | None = None)
         stop = max(int(np.searchsorted(edges, before + limit, side="right")), start + 1)
         succ = _successor_blocks(space, rows[start:stop].reshape(-1, n), N, budget)
         components = _strong_components(succ)
-        osc = _oscillating_components(succ, components, n, succ.src, succ.dst)
+        osc = _oscillating_components(succ, components, (1 << n) - 1, succ.src != succ.dst)
         convergent[start:stop] = ~osc[components[1]].reshape(-1, N).any(axis=1)
         start = stop
     return convergent
@@ -452,63 +445,25 @@ def decide_convergence_many(space: ActionSpace, rows, budget: int | None = None)
 def committed_map(system, budget: int | None = None) -> CommitMap:
     """For each state: the unique stable state all fair trajectories reach, or
     None when the state is uncommitted (several reachable stable states, or a
-    reachable fair oscillation)."""
+    reachable fair oscillation).
+
+    Every sink SCC is a stable state or oscillates.  So a state is
+    uncommitted iff it reaches an oscillating component or an edge whose two
+    ends have different nearest stable states; two multi-source searches on
+    the reversed graph find the nearest stable states and then those states.
+    """
     graph = _compiled(system, budget)
     succ = graph.succ
-    ncomp, labels = graph.components
-    osc = _oscillating_components(succ, graph.components, graph.n, succ.src, succ.dst)
-
-    lu = labels[succ.src].astype(np.int64)
-    lv = labels[succ.dst]
-    diff = lu != lv
-    cadj: list[list[int]] = [[] for _ in range(ncomp)]
-    radj: list[list[int]] = [[] for _ in range(ncomp)]
-    indeg = [0] * ncomp
-    for key in np.unique(lu[diff] * ncomp + lv[diff]).tolist():
-        cu, cv = divmod(key, ncomp)
-        cadj[cu].append(cv)
-        radj[cv].append(cu)
-        indeg[cv] += 1
-
-    reaches_osc = osc.copy()
-    queue = deque(int(c) for c in np.where(osc)[0])
-    while queue:
-        c = queue.popleft()
-        for p in radj[c]:
-            if not reaches_osc[p]:
-                reaches_osc[p] = True
-                queue.append(p)
-
-    stable_idx = np.where(graph.fixed)[0].tolist()
-    stable_bit = {int(si): 1 << j for j, si in enumerate(stable_idx)}
-    own_bits = [0] * ncomp
-    for si in stable_idx:
-        own_bits[int(labels[si])] |= stable_bit[int(si)]
-
-    order = []
-    todo = deque(c for c in range(ncomp) if indeg[c] == 0)
-    indeg_work = list(indeg)
-    while todo:
-        c = todo.popleft()
-        order.append(c)
-        for child in cadj[c]:
-            indeg_work[child] -= 1
-            if indeg_work[child] == 0:
-                todo.append(child)
-    reach_bits = list(own_bits)
-    for c in reversed(order):
-        for child in cadj[c]:
-            reach_bits[c] |= reach_bits[child]
-
-    entries = {}
-    for i in range(succ.rows):
-        c = int(labels[i])
-        bits = reach_bits[c]
-        if reaches_osc[c] or bits == 0 or bits & (bits - 1):
-            entries[graph.node(i)] = None
-        else:
-            entries[graph.node(i)] = graph.node(stable_idx[bits.bit_length() - 1])
-    return CommitMap(entries=entries)
+    osc = _oscillating_components(succ, graph.components, (1 << graph.n) - 1, succ.src != succ.dst)
+    reverse = succ.adjacency.T.tocsr()
+    stable = np.flatnonzero(graph.fixed)
+    nearest = dijkstra(reverse, indices=stable, unweighted=True, min_only=True, return_predecessors=True)[2]
+    seeds = osc[graph.components[1]]
+    seeds[succ.src[nearest[succ.src] != nearest[succ.dst]]] = True
+    uncommitted = np.isfinite(dijkstra(reverse, indices=np.flatnonzero(seeds), unweighted=True, min_only=True))
+    return CommitMap(
+        {graph.node(i): None if uncommitted[i] else graph.node(int(nearest[i])) for i in range(succ.rows)}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -526,16 +481,16 @@ def decide_r_convergence(system, r: int, budget: int | None = None) -> Convergen
     run of the larger labels.  A node never activated on a cycle would have a
     counter that only rises, so every product cycle activates every node: the
     system is r-convergent iff no product SCC reachable from a zero-counter
-    state has an internal edge that changes the underlying state, which is
-    the test of ``decide_convergence``.
+    state has an internal edge that changes the underlying state.  That is
+    the test of ``decide_convergence`` with no nodes to cover, so the witness
+    walk goes from its first state-changing edge straight back to its start.
     """
     if r < 1:
         raise InvalidInput(f"r must be >= 1, got {r}")
     graph = _compiled(system, budget)
     n = graph.n
     product, state, parent, plabel = _counter_product(graph.succ, n, r, budget)
-    src, dst = product.src, product.dst
-    found = _oscillation(product, _strong_components(product), n, state[src], state[dst])
+    found = _oscillation(product, _strong_components(product), n, 0, state[product.src] != state[product.dst])
     if found is None:
         return Convergent()
     u, cycle = found
@@ -552,46 +507,58 @@ def _counter_product(succ: SuccessorGraph, n: int, r: int, budget: int | None):
 
     Ids follow the BFS: the roots (state a has id a), then each layer's new
     states in order of key = state * r^n + counters.  Each layer's candidate
-    transitions are counted against the budget before it is expanded.
+    transitions are counted against the budget, and with the states they may
+    add against the int32 indices, before it is expanded.  A layer's edges
+    leave its states in id order, so their counts per source give ``indptr``.
     """
     count, M = succ.rows, r ** n
     if count * M > np.iinfo(np.int64).max:
         raise BudgetExceeded(f"the product graph's {count * M} state keys overflow int64")
     weights = ActionSpace((r,) * n).weights.tolist()
     degree = np.diff(succ.indptr)
-    seen_ids = np.arange(count, dtype=np.int64)
-    seen_keys = frontier = seen_ids * M
-    layers = [(frontier, np.full(count, -1, dtype=np.int64), np.zeros(count, dtype=np.int64))]
-    pieces = []  # product edges (source id, target id, label), by source id
+    seen_ids = np.arange(count, dtype=np.int32)
+    seen_keys = frontier = np.arange(count, dtype=np.int64) * M
+    layers = [(frontier, np.full(count, -1, dtype=np.int32), np.zeros(count, dtype=np.int32))]
+    pieces = []  # per layer: kept edges per source, target ids, labels
     examined = first_id = 0
     while frontier.size:
         examined += int(degree[frontier // M].sum())
         _check_count(examined, "product transitions", budget)
-        e, owner = _row_edges(succ.indptr, frontier // M)
-        lab = succ.label[e]
-        counters = frontier[owner] % M
-        tgt = succ.dst[e] * M
-        ok = np.ones(e.size, dtype=bool)
-        for i, w in enumerate(weights):
-            new = np.where(lab >> i & 1 == 1, 0, counters // w % r + 1)
-            ok &= new < r
-            tgt += new * w
-        src, tgt, lab = first_id + owner[ok], tgt[ok], lab[ok]
+        _check_index(count + examined, "product states and transitions")
+        kept, owner, tgt, lab = _product_layer(succ, frontier, M, r, weights)
         at = np.minimum(np.searchsorted(seen_keys, tgt), seen_keys.size - 1)
-        known = seen_keys[at] == tgt
-        frontier, first, inverse = np.unique(tgt[~known], return_index=True, return_inverse=True)
+        fresh = seen_keys[at] != tgt
+        frontier, first, inverse = np.unique(tgt[fresh], return_index=True, return_inverse=True)
+        dst = seen_ids[at]
+        dst[fresh] = seen_ids.size + inverse
+        new = np.flatnonzero(fresh)[first]
+        pieces.append((kept, dst, lab))
+        layers.append((frontier, (first_id + owner[new]).astype(np.int32), lab[new]))
         first_id = seen_ids.size
-        dst = np.empty(tgt.size, dtype=np.int64)
-        dst[known] = seen_ids[at[known]]
-        dst[~known] = first_id + inverse
-        pieces.append((src, dst, lab))
-        layers.append((frontier, src[~known][first], lab[~known][first]))
         at = np.searchsorted(seen_keys, frontier)
         seen_keys = np.insert(seen_keys, at, frontier)
         seen_ids = np.insert(seen_ids, at, np.arange(first_id, first_id + frontier.size))
 
     key, parent, plabel = (np.concatenate(column) for column in zip(*layers))
-    src, dst, lab = (np.concatenate(column) for column in zip(*pieces))
-    indptr = np.zeros(key.size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=key.size), out=indptr[1:])
-    return SuccessorGraph(indptr, src, dst, lab), key // M, parent, plabel
+    kept, dst, lab = (np.concatenate(column) for column in zip(*pieces))
+    indptr = np.zeros(key.size + 1, dtype=np.int32)
+    np.cumsum(kept, out=indptr[1:])
+    return SuccessorGraph(indptr, dst, lab), (key // M).astype(np.int32), parent, plabel
+
+
+def _product_layer(succ: SuccessorGraph, frontier: np.ndarray, M: int, r: int, weights: list):
+    """The product edges out of one layer's states (keys in ``frontier``)
+    that push no counter to r: (count per state, position of the source in
+    the frontier, target key, label), by source."""
+    e, owner = _row_edges(succ.indptr, frontier // M)
+    lab = succ.label[e]
+    counters = frontier[owner] % M
+    # keys stay int64: an int32 array times a Python int stays int32 and wraps
+    tgt = succ.dst[e].astype(np.int64) * M
+    ok = np.ones(e.size, dtype=bool)
+    for i, w in enumerate(weights):
+        new = np.where(lab >> i & 1 == 1, 0, counters // w % r + 1)
+        ok &= new < r
+        tgt += new * w
+    owner = owner[ok]
+    return np.bincount(owner, minlength=frontier.size), owner, tgt[ok], lab[ok]

@@ -51,12 +51,13 @@ def _check_count(count: int, what: str, budget: int | None) -> int:
     return count
 
 
-def _as_action(a) -> int:
-    """An action of any integer type (numpy integers included) as a Python int."""
+def _as_int(value, what: str = "action") -> int:
+    """An integer of any integer type (numpy integers included) as a Python
+    int; floats and strings are refused, not truncated."""
     try:
-        return operator.index(a)
+        return operator.index(value)
     except TypeError:
-        raise InvalidInput(f"action {a} is not an integer") from None
+        raise InvalidInput(f"{what} {value} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class ActionSpace:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(k) for k in self.sizes)
+        sizes = tuple(_as_int(k, "action count") for k in self.sizes)
         if not sizes:
             raise InvalidInput("an action space needs at least one node")
         if any(k < 1 for k in sizes):
@@ -117,7 +118,7 @@ class ActionSpace:
             raise InvalidInput(f"state {state} has {len(state)} coordinates, expected {self.n}")
         for a, k in zip(state, self.sizes):
             if not isinstance(a, int):
-                return self.validate_state(tuple(map(_as_action, state)))
+                return self.validate_state(tuple(map(_as_int, state)))
             if not 0 <= a < k:
                 raise InvalidInput(f"action {a} out of range [0, {k}) in state {state}")
         return state

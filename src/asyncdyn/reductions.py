@@ -6,12 +6,13 @@ set-disjointness system, plus the named example fixtures.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import ActionSpace, HistorylessSystem, _check_count
+from .core import ActionSpace, HistorylessSystem, _as_int, _check_count
 from .errors import BudgetExceeded, InvalidInput
 from .uncoupled import fixture_game_2x2x2
 
@@ -31,7 +32,7 @@ class GateSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "table", tuple(int(b) for b in self.table))
+        object.__setattr__(self, "table", tuple(_as_int(b, f"gate {self.name}: table entry") for b in self.table))
         if len(self.table) != 1 << len(self.inputs):
             raise InvalidInput(
                 f"gate {self.name}: table has {len(self.table)} rows for {len(self.inputs)} inputs"
@@ -46,7 +47,7 @@ class CircuitDescription:
     gates: tuple[GateSpec, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple((str(n), int(v)) for n, v in self.inputs))
+        object.__setattr__(self, "inputs", tuple((str(n), _as_int(v, f"input {n}: value")) for n, v in self.inputs))
         object.__setattr__(self, "gates", tuple(self.gates))
         names = [n for n, _ in self.inputs] + [g.name for g in self.gates]
         if len(set(names)) != len(names):
@@ -113,12 +114,12 @@ class SocialGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n < 1:
+        if _as_int(self.n, "user count") < 1:
             raise InvalidInput("a social graph needs at least one user")
         seen = set()
         cleaned = []
         for u, v in self.edges:
-            u, v = int(u), int(v)
+            u, v = _as_int(u, "user"), _as_int(v, "user")
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise InvalidInput(f"edge ({u},{v}) references unknown users")
             if u == v:
@@ -154,6 +155,10 @@ def build_majority(graph: SocialGraph) -> HistorylessSystem:
 Route = tuple[int, ...]
 
 
+def _route(route) -> Route:
+    return tuple(_as_int(x, "AS") for x in route)
+
+
 @dataclass(frozen=True)
 class BgpInstance:
     """Interdomain routing instance: an AS graph with destination ``dest``,
@@ -166,17 +171,15 @@ class BgpInstance:
     export_deny: tuple[tuple[int, Route, int], ...] = ()
 
     def __post_init__(self):
-        edges = tuple((min(int(u), int(v)), max(int(u), int(v))) for u, v in self.edges)
+        object.__setattr__(self, "dest", _as_int(self.dest, "AS"))
+        edges = tuple(tuple(sorted((_as_int(u, "AS"), _as_int(v, "AS")))) for u, v in self.edges)
         object.__setattr__(self, "edges", edges)
-        rankings = tuple(
-            (int(a), tuple(tuple(int(x) for x in r) for r in routes))
-            for a, routes in self.rankings
-        )
+        rankings = tuple((_as_int(a, "AS"), tuple(map(_route, routes))) for a, routes in self.rankings)
         object.__setattr__(self, "rankings", rankings)
         object.__setattr__(
             self,
             "export_deny",
-            tuple((int(a), tuple(int(x) for x in r), int(nb)) for a, r, nb in self.export_deny),
+            tuple((_as_int(a, "AS"), _route(r), _as_int(nb, "AS")) for a, r, nb in self.export_deny),
         )
         adjacency = self.adjacency()
         as_ids = [a for a, _ in self.rankings]
@@ -281,12 +284,18 @@ class TMDescription:
             raise InvalidInput("duplicate machine state names")
         if not self.halting <= set(self.states):
             raise InvalidInput("halting states must be machine states")
+        object.__setattr__(self, "n_symbols", _as_int(self.n_symbols, "symbol count"))
+        object.__setattr__(self, "tape_cells", _as_int(self.tape_cells, "tape cell count"))
         if self.n_symbols < 1 or self.tape_cells < 1:
             raise InvalidInput("need at least one symbol and one tape cell")
         delta = {}
         for key, value in dict(self.delta).items():
             q, sym = key
             q2, sym2, move = value
+            try:  # operator.index inline: this runs for every transition of every machine of a sweep
+                sym, sym2, move = operator.index(sym), operator.index(sym2), operator.index(move)
+            except TypeError:
+                raise InvalidInput(f"transition from ({q!r}, {sym!r}): symbols and moves must be integers") from None
             if q not in self.states or q in self.halting:
                 raise InvalidInput(f"transition from invalid state {q!r}")
             if q2 not in self.states:
@@ -406,7 +415,7 @@ class Snake:
     vertices: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(int(v) for v in self.vertices))
+        object.__setattr__(self, "vertices", tuple(_as_int(v, "snake vertex") for v in self.vertices))
         if not is_snake(self.dimension, self.vertices):
             raise InvalidInput(f"{self.vertices} is not a snake in Q_{self.dimension}")
 
@@ -607,8 +616,8 @@ def build_disjointness(n: int, A: Iterable[int], B: Iterable[int]) -> Historyles
     snake = disjointness_snake(n)
     z = n - 2
     q = len(snake)
-    A = frozenset(int(j) for j in A)
-    B = frozenset(int(j) for j in B)
+    A = frozenset(_as_int(j, "index") for j in A)
+    B = frozenset(_as_int(j, "index") for j in B)
     for j in A | B:
         if not 1 <= j <= q:
             raise InvalidInput(f"index {j} outside the universe 1..{q}")
@@ -705,17 +714,19 @@ def _futile(n: int) -> HistorylessSystem:
 
 def fixture(name: str, **params):
     """The named example instances: "fig1", "ex-three-stable",
-    "ex-unbounded-latched", "ring" (n), "futile" (n), and the "m1m2" game."""
-    if name == "fig1":
-        return _fig1()
-    if name == "ex-three-stable":
-        return _ex_three_stable()
-    if name == "ex-unbounded-latched":
-        return _ex_unbounded_latched()
-    if name == "ring":
-        return _ring(int(params.get("n", 4)))
-    if name == "futile":
-        return _futile(int(params.get("n", 3)))
-    if name == "m1m2":
-        return fixture_game_2x2x2()
-    raise InvalidInput(f"unknown fixture {name!r}")
+    "ex-unbounded-latched", "ring" (n, default 4), "futile" (n, default 3),
+    and the "m1m2" game.  Any other parameter is refused."""
+    builders = {
+        "fig1": _fig1,
+        "ex-three-stable": _ex_three_stable,
+        "ex-unbounded-latched": _ex_unbounded_latched,
+        "ring": lambda n=4: _ring(_as_int(n, "fixture size n")),
+        "futile": lambda n=3: _futile(_as_int(n, "fixture size n")),
+        "m1m2": fixture_game_2x2x2,
+    }
+    if name not in builders:
+        raise InvalidInput(f"unknown fixture {name!r}")
+    allowed = {"n"} if name in ("ring", "futile") else set()
+    if set(params) - allowed:
+        raise InvalidInput(f"fixture {name!r} takes no parameter {sorted(set(params) - allowed)}")
+    return builders[name](**params)

@@ -130,6 +130,69 @@ def oracle_committed(system, state):
     return next(iter(stables))
 
 
+def oracle_witness_walk(graph):
+    """The witness walk of ``decide_convergence`` recomputed with plain-dict
+    searches confined to one component: None if no component oscillates,
+    else (first node, cycle).  In the oscillating component that holds the
+    lowest-numbered node, take the first state-changing internal edge; then,
+    for each node not yet activated, walk by BFS inside the component to the
+    first node found with an internal edge activating it and take its first
+    such edge; then walk by BFS back to the start.  The cycle is reduced to
+    its primitive period."""
+    succ, n = graph.succ, graph.n
+    ncomp, labels = graph.components
+    labels = labels.tolist()
+    indptr, dst, label = (a.tolist() for a in (succ.indptr, succ.dst, succ.label))
+    edges = [(u, dst[e], label[e]) for u in range(succ.rows) for e in range(indptr[u], indptr[u + 1])]
+    cover, changing = [0] * ncomp, [False] * ncomp
+    for u, v, s in edges:
+        if labels[u] == labels[v]:
+            cover[labels[u]] |= s
+            changing[labels[u]] |= u != v
+    oscillating = [changing[c] and cover[c] == (1 << n) - 1 for c in range(ncomp)]
+    first = next((u for u in range(succ.rows) if oscillating[labels[u]]), None)
+    if first is None:
+        return None
+    comp = labels[first]
+
+    def bfs(start, is_goal):
+        """(labels along the path, goal node) of a BFS inside the component."""
+        parent = {start: None}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            if is_goal(u):
+                goal, path = u, []
+                while parent[u] is not None:
+                    u, s = parent[u]
+                    path.append(s)
+                return path[::-1], goal
+            for e in range(indptr[u], indptr[u + 1]):
+                if labels[dst[e]] == comp and dst[e] not in parent:
+                    parent[dst[e]] = (u, label[e])
+                    queue.append(dst[e])
+        raise AssertionError("no path inside the component")
+
+    inside = [e for e, (u, v, _) in enumerate(edges) if labels[u] == comp == labels[v]]
+    u0, pos, covered = edges[next(e for e in inside if edges[e][0] != edges[e][1])]
+    walk = [covered]
+    for b in range(n):
+        if covered >> b & 1:
+            continue
+        first_edge = {}
+        for e in inside:
+            if edges[e][2] >> b & 1:
+                first_edge.setdefault(edges[e][0], e)
+        path, reached = bfs(pos, first_edge.__contains__)
+        _, pos, s = edges[first_edge[reached]]
+        walk += path + [s]
+        covered |= s
+    walk += bfs(pos, lambda u: u == u0)[0]
+    cycle = tuple(frozenset(i + 1 for i in range(n) if s >> i & 1) for s in walk)
+    period = next(p for p in range(1, len(cycle) + 1) if cycle == cycle[:p] * (len(cycle) // p))
+    return u0, cycle[:period]
+
+
 def naive_r_convergent(system, r: int) -> bool:
     """Does every r-fair run converge?  BFS over (state, steps since each
     node's last activation) pairs from every state with zero counters, taking

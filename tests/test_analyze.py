@@ -41,6 +41,7 @@ from _helpers import (
     naive_stables,
     oracle_committed,
     oracle_convergent,
+    oracle_witness_walk,
     random_lifted_system,
     random_self_independent_system,
     random_table_system,
@@ -109,6 +110,19 @@ class TestTransitionGraph:
         try:
             with pytest.raises(BudgetExceeded, match=f"{2 ** 30} distinct transitions"):
                 transition_graph(system, budget=2 ** 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+    def test_edges_beyond_int32_are_refused_before_they_are_built(self):
+        """16 always-flipping binary nodes have 2^32 distinct transitions:
+        within a budget of 2^40, but past scipy's int32 graph indices."""
+        system = HistorylessSystem.from_array_rule(ActionSpace((2,) * 16), lambda d: 1 - d)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match=f"{2 ** 32} distinct transitions do not fit"):
+                transition_graph(system, budget=2 ** 40)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -348,6 +362,25 @@ class TestDecideRConvergence:
                     sched = list(witness.prefix) + list(witness.cycle) * 3
                     assert check_r_fair(sched, r, n)
 
+    def test_ring_5_witness_takes_no_cover_detour(self):
+        """Every product cycle activates every node, so the walk returns to
+        its first state-changing edge by the shortest path."""
+        ring = fixture("ring", n=5)
+        witness = decide_r_convergence(ring, 5).witness
+        assert len(witness.cycle) == 6
+        assert isinstance(replay_witness(ring, witness), Cycling)
+        assert check_r_fair(list(witness.prefix) + list(witness.cycle) * 3, 5, 5)
+
+    def test_product_keys_beyond_int32(self):
+        """One always-flipping node and nine single-action nodes at r=10: the
+        product keys state * 10^10 + counters exceed 2^31."""
+        system = HistorylessSystem.from_rule(ActionSpace((2,) + (1,) * 9), lambda s: (1 - s[0],) + s[1:])
+        verdict = decide_r_convergence(system, 10)
+        assert isinstance(verdict, NonConvergent)
+        witness = verdict.witness
+        assert isinstance(replay_witness(system, witness), Cycling)
+        assert check_r_fair(list(witness.prefix) + list(witness.cycle) * 3, 10, 10)
+
     def test_r_must_be_positive(self, fig1):
         with pytest.raises(InvalidInput):
             decide_r_convergence(fig1, 0)
@@ -481,10 +514,16 @@ class TestSparseGraphAgainstOracles:
     @system_cases
     @settings(max_examples=100, deadline=None)
     def test_decide_convergence_matches_oracle(self, kind, seed):
+        """The verdict matches the oracle, and the witness is the one the
+        plain-dict walk confined to the component finds."""
         system = random_system(kind, random.Random(seed))
-        verdict = decide_convergence(system)
+        graph = transition_graph(system)
+        verdict = decide_convergence(graph)
         assert isinstance(verdict, Convergent) == oracle_convergent(system)
+        walk = oracle_witness_walk(graph)
+        assert (walk is None) == isinstance(verdict, Convergent)
         if isinstance(verdict, NonConvergent):
+            assert verdict.witness == graph.witness(*walk)
             assert_witness_replays(system, verdict)
 
     @system_cases

@@ -14,7 +14,7 @@ from asyncdyn.analyze import (
     spectrum,
     stable_states,
 )
-from asyncdyn.core import check_self_independent
+from asyncdyn.core import ActionSpace, check_self_independent
 from asyncdyn.errors import BudgetExceeded, InvalidInput
 from asyncdyn.reductions import (
     BgpInstance,
@@ -397,3 +397,41 @@ class TestFixtures:
     def test_unknown_name(self):
         with pytest.raises(InvalidInput):
             fixture("nope")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: fixture("ring", N=6),
+        lambda: fixture("fig1", n=3),
+        lambda: fixture("ring", n=4.0),
+        lambda: SocialGraph(n=2, edges=((True, 2.0),)),
+        lambda: GateSpec(name="g", inputs=("a",), table=(1.0, 0)),
+        lambda: CircuitDescription(inputs=(("a", 1.0),), gates=()),
+        lambda: ActionSpace((2.7, 2)),
+        lambda: build_disjointness(5, [1.0], []),
+        lambda: BgpInstance(dest=0, edges=((0, 1.0),), rankings=((1, ((1, 0),)),)),
+        lambda: BgpInstance(dest=0, edges=((0, 1),), rankings=((1, (("1", 0),)),)),
+        lambda: Snake(dimension=3, vertices=(0, 1, 3, 7, 6, 4.0)),
+        lambda: TMDescription(states=("q", "h"), halting={"h"}, n_symbols=1, tape_cells=1, delta={("q", 0.0): ("h", 0, 0)}),
+    ],
+    ids=[
+        "fixture-unknown-param",
+        "fixture-inapplicable-param",
+        "fixture-float-n",
+        "majority-float-user",
+        "gate-float-bit",
+        "circuit-float-input",
+        "action-space-float-size",
+        "disjointness-float-index",
+        "bgp-float-as",
+        "bgp-string-route",
+        "snake-float-vertex",
+        "tm-float-symbol",
+    ],
+)
+def test_builders_refuse_what_they_would_coerce(build):
+    """Integers are read with ``operator.index``: a float or a string is
+    refused, not truncated, and a fixture refuses a parameter it does not take."""
+    with pytest.raises(InvalidInput):
+        build()
