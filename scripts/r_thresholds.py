@@ -2,10 +2,10 @@
 """Print the r-convergence thresholds of the ring family and the snake-gadget
 systems: the ring flips from convergent to non-convergent at r = n-1, the
 snake systems at r = |S| for the snake length |S| of the underlying hypercube,
-one snake row for each n from 5 to --snake-nodes.  The r-counter product is
-built over its reached states only, and the budget counts the product
-transitions examined.  A cell that exceeds the enumeration budget reads
-"budget".
+one snake row for each n from 5 to --snake-nodes (5, 6 or 7).  The r-counter
+product is built over its reached states only, and the budget counts the
+product transitions examined.  A cell that exceeds the enumeration budget
+reads "budget".
 
 Usage: python scripts/r_thresholds.py [--max-ring N] [--snake-nodes N]
 
@@ -48,7 +48,7 @@ def snake_row(n: int) -> str:
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-ring", type=int, default=6)
-    parser.add_argument("--snake-nodes", type=int, default=6)
+    parser.add_argument("--snake-nodes", type=int, default=6, choices=range(5, 8))
     args = parser.parse_args()
     for n in range(3, args.max_ring + 1):
         print(ring_row(n))

@@ -108,21 +108,40 @@ def _one_of(names: tuple):
 
 
 def _by_kind(kinds: dict, common: dict | None = None):
-    """An object whose ``kind`` picks its other fields from ``kinds``."""
+    """An object whose ``kind`` picks its other fields from ``kinds``, or
+    picks a checker of the whole object."""
     names = tuple(kinds)
 
     def check(value, path):
         _expect(isinstance(value, dict), path, "expected an object")
         kind = value.get("kind")
         _expect(kind in names, f"{path}.kind", f"expected one of {names}")
-        _check(value, {"kind": _NAME, **(common or {}), **kinds[kind]}, path)
+        fields = kinds[kind]
+        _check(value, fields if callable(fields) else {"kind": _NAME, **(common or {}), **fields}, path)
 
     return check
 
 
+def _fixture_params(kind: str) -> dict:
+    """The fixtures of one kind, each with the schema of the params it takes."""
+    return {
+        name: {} if fx.min_n is None else {"n?": _int(fx.min_n)}
+        for name, fx in reductions.FIXTURES.items()
+        if fx.kind == kind
+    }
+
+
+def _system_fixture(value, path):
+    """A system fixture, whose name picks the params it takes."""
+    name = value.get("name")
+    params = _SYSTEM_FIXTURES.get(name, {}) if type(name) is str else {}
+    _check(value, {"kind": _NAME, "name": _one_of(tuple(_SYSTEM_FIXTURES)), "params?": params}, path)
+
+
 def _game(value, path):
     fixture = isinstance(value, dict) and "fixture" in value
-    _check(value, {"fixture": _NAME} if fixture else {"sizes": [_int(1)], "utilities": [[_INT]]}, path)
+    schema = {"fixture": _one_of(tuple(_GAME_FIXTURES))}
+    _check(value, schema if fixture else {"sizes": [_int(1)], "utilities": [[_INT]]}, path)
 
 
 def _initial(value, path):
@@ -134,6 +153,7 @@ _INT, _ACTION, _NODE, _BIT = _int(), _int(0), _int(1), _int(0, 1)
 _NAME = _leaf(lambda v: type(v) is str, "expected a string")
 _PROBABILITY = _leaf(lambda v: type(v) in (int, float) and 0 <= v <= 1, "expected a probability in [0, 1]")
 _SETS = [[_NODE]]
+_SYSTEM_FIXTURES, _GAME_FIXTURES = _fixture_params("system"), _fixture_params("game")
 
 SYSTEMS = {
     "table": {"sizes": [_int(1)], "table": [[_ACTION]]},
@@ -155,9 +175,9 @@ SYSTEMS = {
         "cells": _int(1),
         "delta": [{"state": _NAME, "read": _ACTION, "next": _NAME, "write": _ACTION, "move": _int(-1, 1)}],
     },
-    "snake": {"n": _int(5, 9)},
-    "disjointness": {"n": _int(5, 9), "A": [_NODE], "B": [_NODE]},
-    "fixture": {"name": _NAME, "params?": {"n?": _INT}},
+    "snake": {"n": _int(5, 7)},
+    "disjointness": {"n": _int(5, 7), "A": [_NODE], "B": [_NODE]},
+    "fixture": _system_fixture,
 }
 ANALYSES = {
     "convergence": {},
@@ -288,19 +308,13 @@ def _system_from_spec(spec: dict) -> HistorylessSystem:
         return reductions.build_snake_system(spec["n"])
     if kind == "disjointness":
         return reductions.build_disjointness(spec["n"], spec["A"], spec["B"])
-    fx = reductions.fixture(spec["name"], **spec.get("params", {}))
-    if not isinstance(fx, HistorylessSystem):
-        raise SchemaError("system.name", f"fixture {spec['name']!r} is not a system")
-    return fx
+    return reductions.fixture(spec["name"], **spec.get("params", {}))
 
 
 @_builds("game")
 def _game_from_spec(spec: dict) -> games.Game:
     if "fixture" in spec:
-        fx = reductions.fixture(spec["fixture"])
-        if not isinstance(fx, games.Game):
-            raise SchemaError("game.fixture", f"fixture {spec['fixture']!r} is not a game")
-        return fx
+        return reductions.fixture(spec["fixture"])
     space = ActionSpace(tuple(spec["sizes"]))
     return games.Game(space=space, utilities=tuple(tuple(t) for t in spec["utilities"]))
 

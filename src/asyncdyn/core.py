@@ -8,6 +8,7 @@ graph index is needed, and the encode/decode bijection lives on ActionSpace.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -134,6 +135,14 @@ class ActionSpace:
         return _check_count(self.num_states, "joint states", budget)
 
 
+@functools.cache
+def window_space(space: ActionSpace, k: int) -> ActionSpace:
+    """The space of k-windows over ``space``: one node per window position,
+    oldest first, whose action is the index of the state there.  Its encoding
+    is the one window encoding; it is built once per (space, k)."""
+    return ActionSpace((space.num_states,) * k)
+
+
 def _checked_rows(space: ActionSpace, rows, count: int) -> np.ndarray:
     """The one validator of a tabulated reaction: ``count`` rows of one
     integer action per node, each in range; returned as an int64 array."""
@@ -191,13 +200,10 @@ class HistorylessSystem:
     ``from_rule`` adapt a table of rows and a per-state rule to one.
     ``rule`` is a per-state view of the reaction; by default it reads the
     same tabulation as ``reaction``, and ``reaction`` never calls it.
-    ``self_independent_hint`` is a declared property trusted only when the
-    space is too large to check exhaustively.
     """
 
     space: ActionSpace
     rule: Callable[[State], State] | None = None
-    self_independent_hint: bool | None = None
     name: str = ""
     array_rule: ArrayRule | None = None
     _reaction: _Reaction | None = field(default=None, repr=False, compare=False)
@@ -218,7 +224,6 @@ class HistorylessSystem:
         cls,
         space: ActionSpace,
         rows: Iterable[State],
-        self_independent_hint: bool | None = None,
         name: str = "",
     ) -> "HistorylessSystem":
         """The system whose reaction at the state with index i is ``rows[i]``."""
@@ -230,7 +235,6 @@ class HistorylessSystem:
 
         return cls(
             space=space,
-            self_independent_hint=self_independent_hint,
             name=name,
             array_rule=array_rule,
             _reaction=_Reaction(space, array_rule, rows),
@@ -241,22 +245,20 @@ class HistorylessSystem:
         cls,
         space: ActionSpace,
         rule: Callable[[State], State],
-        self_independent_hint: bool | None = None,
         name: str = "",
     ) -> "HistorylessSystem":
         """The system whose reaction at a state is ``rule(state)``, called once
         per state when the reaction is tabulated."""
-        return cls.from_array_rule(space, lambda d: list(map(rule, map(tuple, d.tolist()))), self_independent_hint, name)
+        return cls.from_array_rule(space, lambda d: list(map(rule, map(tuple, d.tolist()))), name)
 
     @classmethod
     def from_array_rule(
         cls,
         space: ActionSpace,
         array_rule: ArrayRule,
-        self_independent_hint: bool | None = None,
         name: str = "",
     ) -> "HistorylessSystem":
-        return cls(space=space, array_rule=array_rule, self_independent_hint=self_independent_hint, name=name)
+        return cls(space=space, array_rule=array_rule, name=name)
 
     @property
     def n(self) -> int:
@@ -318,16 +320,32 @@ def validate_window(space: ActionSpace, window) -> Window:
     return window
 
 
+def _update(state: State, active: ActivationSet, react: Callable[[], State]) -> State:
+    """The model's one update rule: the activated nodes take their action in
+    ``react()``, the reaction at the current state or window, and every other
+    node keeps its action.  An empty set changes nothing and reacts to nothing."""
+    if not active:
+        return state
+    target = react()
+    return tuple(target[i] if (i + 1) in active else a for i, a in enumerate(state))
+
+
+def _fixed(system: HistorylessSystem | KRecallSystem, window: Window) -> bool:
+    """The one fixed-window test: the window is constant and its newest state
+    is its own reaction, so no activation set can change it again.  A
+    historyless system reads only the newest state; a non-stationary system is
+    never known to be fixed."""
+    last = window[-1]
+    if isinstance(system, HistorylessSystem):
+        return system.reaction(last) == last
+    return system.stationary and all(s == last for s in window) and system.reaction(window) == last
+
+
 def step(system: HistorylessSystem, state: State, active: Iterable[int]) -> State:
     """One update step: activated nodes apply the reaction map, the rest persist."""
     state = system.space.validate_state(state)
     active = system.space.validate_active(active)
-    if not active:
-        return state
-    target = system.reaction(state)
-    return tuple(
-        target[i] if (i + 1) in active else a for i, a in enumerate(state)
-    )
+    return _update(state, active, lambda: system.reaction(state))
 
 
 def step_history(
@@ -348,20 +366,13 @@ def step_history(
         raise InvalidInput(f"reactions are defined only for t >= {system.k}")
     if not system.stationary and t is None:
         raise InvalidInput("non-stationary systems need the time counter")
-    last = window[-1]
-    if not active:
-        return last
-    target = system.reaction(window[-system.k:], t)
-    return tuple(
-        target[i] if (i + 1) in active else a for i, a in enumerate(last)
-    )
+    return _update(window[-1], active, lambda: system.reaction(window[-system.k:], t))
 
 
 def is_stable(system, state) -> bool:
     """Fixed point test: the state persists under every activation set."""
     if isinstance(system, HistorylessSystem):
-        state = system.space.validate_state(state)
-        return system.reaction(state) == state
+        return _fixed(system, (system.space.validate_state(state),))
     if isinstance(system, LiftedSystem):
         return system.is_stable(state)
     raise Unsupported(f"is_stable is not defined for {type(system).__name__}")
@@ -386,15 +397,10 @@ def check_self_independent(
     Exhaustive over all pairs of states differing in one coordinate: node i's
     column of the reaction rows must be constant along axis i.  Each violation
     pairs a state where node i plays 0 with the first variant that changes
-    node i's reaction.  Beyond the enumeration budget the declared hint is
-    trusted if present.
+    node i's reaction.  Beyond the enumeration budget it raises
+    BudgetExceeded.
     """
-    try:
-        rows = system.reaction_rows(budget)
-    except BudgetExceeded:
-        if system.self_independent_hint is None:
-            raise
-        return SelfIndependence(system.self_independent_hint, ())
+    rows = system.reaction_rows(budget)
     space = system.space
     index = np.arange(space.num_states).reshape(space.sizes)
     ok = True
@@ -440,22 +446,17 @@ class LiftedSystem:
 
     @property
     def num_states(self) -> int:
-        return self.base.space.num_states ** self.base.k
+        return self._windows.num_states
+
+    @property
+    def _windows(self) -> ActionSpace:
+        return window_space(self.base.space, self.base.k)
 
     def encode(self, window: Window) -> int:
-        base = self.base.space
-        idx = 0
-        for s in window:
-            idx = idx * base.num_states + base.encode(s)
-        return idx
+        return self._windows.encode(tuple(map(self.base.space.encode, window)))
 
     def decode(self, idx: int) -> Window:
-        base = self.base.space
-        out = []
-        for _ in range(self.base.k):
-            out.append(base.decode(idx % base.num_states))
-            idx //= base.num_states
-        return tuple(reversed(out))
+        return tuple(map(self.base.space.decode, self._windows.decode(idx)))
 
     def reaction_rows(self, budget: int | None = None) -> np.ndarray:
         """(N^k, n) int64 array whose row i is the recall rule at the window
@@ -474,20 +475,10 @@ class LiftedSystem:
     def transition(self, window, active: Iterable[int]) -> Window:
         window = self.validate_state(window)
         active = self.base.space.validate_active(active)
-        last = window[-1]
-        if active:
-            target = self.base.reaction(window)
-            new = tuple(
-                target[i] if (i + 1) in active else a for i, a in enumerate(last)
-            )
-        else:
-            new = last
-        return window[1:] + (new,)
+        return window[1:] + (_update(window[-1], active, lambda: self.base.reaction(window)),)
 
     def is_stable(self, window) -> bool:
-        window = self.validate_state(window)
-        last = window[-1]
-        return all(s == last for s in window) and self.base.reaction(window) == last
+        return _fixed(self.base, self.validate_state(window))
 
 
 def lift_k_recall(system: KRecallSystem) -> LiftedSystem:
@@ -537,6 +528,13 @@ class Periodic:
         if not self.cycle:
             raise InvalidInput("a periodic schedule needs a nonempty cycle")
 
+    def phase(self, t: int):
+        """The phase of step t (1-based): ("prefix", t) inside the prefix,
+        else the position in the cycle."""
+        if t <= len(self.prefix):
+            return ("prefix", t)
+        return (t - len(self.prefix) - 1) % len(self.cycle)
+
 
 @dataclass(frozen=True)
 class SeededRandom:
@@ -565,25 +563,27 @@ class SeededRFair:
 Schedule = Union[Synchronous, RoundRobin, ExplicitList, Periodic, SeededRandom, SeededRFair]
 
 
+def _periodic(schedule: Schedule, n: int) -> Periodic | None:
+    """The one (prefix, cycle) form of a finite schedule for n nodes, or None
+    for a seeded schedule, whose phase is unbounded."""
+    if isinstance(schedule, Periodic):
+        return schedule
+    if isinstance(schedule, Synchronous):
+        return Periodic((frozenset(range(1, n + 1)),))
+    if isinstance(schedule, RoundRobin):
+        return Periodic(tuple(frozenset({i}) for i in range(1, n + 1)))
+    if isinstance(schedule, ExplicitList):
+        return Periodic((frozenset(),), schedule.sets)
+    return None
+
+
 def schedule_stream(schedule: Schedule, n: int) -> Iterator[ActivationSet]:
     """The infinite activation-set sequence sigma(1), sigma(2), ... for n nodes."""
-    if isinstance(schedule, Synchronous):
-        full = frozenset(range(1, n + 1))
+    periodic = _periodic(schedule, n)
+    if periodic is not None:
+        yield from periodic.prefix
         while True:
-            yield full
-    elif isinstance(schedule, RoundRobin):
-        t = 0
-        while True:
-            yield frozenset({(t % n) + 1})
-            t += 1
-    elif isinstance(schedule, ExplicitList):
-        yield from schedule.sets
-        while True:
-            yield frozenset()
-    elif isinstance(schedule, Periodic):
-        yield from schedule.prefix
-        while True:
-            yield from schedule.cycle
+            yield from periodic.cycle
     elif isinstance(schedule, SeededRandom):
         rng = random.Random(schedule.seed)
         while True:
@@ -630,16 +630,5 @@ def schedule_phase_key(schedule: Schedule, t: int, n: int):
     """Finite phase identifier at step t (1-based), or None when the schedule has
     unbounded phase (seeded schedules).  Trajectory suffixes from equal (state,
     phase) pairs coincide, which is what exact cycle detection needs."""
-    if isinstance(schedule, Synchronous):
-        return 0
-    if isinstance(schedule, RoundRobin):
-        return (t - 1) % n
-    if isinstance(schedule, ExplicitList):
-        if t <= len(schedule.sets):
-            return ("prefix", t)
-        return 0
-    if isinstance(schedule, Periodic):
-        if t <= len(schedule.prefix):
-            return ("prefix", t)
-        return (t - len(schedule.prefix) - 1) % len(schedule.cycle)
-    return None
+    periodic = _periodic(schedule, n)
+    return None if periodic is None else periodic.phase(t)

@@ -138,7 +138,7 @@ def br_system(game: Game, tie_break: str | None = None, budget: int | None = Non
             state = space.decode(s)
             brs = best_responses(game, i + 1, state)
             raise NonUniqueBestResponse(f"node {i + 1} has best responses {sorted(brs)} at state {state}")
-    return HistorylessSystem.from_table(space, least[0], self_independent_hint=True, name="best-response")
+    return HistorylessSystem.from_table(space, least[0], name="best-response")
 
 
 def induced_game(system: HistorylessSystem, budget: int | None = None) -> Game:

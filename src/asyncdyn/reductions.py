@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,7 +98,7 @@ def build_circuit(circuit: CircuitDescription) -> HistorylessSystem:
         return out
 
     space = ActionSpace((2,) * total)
-    return HistorylessSystem.from_array_rule(space, array_rule, self_independent_hint=True, name="circuit")
+    return HistorylessSystem.from_array_rule(space, array_rule, name="circuit")
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ def build_majority(graph: SocialGraph) -> HistorylessSystem:
         return (2 * using_x < degree).astype(np.int64)
 
     space = ActionSpace((2,) * graph.n)
-    return HistorylessSystem.from_array_rule(space, array_rule, self_independent_hint=True, name="majority")
+    return HistorylessSystem.from_array_rule(space, array_rule, name="majority")
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +249,7 @@ def build_bgp(instance: BgpInstance) -> HistorylessSystem:
         return out
 
     space = ActionSpace(sizes)
-    return HistorylessSystem.from_array_rule(space, array_rule, self_independent_hint=True, name="bgp")
+    return HistorylessSystem.from_array_rule(space, array_rule, name="bgp")
 
 
 def bgp_route_of_action(instance: BgpInstance, node: int, action: int) -> Route:
@@ -340,7 +340,7 @@ def build_tm(tm: TMDescription) -> HistorylessSystem:
     def array_rule(d: np.ndarray) -> np.ndarray:
         return _tm_rows(tm.tape_cells, tm.n_symbols, halting, delta, d)[0]
 
-    return HistorylessSystem.from_array_rule(space, array_rule, self_independent_hint=False, name="tm")
+    return HistorylessSystem.from_array_rule(space, array_rule, name="tm")
 
 
 def tm_family_rows(tms: Sequence[TMDescription], budget: int | None = None) -> tuple[ActionSpace, np.ndarray]:
@@ -564,8 +564,8 @@ def _cube_vertex(d: np.ndarray) -> np.ndarray:
 
 def snake_for_system(n: int) -> Snake:
     """The snake used by build_snake_system for n nodes (in Q_{n-2})."""
-    if not 5 <= n <= 9:
-        raise InvalidInput(f"snake systems support 5 <= n <= 9, got {n}")
+    if not 5 <= n <= 7:
+        raise InvalidInput(f"snake systems support 5 <= n <= 7, got {n}")
     return longest_snake(n - 2)
 
 
@@ -586,15 +586,15 @@ def build_snake_system(n: int) -> HistorylessSystem:
         return out
 
     space = ActionSpace((2,) * n)
-    return HistorylessSystem.from_array_rule(space, array_rule, self_independent_hint=True, name="snake")
+    return HistorylessSystem.from_array_rule(space, array_rule, name="snake")
 
 
 def disjointness_snake(n: int) -> Snake:
     """The snake indexing the disjointness instance universe [q]: the maximal
     snake of Q_{n-2}, translated (if needed) so the all-ones vertex is not on
     it; the translation keeps length and chordlessness."""
-    if not 5 <= n <= 9:
-        raise InvalidInput(f"disjointness systems support 5 <= n <= 9, got {n}")
+    if not 5 <= n <= 7:
+        raise InvalidInput(f"disjointness systems support 5 <= n <= 7, got {n}")
     z = n - 2
     snake = longest_snake(z)
     all_ones = (1 << z) - 1
@@ -637,7 +637,7 @@ def build_disjointness(n: int, A: Iterable[int], B: Iterable[int]) -> Historyles
         return out
 
     space = ActionSpace((2,) * n)
-    return HistorylessSystem.from_array_rule(space, array_rule, self_independent_hint=True, name="disjointness")
+    return HistorylessSystem.from_array_rule(space, array_rule, name="disjointness")
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +656,7 @@ def _ex_three_stable() -> HistorylessSystem:
     def array_rule(d: np.ndarray) -> np.ndarray:
         return np.where((d == 0).all(axis=1, keepdims=True), 1, d)  # (0, 0) -> (1, 1)
 
-    return HistorylessSystem.from_array_rule(space, array_rule, self_independent_hint=False, name="ex-three-stable")
+    return HistorylessSystem.from_array_rule(space, array_rule, name="ex-three-stable")
 
 
 def _ex_unbounded_latched() -> HistorylessSystem:
@@ -671,12 +671,10 @@ def _ex_unbounded_latched() -> HistorylessSystem:
         a1, a2, latch = d.T
         return np.stack([latch, a1, latch | a2], axis=1)
 
-    return HistorylessSystem.from_array_rule(space, array_rule, self_independent_hint=False, name="ex-unbounded-latched")
+    return HistorylessSystem.from_array_rule(space, array_rule, name="ex-unbounded-latched")
 
 
-def _ring(n: int) -> HistorylessSystem:
-    if n < 2:
-        raise InvalidInput("the ring example needs n >= 2")
+def _ring(n: int = 4) -> HistorylessSystem:
     space = ActionSpace((2,) * n)
 
     def array_rule(d: np.ndarray) -> np.ndarray:
@@ -684,10 +682,10 @@ def _ring(n: int) -> HistorylessSystem:
         playing_1 = d != 0
         return (playing_1.sum(axis=1, keepdims=True) - playing_1 > 0).astype(np.int64)
 
-    return HistorylessSystem.from_array_rule(space, array_rule, self_independent_hint=True, name="ring")
+    return HistorylessSystem.from_array_rule(space, array_rule, name="ring")
 
 
-def _futile(n: int) -> HistorylessSystem:
+def _futile(n: int = 3) -> HistorylessSystem:
     """Three-action system in which random initialization is futile: the two
     unanimous states 0^n and 2^n are the only stable states, and they are
     reachable exactly from the 4n+2 states that already have n-1 agreeing
@@ -695,8 +693,6 @@ def _futile(n: int) -> HistorylessSystem:
     grow past n-2 again, and the trapped region churns around the all-1 state
     forever (the all-1 state bumps its last node to 2, everything else in the
     region pulls back to all-1), so no trajectory from it stabilizes."""
-    if n < 3:
-        raise InvalidInput("the futile example needs n >= 3")
     space = ActionSpace((3,) * n)
 
     def array_rule(d: np.ndarray) -> np.ndarray:
@@ -709,24 +705,39 @@ def _futile(n: int) -> HistorylessSystem:
         out[twos.sum(axis=1, keepdims=True) - twos == n - 1] = 2
         return out
 
-    return HistorylessSystem.from_array_rule(space, array_rule, self_independent_hint=False, name="futile")
+    return HistorylessSystem.from_array_rule(space, array_rule, name="futile")
+
+
+class Fixture(NamedTuple):
+    """A named example: its builder, whether it is a "system" or a "game",
+    and the least n it takes, or None when it takes no parameter."""
+
+    build: Callable
+    kind: str
+    min_n: int | None = None
+
+
+FIXTURES = {
+    "fig1": Fixture(_fig1, "system"),
+    "ex-three-stable": Fixture(_ex_three_stable, "system"),
+    "ex-unbounded-latched": Fixture(_ex_unbounded_latched, "system"),
+    "ring": Fixture(_ring, "system", min_n=2),  # n defaults to 4
+    "futile": Fixture(_futile, "system", min_n=3),  # n defaults to 3
+    "m1m2": Fixture(fixture_game_2x2x2, "game"),
+}
 
 
 def fixture(name: str, **params):
-    """The named example instances: "fig1", "ex-three-stable",
-    "ex-unbounded-latched", "ring" (n, default 4), "futile" (n, default 3),
-    and the "m1m2" game.  Any other parameter is refused."""
-    builders = {
-        "fig1": _fig1,
-        "ex-three-stable": _ex_three_stable,
-        "ex-unbounded-latched": _ex_unbounded_latched,
-        "ring": lambda n=4: _ring(_as_int(n, "fixture size n")),
-        "futile": lambda n=3: _futile(_as_int(n, "fixture size n")),
-        "m1m2": fixture_game_2x2x2,
-    }
-    if name not in builders:
+    """The named example instance of ``FIXTURES``; only a fixture with an n
+    bound takes a parameter, its size n."""
+    if name not in FIXTURES:
         raise InvalidInput(f"unknown fixture {name!r}")
-    allowed = {"n"} if name in ("ring", "futile") else set()
-    if set(params) - allowed:
-        raise InvalidInput(f"fixture {name!r} takes no parameter {sorted(set(params) - allowed)}")
-    return builders[name](**params)
+    build, _, min_n = FIXTURES[name]
+    extra = set(params) - (set() if min_n is None else {"n"})
+    if extra:
+        raise InvalidInput(f"fixture {name!r} takes no parameter {sorted(extra)}")
+    if "n" in params:
+        params["n"] = _as_int(params["n"], "fixture size n")
+        if params["n"] < min_n:
+            raise InvalidInput(f"fixture {name!r} needs n >= {min_n}, got {params['n']}")
+    return build(**params)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .core import (
@@ -22,8 +23,10 @@ from .core import (
     Schedule,
     State,
     Window,
+    _fixed,
+    _periodic,
+    _update,
     resolve_budget,
-    schedule_phase_key,
     schedule_stream,
     validate_window,
 )
@@ -37,32 +40,29 @@ DEFAULT_TRACE_LIMIT = 100_000
 class Trajectory:
     """Materialized prefix of a run.
 
-    ``states`` is the retained tail of the full state sequence (which starts
-    with the initial window); ``dropped`` counts states discarded at the front
-    once the trace limit was hit.  ``activations[j]`` is the activation set that
-    produced the state with global index ``len(initial) + adropped + j``.
+    ``trace`` is the retained tail of the full run as (state, producing
+    activation set) rows; the run starts with the initial window, whose rows
+    carry None.  ``dropped`` counts the rows discarded at the front once the
+    trace limit was hit.
     """
 
     initial: Window
     schedule: Schedule
-    states: tuple[State, ...]
-    activations: tuple[ActivationSet, ...]
+    trace: tuple[tuple[State, ActivationSet | None], ...]
     dropped: int = 0
-    adropped: int = 0
+
+    @cached_property
+    def states(self) -> tuple[State, ...]:
+        return tuple(state for state, _ in self.trace)
+
+    @cached_property
+    def activations(self) -> tuple[ActivationSet, ...]:
+        """The activation sets that produced the retained computed states."""
+        return tuple(active for _, active in self.trace if active is not None)
 
     def rows(self) -> list[tuple[int, State, ActivationSet | None]]:
         """(time, state, producing activation set or None) per retained state."""
-        out = []
-        n_init = len(self.initial)
-        for j, state in enumerate(self.states):
-            g = self.dropped + j
-            if g < n_init:
-                out.append((g, state, None))
-            else:
-                local = g - n_init - self.adropped
-                active = self.activations[local] if 0 <= local < len(self.activations) else None
-                out.append((g, state, active))
-        return out
+        return [(self.dropped + j, state, active) for j, (state, active) in enumerate(self.trace)]
 
 
 @dataclass(frozen=True)
@@ -133,76 +133,47 @@ def run(
     window = _normalize_initial(system, initial)
     historyless = isinstance(system, HistorylessSystem)
     k = 1 if historyless else system.k
-    stationary = historyless or system.stationary
     n = system.space.n
+    # a repeated (phase, window) pair proves a cycle only for a finite phase
+    # and a stationary reaction
+    periodic = _periodic(schedule, n) if historyless or system.stationary else None
 
-    states: deque[State] = deque(window, maxlen=trace_limit)
-    activations: deque[ActivationSet] = deque(maxlen=trace_limit)
-    recent: tuple[State, ...] = window[-k:]
+    trace: deque = deque(((state, None) for state in window), maxlen=trace_limit)
+    recent: Window = window[-k:]
     t = len(window) - 1  # index of the current state a^t
-    n_appended = 0
 
     stream = schedule_stream(schedule, n)
     for _ in range(t):
         next(stream)  # sigma(1..len(window)-1) predates the first computed state
 
-    def stable_now() -> bool:
-        if historyless:
-            return system.reaction(recent[-1]) == recent[-1]
-        if not stationary:
-            return False
-        last = recent[-1]
-        return all(s == last for s in recent) and system.reaction(recent) == last
+    if historyless:
+        def react() -> State:
+            return system.reaction(recent[-1])
+    else:
+        def react() -> State:
+            return system.reaction(recent, t + 1)
 
     visited: dict = {}
     verdict: RunVerdict | None = None
     for _ in range(max_steps):
-        if stable_now():
+        if _fixed(system, recent):
             verdict = Converged(recent[-1], t)
             break
-        phase = schedule_phase_key(schedule, t + 1, n)
-        if phase is not None and stationary:
-            key = (phase, recent)
-            seen_at = visited.get(key)
-            if seen_at is not None:
-                period = t - seen_at
-                dropped = t + 1 - len(states)
-                lo = seen_at - dropped
-                segment = tuple(
-                    states[lo + i] for i in range(period + 1) if 0 <= lo + i < len(states)
-                )
-                verdict = Cycling(period, segment)
+        if periodic is not None:
+            seen_at = visited.setdefault((periodic.phase(t + 1), recent), t)
+            if seen_at < t:  # a^seen_at .. a^t, as far as the trace keeps them
+                dropped = t + 1 - len(trace)
+                segment = tuple(state for state, _ in trace)[max(seen_at - dropped, 0):]
+                verdict = Cycling(t - seen_at, segment)
                 break
-            visited[key] = t
         active = next(stream)
-        last = recent[-1]
-        if active:
-            if historyless:
-                target = system.reaction(last)
-            else:
-                target = system.reaction(recent, t + 1)
-            new = tuple(
-                target[i] if (i + 1) in active else a for i, a in enumerate(last)
-            )
-        else:
-            new = last
+        new = _update(recent[-1], active, react)
         t += 1
-        n_appended += 1
         recent = (recent + (new,))[-k:]
-        states.append(new)
-        activations.append(active)
+        trace.append((new, active))
     if verdict is None:
         verdict = BudgetExhausted(recent[-1])
-    dropped = t + 1 - len(states)
-    adropped = n_appended - len(activations)
-    trajectory = Trajectory(
-        initial=window,
-        schedule=schedule,
-        states=tuple(states),
-        activations=tuple(activations),
-        dropped=dropped,
-        adropped=adropped,
-    )
+    trajectory = Trajectory(initial=window, schedule=schedule, trace=tuple(trace), dropped=t + 1 - len(trace))
     return trajectory, verdict
 
 

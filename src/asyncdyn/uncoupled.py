@@ -30,7 +30,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import ActionSpace, KRecallSystem, State, _check_count, resolve_budget
+from .core import ActionSpace, KRecallSystem, State, _check_count, resolve_budget, window_space
 from .errors import InvalidInput, Unsupported
 from .games import Game, _best_responses, best_response_table, enumerate_pne
 
@@ -197,29 +197,31 @@ def _window_successors(protocol: str, space: ActionSpace, is_br, least) -> np.nd
     """(B, N^k) index of the window that follows each window of each game
     under the synchronous schedule: drop the oldest state, append the new one.
 
-    Windows are encoded oldest state most significant.  Each protocol decides
-    its case on whole states, so a window has one new state: under 3-recall
-    ``f[c]`` (keep a best response, else play the least one) after a repeated
-    state c, the cyclic successor of a after a rejected repetition (a, a, c),
-    else c again; under 2-recall the analogous cases on (a, b), with the
+    A window is indexed by its point in ``window_space(space, k)``, the
+    oldest state most significant.  Each protocol decides its case on whole
+    states, so a window has one new state: under 3-recall ``f[c]`` (keep a
+    best response, else play the least one) after a repeated state c, the
+    cyclic successor of a after a rejected repetition (a, a, c), else c
+    again; under 2-recall the analogous cases on (a, b), with the
     best-response mask at b as the game's only input.
     """
     n_states = space.num_states
     digits = space.digits()
+    windows = window_space(space, _recall(protocol, space))
+    w = np.arange(windows.num_states, dtype=np.int64)
+    states = np.unravel_index(w, windows.sizes)  # the window space's decode: k state indices, oldest first
     if protocol == "three-recall":
-        w = np.arange(n_states ** 3, dtype=np.int64)
-        a, b, c = w // n_states ** 2, w // n_states % n_states, w % n_states
+        a, b, c = states
         answer = np.where(is_br, digits, least) @ space.weights  # (B, N)
         new = np.where(b == c, answer[:, c], np.where(a == b, (a + 1) % n_states, c))
     else:
-        w = np.arange(n_states ** 2, dtype=np.int64)
-        a, b = w // n_states, w % n_states
+        a, b = states
         sizes = np.array(space.sizes, dtype=np.int64)
         move_on = (a != b) & ((digits[a] - digits[b]) % sizes <= 1).all(-1)
         query = ((digits[b] - digits[a]) % sizes <= 2).all(-1)
         answer = np.where(is_br, digits, (digits - 1) % sizes) @ space.weights
         new = np.where(move_on, (a + 1) % n_states, np.where(query, answer[:, b], b))
-    return w % (w.size // n_states) * n_states + new
+    return w % windows.weights[0] * n_states + new
 
 
 def _failing_windows(nxt: np.ndarray, pne_newest: np.ndarray) -> np.ndarray:
@@ -258,20 +260,19 @@ def check_self_stabilization_many(
     todo = np.flatnonzero(pne.any(-1))
     if not todo.size:
         return verdicts
-    n_states = space.num_states
+    windows = window_space(space, k)
     limit = resolve_budget(budget)
-    windows = _check_count(n_states ** k, "window states", limit)
-    newest = np.arange(windows) % n_states
-    step = limit // windows
+    count = _check_count(windows.num_states, "window states", limit)
+    newest = np.arange(count) % space.num_states
+    step = limit // count
     for start in range(0, todo.size, step):
         chunk = todo[start:start + step]
         nxt = _window_successors(protocol, space, is_br[chunk], least[chunk])
         fails = _failing_windows(nxt, pne[chunk][:, newest])
         for g, row in zip(chunk.tolist(), fails):
             if row.any():  # the least failing window in encoded order
-                w = int(row.argmax())
-                witness = tuple(space.decode(w // n_states ** j % n_states) for j in reversed(range(k)))
-                verdicts[g] = Fails(witness=witness)
+                window = windows.decode(int(row.argmax()))
+                verdicts[g] = Fails(witness=tuple(map(space.decode, window)))
             else:
                 verdicts[g] = SelfStabilizing()
     return verdicts

@@ -476,7 +476,7 @@ def random_self_independent_system(rng, max_nodes=4, max_actions=3) -> Historyle
             for i in range(n)
         )
 
-    return HistorylessSystem.from_rule(space, rule, self_independent_hint=True)
+    return HistorylessSystem.from_rule(space, rule)
 
 
 def random_table_system(rng, max_nodes=3, max_actions=3) -> HistorylessSystem:

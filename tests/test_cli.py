@@ -15,7 +15,7 @@ from asyncdyn.analyze import transition_graph
 from asyncdyn.cli import ANALYSES, SCHEDULES, SYSTEMS, export_dot, parse_scenario, run_command
 from asyncdyn.core import ActionSpace, HistorylessSystem
 from asyncdyn.errors import ParseError, SchemaError
-from asyncdyn.reductions import fixture
+from asyncdyn.reductions import FIXTURES, fixture
 from asyncdyn.simulate import Cycling, Witness, replay_witness
 
 
@@ -75,7 +75,12 @@ class TestParseScenario:
 
     @pytest.mark.parametrize(
         "heading, table",
-        [("System sources", SYSTEMS), ("Analysis requests", ANALYSES), ("Simulation requests", SCHEDULES)],
+        [
+            ("System sources", SYSTEMS),
+            ("Fixtures", FIXTURES),
+            ("Analysis requests", ANALYSES),
+            ("Simulation requests", SCHEDULES),
+        ],
     )
     def test_documented_kinds_are_the_schema_kinds(self, heading, table):
         text = (Path(__file__).parents[1] / "docs" / "scenario-schema.md").read_text()
@@ -470,6 +475,16 @@ class TestMalformedInputExit2:
             ("simulate", {"schedule": {"kind": "periodic", "cycle": [[True]]}}, "simulation.schedule.cycle[0][0]"),
             ("simulate", {"initial": [True, 1], "schedule": {"kind": "synchronous"}}, "simulation.initial[0]"),
             ("simulate", {"schedule": {"kind": "random", "p": True, "seed": 1}}, "simulation.schedule.p"),
+            # a fixture's params follow its name; the snake gadgets take n = 5..7
+            ("analyze", {"system": {"kind": "fixture", "name": "fig1", "params": {"n": 3}}}, "system.params.n"),
+            ("analyze", {"system": {"kind": "fixture", "name": "nope"}}, "system.name"),
+            ("analyze", {"system": {"kind": "fixture", "name": "m1m2"}}, "system.name"),
+            ("analyze", {"system": {"kind": "fixture", "name": "ring", "params": {"n": 1}}}, "system.params.n"),
+            ("analyze", {"system": {"kind": "fixture", "name": "futile", "params": {"n": 2}}}, "system.params.n"),
+            ("pne", {"game": {"fixture": "fig1"}}, "game.fixture"),
+            ("pne", {"game": {"fixture": "nope"}}, "game.fixture"),
+            ("analyze", {"system": {"kind": "snake", "n": 8}}, "system.n"),
+            ("analyze", {"system": {"kind": "disjointness", "n": 8, "A": [1], "B": [2]}}, "system.n"),
         ],
         ids=[
             "majority-edge", "bgp-edge", "bgp-routes", "tm-read", "circuit-gate-inputs", "fixture-n",
@@ -479,6 +494,8 @@ class TestMalformedInputExit2:
             "fixture-n-float", "fixture-unknown-param", "majority-edge-bool", "tm-read-bool", "tm-write-bool",
             "tm-move-bool", "circuit-input-bool", "circuit-table-float", "bgp-edge-bool", "disjointness-B-float",
             "version-bool", "spectrum-state-bool", "periodic-bool", "simulation-initial-bool", "random-p-bool",
+            "fixture-n-not-taken", "unknown-system-fixture", "game-as-system", "ring-n-1", "futile-n-2",
+            "system-as-game", "unknown-game-fixture", "snake-8", "disjointness-8",
         ],
     )
     def test_model_errors_name_their_block(self, tmp_path, command, source, field):

@@ -1,5 +1,7 @@
 """Core model: spaces, reactions, schedules, single-step semantics."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,14 +19,22 @@ from asyncdyn.core import (
     check_self_independent,
     is_stable,
     lift_k_recall,
+    schedule_phase_key,
     schedule_prefix,
     step,
     step_history,
+    window_space,
 )
 from asyncdyn.errors import InsufficientHistory, InvalidInput, Unsupported
 from asyncdyn.reductions import fixture
+from asyncdyn.simulate import Converged, run
 
-from _helpers import all_subsets, random_self_independent_system, random_table_system
+from _helpers import (
+    all_subsets,
+    random_lifted_system,
+    random_self_independent_system,
+    random_table_system,
+)
 
 
 @pytest.fixture
@@ -225,6 +235,59 @@ class TestLift:
         with pytest.raises(Unsupported):
             lift_k_recall(system)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_windows_round_trip_through_the_window_space(self, k):
+        space = ActionSpace((2, 3))
+        n_states = space.num_states
+        lifted = lift_k_recall(KRecallSystem(space=space, k=k, rule=lambda w: w[-1]))
+        assert lifted.num_states == window_space(space, k).num_states == n_states ** k
+        for i in range(lifted.num_states):
+            assert window_space(space, k).decode(i) == tuple(i // n_states ** j % n_states for j in reversed(range(k)))
+            assert lifted.encode(lifted.decode(i)) == i
+        windows = set(map(lifted.decode, range(lifted.num_states)))
+        assert len(windows) == lifted.num_states
+
+
+def _first_run_state(system, window, active):
+    """The state that the first step of ``run`` computes from ``window`` when
+    the schedule activates ``active`` there (sigma(1..k-1) predate it); a run
+    that starts at a fixed window takes no step, and keeps its state."""
+    schedule = ExplicitList([frozenset()] * (len(window) - 1) + [active])
+    trajectory, verdict = run(system, window, schedule, max_steps=1)
+    if isinstance(verdict, Converged) and verdict.time == len(window) - 1:
+        return window[-1]
+    return trajectory.states[len(window)]
+
+
+class TestOneUpdateRule:
+    @given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from(["table", "self-independent"]))
+    @settings(max_examples=60, deadline=None)
+    def test_historyless_steps_agree(self, seed, kind):
+        """step, step_history on the k=1 wrapper, the lifted transition and
+        run give the same new state."""
+        rng = random.Random(seed)
+        make = random_table_system if kind == "table" else random_self_independent_system
+        system = make(rng, max_nodes=3, max_actions=3)
+        wrap = KRecallSystem(space=system.space, k=1, rule=lambda w: system.reaction(w[-1]))
+        lifted = lift_k_recall(wrap)
+        for state in system.space.states():
+            for active in all_subsets(system.n):
+                new = step(system, state, active)
+                assert step_history(wrap, (state,), None, active) == new
+                assert lifted.transition((state,), active) == (new,)
+                assert _first_run_state(system, (state,), active) == new
+
+    @given(st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_lifted_steps_agree(self, seed):
+        lifted = random_lifted_system(random.Random(seed))
+        for idx in range(lifted.num_states):
+            window = lifted.decode(idx)
+            for active in all_subsets(lifted.n):
+                new = lifted.transition(window, active)[-1]
+                assert step_history(lifted.base, window, None, active) == new
+                assert _first_run_state(lifted.base, window, active) == new
+
 
 class TestSchedules:
     def test_synchronous_prefix(self):
@@ -252,6 +315,28 @@ class TestSchedules:
         ]
         with pytest.raises(InvalidInput):
             Periodic(cycle=())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_finite_schedules_are_periodic(self, n):
+        """Each finite schedule reads as its explicit (prefix, cycle) form."""
+        full, singles = frozenset(range(1, n + 1)), [frozenset({i}) for i in range(1, n + 1)]
+        sets = [frozenset({1}), frozenset(range(1, n + 1)), frozenset()]
+        pairs = [
+            (Synchronous(), Periodic(cycle=(full,))),
+            (RoundRobin(), Periodic(cycle=tuple(singles))),
+            (ExplicitList(sets=()), Periodic(cycle=(frozenset(),))),
+            (ExplicitList(sets=sets), Periodic(cycle=(frozenset(),), prefix=sets)),
+        ]
+        for schedule, periodic in pairs:
+            assert schedule_prefix(schedule, 12, n) == schedule_prefix(periodic, 12, n)
+            for t in range(1, 13):
+                assert schedule_phase_key(schedule, t, n) == schedule_phase_key(periodic, t, n)
+        for t in range(1, 13):
+            assert schedule_phase_key(Synchronous(), t, n) == 0
+            assert schedule_phase_key(RoundRobin(), t, n) == (t - 1) % n
+            assert schedule_phase_key(ExplicitList(sets=sets), t, n) == (("prefix", t) if t <= 3 else 0)
+        assert schedule_phase_key(SeededRandom(seed=1), 1, n) is None
+        assert schedule_phase_key(SeededRFair(seed=1, r=2), 1, n) is None
 
     @given(st.integers(min_value=0, max_value=10 ** 9))
     @settings(max_examples=25)

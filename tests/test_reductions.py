@@ -14,9 +14,10 @@ from asyncdyn.analyze import (
     spectrum,
     stable_states,
 )
-from asyncdyn.core import ActionSpace, check_self_independent
+from asyncdyn.core import ActionSpace, HistorylessSystem, check_self_independent
 from asyncdyn.errors import BudgetExceeded, InvalidInput
 from asyncdyn.reductions import (
+    FIXTURES,
     BgpInstance,
     CircuitDescription,
     GateSpec,
@@ -332,6 +333,12 @@ class TestSnakeSystem:
             build_snake_system(4)
         with pytest.raises(InvalidInput):
             build_snake_system(10)
+        # longest_snake(6) exceeds its search budget: n = 8 and 9 are refused
+        # before any search
+        for build in (snake_for_system, disjointness_snake, build_snake_system):
+            for n in (8, 9):
+                with pytest.raises(InvalidInput, match="5 <= n <= 7"):
+                    build(n)
 
 
 class TestDisjointness:
@@ -397,6 +404,16 @@ class TestFixtures:
     def test_unknown_name(self):
         with pytest.raises(InvalidInput):
             fixture("nope")
+
+    def test_table_kinds_and_bounds(self):
+        from asyncdyn.games import Game
+
+        for name, (_, kind, min_n) in FIXTURES.items():
+            assert isinstance(fixture(name), HistorylessSystem if kind == "system" else Game)
+            if min_n is not None:
+                assert fixture(name, n=min_n).n == min_n
+                with pytest.raises(InvalidInput, match=f"needs n >= {min_n}"):
+                    fixture(name, n=min_n - 1)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,6 +46,17 @@ def test_r_thresholds_reports_budget_cells():
     assert "Traceback" not in proc.stdout + proc.stderr
     assert ring_cells(proc.stdout)[4][4] == "budget"
     assert re.search(r"r=6:budget", proc.stdout)
+
+
+def test_r_thresholds_refuses_snake_rows_beyond_7():
+    """A snake n=8 row would search Q_6 past the snake budget: the script
+    refuses the size at once, with a usage message."""
+    t0 = time.perf_counter()
+    proc = run_script("r_thresholds.py", "--snake-nodes", "8")
+    assert time.perf_counter() - t0 < 5
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage:") and "--snake-nodes" in proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
 
 
 def test_tm_equivalence_single_state_machines():
