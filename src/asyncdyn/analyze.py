@@ -15,7 +15,8 @@ T | (nodes outside D(a)) take the same step, so state a has one edge per
 subset T of D(a), labelled with that larger activation set; activating more
 nodes keeps every fairness and r-fairness property.  An SCC then oscillates
 iff it has an internal state-changing edge and the labels of its internal
-edges cover every node.
+edges cover every node.  Every row has an edge, so the scan reduces each
+row's edges with one ``reduceat``, and the witness walk reuses its masks.
 
 A system is compiled once by ``transition_graph``; every operation accepts
 the resulting TransitionGraph in place of the system, so a caller asking
@@ -75,9 +76,9 @@ ConvergenceVerdict = Union[Convergent, NonConvergent]
 class SuccessorGraph:
     """A graph with labelled edges in CSR form.
 
-    The edges of node u are ``indptr[u]:indptr[u+1]``; edge e leads from
-    ``src[e]`` to ``dst[e]`` under the activation set ``label[e]`` (a bitmask,
-    bit i-1 = node i).  The arrays are int32, scipy's index type, so
+    The edges of node u are ``indptr[u]:indptr[u+1]``; edge e among them
+    leads from u to ``dst[e]`` under the activation set ``label[e]`` (a
+    bitmask, bit i-1 = node i).  The arrays are int32, scipy's index type, so
     ``adjacency`` wraps ``indptr`` and ``dst`` without copying them.
     """
 
@@ -98,10 +99,9 @@ class SuccessorGraph:
     def nbytes(self) -> int:
         return self.indptr.nbytes + self.dst.nbytes + self.label.nbytes
 
-    @cached_property
-    def src(self) -> np.ndarray:
-        # intp, which numpy indexes with without a converted copy
-        return np.arange(self.rows).repeat(self.indptr[1:] - self.indptr[:-1])
+    def by_source(self, values: np.ndarray) -> np.ndarray:
+        """``values[u]`` for the source u of every edge, with no index array."""
+        return np.repeat(values, self.indptr[1:] - self.indptr[:-1])
 
     @cached_property
     def adjacency(self) -> sparse.csr_matrix:
@@ -321,20 +321,32 @@ def _primitive_cycle(cycle: tuple) -> tuple:
     return cycle
 
 
-def _oscillating_components(succ: SuccessorGraph, components, cover: int, changing: np.ndarray) -> np.ndarray:
-    """Components with an internal edge in the ``changing`` mask (one that
-    changes the underlying state) and whose internal labels jointly activate
-    every node of the ``cover`` bitmask."""
+def _changing(succ: SuccessorGraph) -> np.ndarray:
+    """The edges whose two ends differ: in a ``successor_matrix`` graph, the
+    edges that change the state (or window)."""
+    return succ.by_source(np.arange(succ.rows, dtype=succ.dst.dtype)) != succ.dst
+
+
+def _oscillating_components(succ: SuccessorGraph, components, cover: int, changing: np.ndarray):
+    """(oscillating components, internal edge mask, rows with an internal
+    ``changing`` edge, labels of each row's internal edges OR-ed together).
+    A component oscillates if it has an internal ``changing`` edge and its
+    internal labels jointly activate every node of ``cover``; the row labels
+    are computed, and then OR-ed per component, only if some component is
+    still a candidate (else they are None)."""
     ncomp, labels = components
-    comp = labels[succ.src]
-    internal = comp == labels[succ.dst]
+    starts = succ.indptr[:-1]
+    internal = succ.by_source(labels) == labels[succ.dst]
+    moving = np.logical_or.reduceat(internal & changing, starts)
     osc = np.zeros(ncomp, dtype=bool)
-    osc[comp[internal & changing]] = True
-    if cover:
+    osc[labels[moving]] = True
+    row_labels = None
+    if cover and osc.any():
+        row_labels = np.bitwise_or.reduceat(succ.label * internal, starts)
         covered = np.zeros(ncomp, dtype=succ.label.dtype)
-        np.bitwise_or.at(covered, comp[internal], succ.label[internal])
+        np.bitwise_or.at(covered, labels, row_labels)
         osc &= (covered & cover) == cover
-    return osc
+    return osc, internal, moving, row_labels
 
 
 def _oscillation(succ: SuccessorGraph, components, n: int, cover: int, changing: np.ndarray):
@@ -343,14 +355,14 @@ def _oscillation(succ: SuccessorGraph, components, n: int, cover: int, changing:
     activates every node of ``cover``, inside the oscillating component that
     holds the lowest-numbered node."""
     labels = components[1]
-    osc = _oscillating_components(succ, components, cover, changing)
+    osc, internal, moving, row_labels = _oscillating_components(succ, components, cover, changing)
     if not osc.any():
         return None
-    comp = int(labels[np.argmax(osc[labels])])
-    inside = (labels[succ.src] == comp) & (labels[succ.dst] == comp)
+    inside = labels == labels[np.argmax(osc[labels])]
     # deterministic first changing internal edge
-    e0 = int(np.argmax(inside & changing))
-    u0 = int(succ.src[e0])
+    u0 = int(np.argmax(moving & inside))
+    lo, hi = succ.indptr[u0], succ.indptr[u0 + 1]
+    e0 = int(lo + np.argmax(internal[lo:hi] & changing[lo:hi]))
     walk = [int(succ.label[e0])]
     covered = walk[0] | ~cover  # nodes outside cover count as covered
     pos = int(succ.dst[e0])
@@ -359,12 +371,9 @@ def _oscillation(succ: SuccessorGraph, components, n: int, cover: int, changing:
             continue
         # the first internal edge activating node b+1, out of the first node
         # in BFS order that has one
-        with_b = inside & (succ.label >> b & 1 == 1)
-        goal = np.zeros(succ.rows, dtype=bool)
-        goal[succ.src[with_b]] = True
-        path, reached = _path(succ, pos, goal)
-        lo = succ.indptr[reached]
-        e = int(lo + np.argmax(with_b[lo : succ.indptr[reached + 1]]))
+        path, reached = _path(succ, pos, (row_labels >> b & 1 == 1) & inside)
+        lo, hi = succ.indptr[reached], succ.indptr[reached + 1]
+        e = int(lo + np.argmax(internal[lo:hi] & (succ.label[lo:hi] >> b & 1 == 1)))
         walk += path + [int(succ.label[e])]
         covered |= walk[-1]
         pos = int(succ.dst[e])
@@ -404,7 +413,7 @@ def decide_convergence(system, budget: int | None = None) -> ConvergenceVerdict:
     """
     graph = _compiled(system, budget)
     succ, n = graph.succ, graph.n
-    found = _oscillation(succ, graph.components, n, (1 << n) - 1, succ.src != succ.dst)
+    found = _oscillation(succ, graph.components, n, (1 << n) - 1, _changing(succ))
     return Convergent() if found is None else NonConvergent(graph.witness(*found))
 
 
@@ -436,7 +445,7 @@ def decide_convergence_many(space: ActionSpace, rows, budget: int | None = None)
         stop = max(int(np.searchsorted(edges, before + limit, side="right")), start + 1)
         succ = _successor_blocks(space, rows[start:stop].reshape(-1, n), N, budget)
         components = _strong_components(succ)
-        osc = _oscillating_components(succ, components, (1 << n) - 1, succ.src != succ.dst)
+        osc = _oscillating_components(succ, components, (1 << n) - 1, _changing(succ))[0]
         convergent[start:stop] = ~osc[components[1]].reshape(-1, N).any(axis=1)
         start = stop
     return convergent
@@ -454,12 +463,12 @@ def committed_map(system, budget: int | None = None) -> CommitMap:
     """
     graph = _compiled(system, budget)
     succ = graph.succ
-    osc = _oscillating_components(succ, graph.components, (1 << graph.n) - 1, succ.src != succ.dst)
+    osc = _oscillating_components(succ, graph.components, (1 << graph.n) - 1, _changing(succ))[0]
     reverse = succ.adjacency.T.tocsr()
     stable = np.flatnonzero(graph.fixed)
     nearest = dijkstra(reverse, indices=stable, unweighted=True, min_only=True, return_predecessors=True)[2]
     seeds = osc[graph.components[1]]
-    seeds[succ.src[nearest[succ.src] != nearest[succ.dst]]] = True
+    seeds |= np.logical_or.reduceat(succ.by_source(nearest) != nearest[succ.dst], succ.indptr[:-1])
     uncommitted = np.isfinite(dijkstra(reverse, indices=np.flatnonzero(seeds), unweighted=True, min_only=True))
     return CommitMap(
         {graph.node(i): None if uncommitted[i] else graph.node(int(nearest[i])) for i in range(succ.rows)}
@@ -490,7 +499,7 @@ def decide_r_convergence(system, r: int, budget: int | None = None) -> Convergen
     graph = _compiled(system, budget)
     n = graph.n
     product, state, parent, plabel = _counter_product(graph.succ, n, r, budget)
-    found = _oscillation(product, _strong_components(product), n, 0, state[product.src] != state[product.dst])
+    found = _oscillation(product, _strong_components(product), n, 0, product.by_source(state) != state[product.dst])
     if found is None:
         return Convergent()
     u, cycle = found

@@ -549,6 +549,7 @@ def _cmd_export_dot(doc: ScenarioDocument, args, out) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="asyncdyn")
     parser.add_argument("command", choices=["analyze", "simulate", "pne", "uncoupled-check", "build", "export-dot"])

@@ -79,7 +79,7 @@ class ActionSpace:
     def n(self) -> int:
         return len(self.sizes)
 
-    @property
+    @cached_property
     def num_states(self) -> int:
         return math.prod(self.sizes)
 
@@ -330,15 +330,15 @@ def _update(state: State, active: ActivationSet, react: Callable[[], State]) -> 
     return tuple(target[i] if (i + 1) in active else a for i, a in enumerate(state))
 
 
-def _fixed(system: HistorylessSystem | KRecallSystem, window: Window) -> bool:
+def _fixed(system: HistorylessSystem | KRecallSystem, window: Window, react: Callable[[], State]) -> bool:
     """The one fixed-window test: the window is constant and its newest state
-    is its own reaction, so no activation set can change it again.  A
-    historyless system reads only the newest state; a non-stationary system is
-    never known to be fixed."""
+    is its own reaction ``react()``, so no activation set can change it again.
+    A historyless system reads only the newest state; a non-stationary system
+    is never known to be fixed."""
     last = window[-1]
     if isinstance(system, HistorylessSystem):
-        return system.reaction(last) == last
-    return system.stationary and all(s == last for s in window) and system.reaction(window) == last
+        return react() == last
+    return system.stationary and all(s == last for s in window) and react() == last
 
 
 def step(system: HistorylessSystem, state: State, active: Iterable[int]) -> State:
@@ -372,7 +372,8 @@ def step_history(
 def is_stable(system, state) -> bool:
     """Fixed point test: the state persists under every activation set."""
     if isinstance(system, HistorylessSystem):
-        return _fixed(system, (system.space.validate_state(state),))
+        state = system.space.validate_state(state)
+        return _fixed(system, (state,), lambda: system.reaction(state))
     if isinstance(system, LiftedSystem):
         return system.is_stable(state)
     raise Unsupported(f"is_stable is not defined for {type(system).__name__}")
@@ -478,7 +479,8 @@ class LiftedSystem:
         return window[1:] + (_update(window[-1], active, lambda: self.base.reaction(window)),)
 
     def is_stable(self, window) -> bool:
-        return _fixed(self.base, self.validate_state(window))
+        window = self.validate_state(window)
+        return _fixed(self.base, window, lambda: self.base.reaction(window))
 
 
 def lift_k_recall(system: KRecallSystem) -> LiftedSystem:

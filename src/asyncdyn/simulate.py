@@ -146,17 +146,18 @@ def run(
     for _ in range(t):
         next(stream)  # sigma(1..len(window)-1) predates the first computed state
 
-    if historyless:
-        def react() -> State:
-            return system.reaction(recent[-1])
-    else:
-        def react() -> State:
-            return system.reaction(recent, t + 1)
+    memo: list = []  # this step's reaction, shared by the fixed test and the update
+
+    def react() -> State:
+        if not memo:
+            memo.append(system.reaction(recent[-1]) if historyless else system.reaction(recent, t + 1))
+        return memo[0]
 
     visited: dict = {}
     verdict: RunVerdict | None = None
     for _ in range(max_steps):
-        if _fixed(system, recent):
+        memo.clear()
+        if _fixed(system, recent, react):
             verdict = Converged(recent[-1], t)
             break
         if periodic is not None:

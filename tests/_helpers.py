@@ -130,6 +130,24 @@ def oracle_committed(system, state):
     return next(iter(stables))
 
 
+def oracle_oscillating_components(succ, components, cover, changing) -> list:
+    """Per component, with plain dicts over the edge list: does it have an
+    internal edge marked in ``changing`` (a sequence of bools, one per edge),
+    and do the labels of its internal edges cover every node of the
+    ``cover`` bitmask?"""
+    ncomp, labels = components
+    labels = labels.tolist()
+    indptr, dst, label = (a.tolist() for a in (succ.indptr, succ.dst, succ.label))
+    covered, moving = {}, set()
+    for u in range(len(indptr) - 1):
+        for e in range(indptr[u], indptr[u + 1]):
+            if labels[u] == labels[dst[e]]:
+                covered[labels[u]] = covered.get(labels[u], 0) | label[e]
+                if changing[e]:
+                    moving.add(labels[u])
+    return [c in moving and covered[c] & cover == cover for c in range(ncomp)]
+
+
 def oracle_witness_walk(graph):
     """The witness walk of ``decide_convergence`` recomputed with plain-dict
     searches confined to one component: None if no component oscillates,
@@ -140,16 +158,10 @@ def oracle_witness_walk(graph):
     such edge; then walk by BFS back to the start.  The cycle is reduced to
     its primitive period."""
     succ, n = graph.succ, graph.n
-    ncomp, labels = graph.components
-    labels = labels.tolist()
+    labels = graph.components[1].tolist()
     indptr, dst, label = (a.tolist() for a in (succ.indptr, succ.dst, succ.label))
     edges = [(u, dst[e], label[e]) for u in range(succ.rows) for e in range(indptr[u], indptr[u + 1])]
-    cover, changing = [0] * ncomp, [False] * ncomp
-    for u, v, s in edges:
-        if labels[u] == labels[v]:
-            cover[labels[u]] |= s
-            changing[labels[u]] |= u != v
-    oscillating = [changing[c] and cover[c] == (1 << n) - 1 for c in range(ncomp)]
+    oscillating = oracle_oscillating_components(succ, graph.components, (1 << n) - 1, [u != v for u, v, _ in edges])
     first = next((u for u in range(succ.rows) if oscillating[labels[u]]), None)
     if first is None:
         return None

@@ -6,7 +6,9 @@ spectra are checked against plain reachability closures.  Expected values in
 the named-example tests were computed with these oracles and frozen.
 """
 
+import functools
 import itertools
+import operator
 import random
 import tracemalloc
 
@@ -28,9 +30,16 @@ from asyncdyn.analyze import (
     successor_matrix,
     transition_graph,
 )
+from asyncdyn.analyze import (
+    _changing,
+    _counter_product,
+    _oscillating_components,
+    _strong_components,
+    _successor_blocks,
+)
 from asyncdyn.core import ActionSpace, HistorylessSystem, check_r_fair, lift_k_recall, KRecallSystem
 from asyncdyn.errors import BudgetExceeded, InvalidInput
-from asyncdyn.reductions import build_snake_system, fixture, snake_for_system
+from asyncdyn.reductions import SocialGraph, build_majority, build_snake_system, fixture, snake_for_system
 from asyncdyn.simulate import Cycling, replay_witness
 
 from _helpers import (
@@ -41,6 +50,7 @@ from _helpers import (
     naive_stables,
     oracle_committed,
     oracle_convergent,
+    oracle_oscillating_components,
     oracle_witness_walk,
     random_lifted_system,
     random_self_independent_system,
@@ -608,3 +618,114 @@ class TestDecideConvergenceMany:
         assert decide_convergence_many(space, rows[:1], budget=16).tolist() == [True]
         with pytest.raises(BudgetExceeded):
             decide_convergence_many(space, rows, budget=16 * 16 - 1)
+
+
+# ---------------------------------------------------------------------------
+# The oscillation scan: one reduction per CSR row
+# ---------------------------------------------------------------------------
+
+SCAN_KINDS = SYSTEM_KINDS + ["family", "self-independent family"]
+PRODUCT_CASES = [("ring", n, r) for n in (3, 4, 5) for r in range(1, 7)] + [("snake", 5, r) for r in range(1, 8)]
+
+
+def scan_graph(kind, seed):
+    """(graph, n): the successor graph of a random system, or the one block
+    CSR that ``decide_convergence_many`` builds for a random family."""
+    if kind.endswith("family"):
+        space, rows = random_family(seed, kind.startswith("self-independent"))
+        return _successor_blocks(space, rows.reshape(-1, space.n), space.num_states, None), space.n
+    graph = transition_graph(random_system(kind, random.Random(seed)))
+    return graph.succ, graph.n
+
+
+def product_graph(kind, n, r):
+    """(r-counter product, underlying state of every product node)."""
+    system = fixture("ring", n=n) if kind == "ring" else build_snake_system(n)
+    graph = transition_graph(system)
+    product, state, _, _ = _counter_product(graph.succ, n, r, None)
+    return product, state.tolist()
+
+
+def plain_edges(succ):
+    indptr, dst = succ.indptr.tolist(), succ.dst.tolist()
+    return [(u, dst[e]) for u in range(succ.rows) for e in range(indptr[u], indptr[u + 1])]
+
+
+def assert_scan_matches_oracle(succ, cover, changing):
+    """The oscillating components, the internal edges, the rows with an
+    internal changing edge and each row's OR of internal labels (computed
+    only while some component is a candidate), against plain lists over the
+    edge list."""
+    components = _strong_components(succ)
+    osc, internal, moving, row_labels = _oscillating_components(
+        succ, components, cover, np.array(changing, dtype=bool)
+    )
+    assert osc.tolist() == oracle_oscillating_components(succ, components, cover, changing)
+    labels, indptr, label = components[1].tolist(), succ.indptr.tolist(), succ.label.tolist()
+    inside = [labels[u] == labels[v] for u, v in plain_edges(succ)]
+    assert internal.tolist() == inside
+    rows = [range(indptr[u], indptr[u + 1]) for u in range(succ.rows)]
+    assert moving.tolist() == [any(inside[e] and changing[e] for e in row) for row in rows]
+    if not cover or not any(moving):
+        assert row_labels is None
+    else:
+        ored = [functools.reduce(operator.or_, (label[e] for e in row if inside[e]), 0) for row in rows]
+        assert row_labels.tolist() == ored
+
+
+class TestOscillationScan:
+    @given(st.sampled_from(SCAN_KINDS), st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=120, deadline=None)
+    def test_systems_and_family_blocks_match_oracle(self, kind, seed):
+        """With every node and with a random subset of the nodes to cover;
+        the state-changing edges are exactly those whose ends differ."""
+        succ, n = scan_graph(kind, seed)
+        changing = [u != v for u, v in plain_edges(succ)]
+        assert _changing(succ).tolist() == changing
+        for cover in ((1 << n) - 1, random.Random(seed).randrange(1 << n)):
+            assert_scan_matches_oracle(succ, cover, changing)
+
+    @pytest.mark.parametrize("kind, n, r", PRODUCT_CASES)
+    def test_r_counter_products_match_oracle(self, kind, n, r):
+        product, state = product_graph(kind, n, r)
+        assert_scan_matches_oracle(product, 0, [state[u] != state[v] for u, v in plain_edges(product)])
+
+    @given(st.sampled_from(SCAN_KINDS), st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=120, deadline=None)
+    def test_every_row_of_a_successor_graph_has_an_edge(self, kind, seed):
+        """``reduceat`` over the row starts reads an empty row as the next
+        row's first edge, so the scan relies on every row having one: here
+        the step of the empty activation set, and in the r-counter product
+        the edge activating every node, which resets every counter."""
+        succ, n = scan_graph(kind, seed)
+        assert np.diff(succ.indptr).min() >= 1
+        for r in (1, 2, 3):
+            product = _counter_product(succ, n, r, None)[0]
+            assert np.diff(product.indptr).min() >= 1
+
+    @pytest.mark.parametrize("kind, n, r", PRODUCT_CASES)
+    def test_every_row_of_a_fixture_product_has_an_edge(self, kind, n, r):
+        assert np.diff(product_graph(kind, n, r)[0].indptr).min() >= 1
+
+    def test_peak_bytes_per_edge_on_a_large_majority_graph(self):
+        """A G(12, 0.6) majority graph (perfbench's generator, seed 1) has
+        877,055 edges.  With its SCCs computed beforehand, the scan and the
+        witness walk hold a bool mask and one or two int32 arrays per edge at
+        a time: at most 12 bytes per edge.  An intp index array of the
+        internal edges (56% of them) kept during the scan exceeds that."""
+        rng, users = random.Random(1), 12
+        while True:
+            edges = [(u, v) for u in range(1, users + 1) for v in range(u + 1, users + 1) if rng.random() < 0.6]
+            if {x for e in edges for x in e} == set(range(1, users + 1)):
+                break
+        graph = transition_graph(build_majority(SocialGraph(users, tuple(edges))))
+        assert graph.succ.size == 877_055
+        graph.components
+        tracemalloc.start()
+        try:
+            verdict = decide_convergence(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(verdict, NonConvergent)
+        assert peak <= 12 * graph.succ.size

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import asyncdyn
 from asyncdyn.analyze import transition_graph
-from asyncdyn.cli import ANALYSES, SCHEDULES, SYSTEMS, export_dot, parse_scenario, run_command
+from asyncdyn.cli import ANALYSES, SCHEDULES, SYSTEMS, build_parser, export_dot, parse_scenario, run_command
 from asyncdyn.core import ActionSpace, HistorylessSystem
 from asyncdyn.errors import ParseError, SchemaError
 from asyncdyn.reductions import FIXTURES, fixture
@@ -187,6 +187,15 @@ class TestAnalyzeCommand:
     def test_missing_file_exit_2(self):
         code, doc = invoke_json(["analyze", "--scenario", "/nonexistent.json"])
         assert code == 2
+
+    def test_one_parser_reads_every_request(self, tmp_path):
+        """The parser is built once per process; each request still reads
+        its own arguments, and a bad one leaves the next request intact."""
+        assert build_parser() is build_parser()
+        path = write_scenario(tmp_path, FIG1_ANALYZE)
+        assert invoke(["analyze", "--scenario", path, "--budget", "2"])[0] == 3
+        assert invoke(["analyze", "--bogus"])[0] == 2
+        assert invoke(["analyze", "--scenario", path])[0] == 10
 
 
 class TestSimulateCommand:

@@ -48,6 +48,16 @@ class TestActionSpace:
         assert space.n == 3
         assert space.num_states == 24
 
+    def test_num_states_is_computed_once(self):
+        """The count is cached on first use, like ``weights``; equality and
+        hashing still read only the sizes."""
+        space, fresh = ActionSpace((2, 3, 4)), ActionSpace((2, 3, 4))
+        assert space.num_states == 24
+        assert vars(space)["num_states"] == 24 and "num_states" not in vars(fresh)
+        assert space == fresh and hash(space) == hash(fresh) and repr(space) == repr(fresh)
+        assert space != ActionSpace((2, 3, 5))
+        assert {space: 1}[fresh] == 1
+
     @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4))
     def test_encode_decode_roundtrip(self, sizes):
         space = ActionSpace(tuple(sizes))

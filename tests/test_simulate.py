@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from asyncdyn.core import (
     ActionSpace,
     ExplicitList,
+    HistorylessSystem,
     KRecallSystem,
     Periodic,
     RoundRobin,
@@ -68,6 +69,20 @@ class TestRun:
         assert v1 == v2
         assert t1.states == t2.states
         assert t1.activations == t2.activations
+
+    @pytest.mark.parametrize(
+        "schedule", [Synchronous(), RoundRobin(), SeededRandom(seed=5, p=0.5)], ids=["sync", "round-robin", "seeded"]
+    )
+    def test_a_historyless_run_reacts_once_per_step(self, monkeypatch, schedule):
+        """The fixed-window test and the update of a step share one call of
+        the reaction; the step that ends the run makes only the test."""
+        ring = fixture("ring", n=4)
+        reaction, calls = HistorylessSystem.reaction, []
+        monkeypatch.setattr(HistorylessSystem, "reaction", lambda self, s: calls.append(s) or reaction(self, s))
+        trajectory, verdict = run(ring, (1, 0, 0, 0), schedule, max_steps=40)
+        steps = len(trajectory.trace) - 1
+        assert steps > 0
+        assert calls == [state for state, _ in trajectory.trace[: steps + (not isinstance(verdict, BudgetExhausted))]]
 
     def test_budget_must_be_positive(self, fig1):
         with pytest.raises(InvalidInput):
