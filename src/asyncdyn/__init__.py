@@ -50,16 +50,11 @@ from .simulate import (
 from .uncoupled import (
     Fails,
     NoPNE,
-    NodeUtility,
     SelfStabilizing,
     check_self_stabilization,
     check_self_stabilization_many,
     check_self_stabilization_randomized,
-    cyclic_successor,
     fixture_game_2x2x2,
-    stay_or_roll_support,
-    three_recall_step,
-    two_recall_step,
 )
 from .reductions import (
     BgpInstance,

@@ -51,8 +51,8 @@ from .core import (
 from .errors import BudgetExceeded, InvalidInput, Unsupported
 from .simulate import Witness
 
-MAX_SUBSET_NODES = 16  # export-dot lists 2^n activation subsets per state
 _INDEX_MAX = np.iinfo(np.int32).max  # scipy's sparse graphs index with int32
+_LABEL_BITS = 31  # an int32 label holds the activation set of nodes 1..31
 
 
 def subset_to_nodes(s: int, n: int) -> ActivationSet:
@@ -229,10 +229,8 @@ def _successor_blocks(space: ActionSpace, rows: np.ndarray, block: int, budget: 
     windows (or states) of one system, each block a separate system whose
     node ids are offset by the block's first row."""
     n, nb = space.n, space.num_states
-    if n > MAX_SUBSET_NODES:
-        raise BudgetExceeded(
-            f"{n} nodes means 2^{n} activation subsets per state; refusing beyond {MAX_SUBSET_NODES}"
-        )
+    if n > _LABEL_BITS:
+        raise BudgetExceeded(f"{n} nodes do not fit the {_LABEL_BITS}-bit activation labels of a sparse graph")
     count = rows.shape[0]
     # the digits of a window index are those of its newest state
     delta = ((rows.reshape(-1, nb, n) - space.digits()) * space.weights).reshape(count, n)

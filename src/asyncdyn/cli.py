@@ -31,6 +31,7 @@ from .core import (
     SeededRFair,
     SeededRandom,
     Synchronous,
+    _check_count,
 )
 from .errors import (
     AsyncdynError,
@@ -544,8 +545,9 @@ def _cmd_export_dot(doc: ScenarioDocument, args, out) -> int:
     if doc.system is None:
         raise SchemaError("system", "export-dot needs a system source")
     system = _system_from_spec(doc.system)
-    graph = analyze.transition_graph(system, args.budget)
-    out.write(export_dot(graph))
+    # one line per state and activation subset, counted before any is built
+    _check_count(system.num_states << system.n, "DOT edges", args.budget)
+    out.write(export_dot(analyze.transition_graph(system, args.budget)))
     return EXIT_OK
 
 

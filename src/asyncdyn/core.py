@@ -58,7 +58,7 @@ def _as_int(value, what: str = "action") -> int:
     try:
         return operator.index(value)
     except TypeError:
-        raise InvalidInput(f"{what} {value} is not an integer") from None
+        raise InvalidInput(f"{what} {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -494,7 +494,12 @@ def lift_k_recall(system: KRecallSystem) -> LiftedSystem:
 
 
 def _normalize_sets(sets) -> tuple[ActivationSet, ...]:
-    return tuple(frozenset(int(i) for i in s) for s in sets)
+    try:  # ``_as_int``'s reading of a node, without a Python call per node
+        return tuple(frozenset(map(operator.index, s)) for s in sets)
+    except TypeError:
+        for i in (i for s in sets for i in s):
+            _as_int(i, "node index")  # names the first node that is not an integer
+        raise
 
 
 @dataclass(frozen=True)

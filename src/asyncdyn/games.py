@@ -52,20 +52,14 @@ class Game:
 
 
 def best_responses(game: Game, node: int, state) -> frozenset[int]:
-    """Argmax set of the node's utility over its own actions, others fixed."""
-    state = game.space.validate_state(state)
-    if not 1 <= node <= game.space.n:
-        raise InvalidInput(f"node index {node} out of range 1..{game.space.n}")
-    return _best_responses(game.space, game.utilities[node - 1], node - 1, state)
-
-
-def _best_responses(space: ActionSpace, table, i: int, state) -> frozenset[int]:
-    """Argmax set of one utility table over coordinate i of the state: the
-    per-state reference for ``best_response_table``."""
-    values = {}
-    for a in range(space.sizes[i]):
-        candidate = state[:i] + (a,) + state[i + 1:]
-        values[a] = table[space.encode(candidate)]
+    """Argmax set of the node's utility over its own actions, others fixed:
+    the per-state reference for ``best_response_table``."""
+    space = game.space
+    state = space.validate_state(state)
+    if not 1 <= node <= space.n:
+        raise InvalidInput(f"node index {node} out of range 1..{space.n}")
+    i, table = node - 1, game.utilities[node - 1]
+    values = {a: table[space.encode(state[:i] + (a,) + state[i + 1:])] for a in range(space.sizes[i])}
     best = max(values.values())
     return frozenset(a for a, v in values.items() if v == best)
 

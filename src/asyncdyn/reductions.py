@@ -181,7 +181,7 @@ class BgpInstance:
             "export_deny",
             tuple((_as_int(a, "AS"), _route(r), _as_int(nb, "AS")) for a, r, nb in self.export_deny),
         )
-        adjacency = self.adjacency()
+        links = set(edges)
         as_ids = [a for a, _ in self.rankings]
         if len(set(as_ids)) != len(as_ids):
             raise InvalidInput("duplicate AS in rankings")
@@ -196,7 +196,7 @@ class BgpInstance:
                 if not r or r[0] != a or r[-1] != self.dest:
                     raise InvalidInput(f"AS {a}: route {r} must run from {a} to {self.dest}")
                 for x, y in zip(r, r[1:]):
-                    if (min(x, y), max(x, y)) not in set(edges):
+                    if (min(x, y), max(x, y)) not in links:
                         raise InvalidInput(f"AS {a}: route {r} uses the missing link ({x},{y})")
 
     def adjacency(self) -> dict[int, set[int]]:

@@ -134,9 +134,15 @@ def run(
     historyless = isinstance(system, HistorylessSystem)
     k = 1 if historyless else system.k
     n = system.space.n
+    finite = _periodic(schedule, n)
+    if finite is not None:  # seeded schedules draw only nodes 1..n
+        nodes = frozenset(range(1, n + 1))
+        for active in finite.prefix + finite.cycle:
+            if not active <= nodes:
+                system.space.validate_active(active)
     # a repeated (phase, window) pair proves a cycle only for a finite phase
     # and a stationary reaction
-    periodic = _periodic(schedule, n) if historyless or system.stationary else None
+    periodic = finite if historyless or system.stationary else None
 
     trace: deque = deque(((state, None) for state in window), maxlen=trace_limit)
     recent: Window = window[-k:]

@@ -1,20 +1,19 @@
 """Uncoupled self-stabilization protocols and their exhaustive checkers.
 
-Each protocol builds a node's reaction function from that node's own utility
-table alone (a NodeUtility), never from the full game.  Self-stabilization is
+A protocol is uncoupled when each node's reaction reads that node's own
+utility table alone.  Every protocol here reads a game through
+``games.best_response_table``, whose node-i entries read only node i's
+utilities (``test_arrays_read_only_own_utility``).  Self-stabilization is
 checked under the synchronous schedule (the unique 1-fair schedule): the
-deterministic checkers sweep every initial k-window exactly via the functional
-graph of window successors, and the randomized checker decides support-level
-reachability, which is equivalent to absorption with probability 1 in a finite
-chain whose moves have uniformly positive probability.
+deterministic checkers sweep every initial k-window exactly via the
+functional graph of window successors, and the randomized checker decides
+support-level reachability, which is equivalent to absorption with
+probability 1 in a finite chain whose moves have uniformly positive
+probability.
 
-The checkers work on arrays: one best-response table per game
-(``games.best_response_table``, whose node-i entries read node i's utilities
-only), the window-successor array of a whole batch of games, and pointer
-doubling over it.  The per-node functions (``three_recall_step``,
-``two_recall_step``, ``protocol_system``, ``stay_or_roll_support``,
-``support_system``) are the reference definitions of the protocols: the
-simulator runs them and the tests compare the arrays against them.
+Each deterministic protocol is written once, as ``_window_successors``: the
+checkers run pointer doubling over it, and ``protocol_system`` is its
+per-window view.  The per-node steps are test oracles.
 
 Action arithmetic here follows the protocols' 1-based formulas; the module
 converts to the library's 0-based encoding at the boundary, which leaves both
@@ -25,85 +24,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 from typing import Union
 
 import numpy as np
 
-from .core import ActionSpace, KRecallSystem, State, _check_count, resolve_budget, window_space
+from .core import ActionSpace, KRecallSystem, _check_count, resolve_budget, window_space
 from .errors import InvalidInput, Unsupported
-from .games import Game, _best_responses, best_response_table, enumerate_pne
+from .games import Game, best_response_table, best_responses, enumerate_pne
 
 PROTOCOLS = ("three-recall", "two-recall")
-
-
-@dataclass(frozen=True)
-class NodeUtility:
-    """One node's private utility column; the only input a protocol may read."""
-
-    node: int
-    space: ActionSpace
-    table: tuple[int, ...]
-
-    def value(self, state) -> int:
-        return self.table[self.space.encode(state)]
-
-    def best_responses(self, state) -> frozenset[int]:
-        return _best_responses(self.space, self.table, self.node - 1, state)
-
-    def is_best_responding(self, state) -> bool:
-        return state[self.node - 1] in self.best_responses(state)
-
-
-def node_utility(game: Game, node: int) -> NodeUtility:
-    if not 1 <= node <= game.n:
-        raise InvalidInput(f"node index {node} out of range 1..{game.n}")
-    return NodeUtility(node=node, space=game.space, table=game.utilities[node - 1])
-
-
-def cyclic_successor(space: ActionSpace, state) -> State:
-    """Lexicographic successor with wraparound: +1 on the mixed-radix encoding,
-    so iterating from any state visits every joint state before returning."""
-    state = space.validate_state(state)
-    return space.decode((space.encode(state) + 1) % space.num_states)
-
-
-def three_recall_step(u: NodeUtility, window) -> int:
-    """Stationary 3-recall step for one node.
-
-    A repeated last state is the current candidate: answer the query with the
-    current action if it is a best response, else with the least best response.
-    A repetition followed by a different state means the candidate was
-    rejected: move on to its cyclic successor.  Otherwise repeat the last state.
-    The per-node reference for the array form in ``_window_successors``.
-    """
-    a, b, c = (u.space.validate_state(s) for s in window)
-    i = u.node - 1
-    if b == c:
-        if c[i] in u.best_responses(c):
-            return c[i]
-        return min(u.best_responses(c))
-    if a == b:
-        return cyclic_successor(u.space, a)[i]
-    return c[i]
-
-
-def two_recall_step(u: NodeUtility, window) -> int:
-    """Stationary 2-recall step for one node; needs at least four actions per
-    node so the move-on and query conditions are disjoint.  The per-node
-    reference for the array form in ``_window_successors``."""
-    if any(k < 4 for k in u.space.sizes):
-        raise Unsupported("the 2-recall protocol needs at least four actions per node")
-    a, b = (u.space.validate_state(s) for s in window)
-    i = u.node - 1
-    sizes = u.space.sizes
-    if a != b and all((a[j] - b[j]) % sizes[j] in (0, 1) for j in range(len(sizes))):
-        return cyclic_successor(u.space, a)[i]
-    if all((b[j] - a[j]) % sizes[j] in (0, 1, 2) for j in range(len(sizes))):
-        if b[i] in u.best_responses(b):
-            return b[i]
-        return (b[i] - 1) % sizes[i]
-    return b[i]
 
 
 def _recall(protocol: str, space: ActionSpace) -> int:
@@ -118,58 +47,20 @@ def _recall(protocol: str, space: ActionSpace) -> int:
 
 
 def protocol_system(protocol: str, game: Game) -> KRecallSystem:
-    """The interaction system a deterministic protocol induces for a game,
-    built from the per-node reference steps (the checkers use the array form
-    in ``_window_successors``)."""
-    k = _recall(protocol, game.space)
-    utilities = [node_utility(game, i) for i in range(1, game.n + 1)]
-    step = three_recall_step if k == 3 else two_recall_step
+    """The interaction system a deterministic protocol induces for a game:
+    the per-window view of ``_window_successors``.  Its rule answers a window
+    with the newest state of that window's successor."""
+    space = game.space
+    k = _recall(protocol, space)
+    windows = window_space(space, k)
+    is_br, least = best_response_table(space, [game.utilities])
 
     def rule(window):
-        return tuple(step(u, window) for u in utilities)
+        w = windows.encode(windows.validate_state(space.encode(space.validate_state(s)) for s in window))
+        nxt = _window_successors(protocol, space, is_br, least, np.array([w], dtype=np.int64))
+        return space.decode(int(nxt[0, 0]) % space.num_states)
 
-    return KRecallSystem(space=game.space, k=k, rule=rule, stationary=True, name=protocol)
-
-
-def stay_or_roll_support(u: NodeUtility, state) -> frozenset[int]:
-    """Positive-probability moves of the stay-or-roll rule: keep the current
-    action when best-responding, otherwise any action (uniform roll).  The
-    per-node reference for ``check_self_stabilization_randomized``."""
-    state = u.space.validate_state(state)
-    i = u.node - 1
-    if state[i] in u.best_responses(state):
-        return frozenset({state[i]})
-    return frozenset(range(u.space.sizes[i]))
-
-
-@dataclass(frozen=True)
-class SupportSystem:
-    """Support abstraction of a randomized synchronous system: per node and
-    state, the set of actions played with positive probability.  A reference
-    form that tests replay witnesses with; the checker does not build it."""
-
-    space: ActionSpace
-    supports: tuple[tuple[frozenset[int], ...], ...]  # [node-1][encoded state]
-
-    def support(self, node: int, state) -> frozenset[int]:
-        return self.supports[node - 1][self.space.encode(self.space.validate_state(state))]
-
-    def successors(self, state) -> list[State]:
-        """All states reachable in one synchronous step with positive probability."""
-        state = self.space.validate_state(state)
-        sets = [sorted(self.support(i, state)) for i in range(1, self.space.n + 1)]
-        return [tuple(choice) for choice in product(*sets)]
-
-
-def support_system(game: Game, budget: int | None = None) -> SupportSystem:
-    """The stay-or-roll supports of every node at every state, from the
-    per-node reference ``stay_or_roll_support``."""
-    game.space.check_budget(budget)
-    utilities = [node_utility(game, i) for i in range(1, game.n + 1)]
-    supports = tuple(
-        tuple(stay_or_roll_support(u, s) for s in game.space.states()) for u in utilities
-    )
-    return SupportSystem(space=game.space, supports=supports)
+    return KRecallSystem(space=space, k=k, rule=rule, stationary=True, name=protocol)
 
 
 @dataclass(frozen=True)
@@ -193,9 +84,11 @@ class NoPNE:
 StabilizationVerdict = Union[SelfStabilizing, Fails, NoPNE]
 
 
-def _window_successors(protocol: str, space: ActionSpace, is_br, least) -> np.ndarray:
+def _window_successors(protocol: str, space: ActionSpace, is_br, least, w=None) -> np.ndarray:
     """(B, N^k) index of the window that follows each window of each game
     under the synchronous schedule: drop the oldest state, append the new one.
+    Given an array ``w`` of window indices, only those windows' successors,
+    shape (B, len(w)).
 
     A window is indexed by its point in ``window_space(space, k)``, the
     oldest state most significant.  Each protocol decides its case on whole
@@ -208,7 +101,8 @@ def _window_successors(protocol: str, space: ActionSpace, is_br, least) -> np.nd
     n_states = space.num_states
     digits = space.digits()
     windows = window_space(space, _recall(protocol, space))
-    w = np.arange(windows.num_states, dtype=np.int64)
+    if w is None:
+        w = np.arange(windows.num_states, dtype=np.int64)
     states = np.unravel_index(w, windows.sizes)  # the window space's decode: k state indices, oldest first
     if protocol == "three-recall":
         a, b, c = states
@@ -347,15 +241,14 @@ def simulate_stay_or_roll(
     support-level decision procedure, not a decision procedure itself."""
     space = game.space
     state = space.validate_state(initial)
-    utilities = [node_utility(game, i) for i in range(1, game.n + 1)]
     pne = enumerate_pne(game)
     rng = random.Random(seed)
     for _ in range(max_steps):
         if state in pne:
             return True
         state = tuple(
-            state[i] if state[i] in u.best_responses(state) else rng.randrange(space.sizes[i])
-            for i, u in enumerate(utilities)
+            a if a in best_responses(game, i + 1, state) else rng.randrange(space.sizes[i])
+            for i, a in enumerate(state)
         )
     return state in pne
 
@@ -371,11 +264,6 @@ def fixture_game_2x2x2() -> Game:
     state with a_3 = 2 can ever reach the PNE."""
     m1 = (((1, 1, 1), (1, 0, 1)), ((1, 0, 0), (0, 1, 1)))
     m2 = (((0, 1, 0), (0, 1, 1)), ((0, 0, 0), (1, 0, 1)))
-    matrices = (m1, m2)
     space = ActionSpace((2, 2, 2))
-    tables: list[list[int]] = [[], [], []]
-    for (a, b, c) in space.states():
-        vals = matrices[a][b][c]
-        for i in range(3):
-            tables[i].append(vals[i])
-    return Game(space=space, utilities=tuple(tuple(t) for t in tables))
+    payoffs = [(m1, m2)[a][b][c] for a, b, c in space.states()]  # (u1, u2, u3) per state
+    return Game(space=space, utilities=tuple(zip(*payoffs)))

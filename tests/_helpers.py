@@ -9,10 +9,12 @@ instead of product graphs.  Tests compare library answers against these.
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
+from dataclasses import dataclass
 
 from asyncdyn.core import ActionSpace, HistorylessSystem, KRecallSystem, LiftedSystem, lift_k_recall
-from asyncdyn.errors import NonUniqueBestResponse
+from asyncdyn.errors import InvalidInput, NonUniqueBestResponse, Unsupported
 
 
 def all_subsets(n):
@@ -307,13 +309,152 @@ def naive_failing_windows(nxt, pne_newest) -> list:
     return bad
 
 
+@dataclass(frozen=True)
+class NodeUtility:
+    """One node's private utility column; the only input a per-node protocol
+    step may read."""
+
+    node: int
+    space: ActionSpace
+    table: tuple[int, ...]
+
+    def best_responses(self, state) -> frozenset[int]:
+        i, space = self.node - 1, self.space
+        values = {a: self.table[space.encode(state[:i] + (a,) + state[i + 1:])] for a in range(space.sizes[i])}
+        best = max(values.values())
+        return frozenset(a for a, v in values.items() if v == best)
+
+    def is_best_responding(self, state) -> bool:
+        return state[self.node - 1] in self.best_responses(state)
+
+
+def node_utility(game, node: int) -> NodeUtility:
+    if not 1 <= node <= game.n:
+        raise InvalidInput(f"node index {node} out of range 1..{game.n}")
+    return NodeUtility(node=node, space=game.space, table=game.utilities[node - 1])
+
+
+def cyclic_successor(space: ActionSpace, state):
+    """Lexicographic successor with wraparound: +1 on the mixed-radix encoding,
+    so iterating from any state visits every joint state before returning."""
+    state = space.validate_state(state)
+    return space.decode((space.encode(state) + 1) % space.num_states)
+
+
+def three_recall_step(u: NodeUtility, window) -> int:
+    """Stationary 3-recall step for one node.
+
+    A repeated last state is the current candidate: answer the query with the
+    current action if it is a best response, else with the least best response.
+    A repetition followed by a different state means the candidate was
+    rejected: move on to its cyclic successor.  Otherwise repeat the last state.
+    """
+    a, b, c = (u.space.validate_state(s) for s in window)
+    i = u.node - 1
+    if b == c:
+        if c[i] in u.best_responses(c):
+            return c[i]
+        return min(u.best_responses(c))
+    if a == b:
+        return cyclic_successor(u.space, a)[i]
+    return c[i]
+
+
+def two_recall_step(u: NodeUtility, window) -> int:
+    """Stationary 2-recall step for one node; needs at least four actions per
+    node so the move-on and query conditions are disjoint."""
+    if any(k < 4 for k in u.space.sizes):
+        raise Unsupported("the 2-recall protocol needs at least four actions per node")
+    a, b = (u.space.validate_state(s) for s in window)
+    i = u.node - 1
+    sizes = u.space.sizes
+    if a != b and all((a[j] - b[j]) % sizes[j] in (0, 1) for j in range(len(sizes))):
+        return cyclic_successor(u.space, a)[i]
+    if all((b[j] - a[j]) % sizes[j] in (0, 1, 2) for j in range(len(sizes))):
+        if b[i] in u.best_responses(b):
+            return b[i]
+        return (b[i] - 1) % sizes[i]
+    return b[i]
+
+
+def reference_protocol_system(protocol: str, game) -> KRecallSystem:
+    """The system a deterministic protocol induces for a game, built from
+    the per-node steps, each reading one node's utilities."""
+    from asyncdyn.uncoupled import _recall
+
+    k = _recall(protocol, game.space)
+    utilities = [node_utility(game, i) for i in range(1, game.n + 1)]
+    step = three_recall_step if k == 3 else two_recall_step
+
+    def rule(window):
+        return tuple(step(u, window) for u in utilities)
+
+    return KRecallSystem(space=game.space, k=k, rule=rule, stationary=True, name=protocol)
+
+
+def stay_or_roll_support(u: NodeUtility, state) -> frozenset[int]:
+    """Positive-probability moves of the stay-or-roll rule: keep the current
+    action when best-responding, otherwise any action (uniform roll)."""
+    state = u.space.validate_state(state)
+    i = u.node - 1
+    if state[i] in u.best_responses(state):
+        return frozenset({state[i]})
+    return frozenset(range(u.space.sizes[i]))
+
+
+@dataclass(frozen=True)
+class SupportSystem:
+    """Support abstraction of a randomized synchronous system: per node and
+    state, the set of actions played with positive probability."""
+
+    space: ActionSpace
+    supports: tuple[tuple[frozenset[int], ...], ...]  # [node-1][encoded state]
+
+    def support(self, node: int, state) -> frozenset[int]:
+        return self.supports[node - 1][self.space.encode(self.space.validate_state(state))]
+
+    def successors(self, state) -> list:
+        """All states reachable in one synchronous step with positive probability."""
+        state = self.space.validate_state(state)
+        sets = [sorted(self.support(i, state)) for i in range(1, self.space.n + 1)]
+        return [tuple(choice) for choice in itertools.product(*sets)]
+
+
+def support_system(game, budget: int | None = None) -> SupportSystem:
+    """The stay-or-roll supports of every node at every state."""
+    game.space.check_budget(budget)
+    utilities = [node_utility(game, i) for i in range(1, game.n + 1)]
+    supports = tuple(
+        tuple(stay_or_roll_support(u, s) for s in game.space.states()) for u in utilities
+    )
+    return SupportSystem(space=game.space, supports=supports)
+
+
+def reference_simulate_stay_or_roll(game, initial, seed: int, max_steps: int = 10_000) -> bool:
+    """Seeded stay-or-roll run through the per-node best responses, drawing
+    exactly as ``uncoupled.simulate_stay_or_roll`` does."""
+    space = game.space
+    state = space.validate_state(initial)
+    utilities = [node_utility(game, i) for i in range(1, game.n + 1)]
+    pne = naive_pne(game)
+    rng = random.Random(seed)
+    for _ in range(max_steps):
+        if state in pne:
+            return True
+        state = tuple(
+            state[i] if state[i] in u.best_responses(state) else rng.randrange(space.sizes[i])
+            for i, u in enumerate(utilities)
+        )
+    return state in pne
+
+
 def naive_check_self_stabilization(protocol, game):
     """The deterministic check through the per-node reference steps: tabulate
     the protocol's rule on every window, classify the windows with
     ``naive_failing_windows`` and report the least failing one."""
-    from asyncdyn.uncoupled import Fails, NoPNE, SelfStabilizing, protocol_system
+    from asyncdyn.uncoupled import Fails, NoPNE, SelfStabilizing
 
-    lifted = lift_k_recall(protocol_system(protocol, game))
+    lifted = lift_k_recall(reference_protocol_system(protocol, game))
     pne = naive_pne(game)
     if not pne:
         return NoPNE()
@@ -330,7 +471,7 @@ def naive_stay_or_roll(game):
     """Stay-or-roll verdict by growing the set of states that reach a PNE in
     the support graph until nothing changes; the witness is the least state
     left out, in encoded order."""
-    from asyncdyn.uncoupled import Fails, NoPNE, SelfStabilizing, support_system
+    from asyncdyn.uncoupled import Fails, NoPNE, SelfStabilizing
 
     pne = naive_pne(game)
     if not pne:

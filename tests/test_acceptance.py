@@ -47,7 +47,6 @@ from asyncdyn.uncoupled import (
     check_self_stabilization_randomized,
     fixture_game_2x2x2,
     simulate_stay_or_roll,
-    support_system,
     to_one_based,
 )
 
@@ -58,6 +57,7 @@ from _helpers import (
     oracle_shc,
     random_game,
     random_self_independent_system,
+    support_system,
 )
 
 WITNESS_REGISTRY = []  # (label, replay thunk returning True on success)

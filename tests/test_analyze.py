@@ -138,6 +138,43 @@ class TestTransitionGraph:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
 
+    @staticmethod
+    def swap_first_two(sizes):
+        """Nodes 1 and 2 swap their binary actions, as in fig1, and the nodes
+        of the given sizes keep theirs: a state moves only where nodes 1 and 2
+        disagree."""
+
+        def rule(d):
+            out = d.copy()
+            out[:, [0, 1]] = d[:, [1, 0]]
+            return out
+
+        return HistorylessSystem.from_array_rule(ActionSpace((2, 2) + sizes), rule)
+
+    def test_many_nodes_are_decided_within_the_edge_budget(self):
+        """17 binary nodes: 2^17 states, 5 * 2^16 distinct transitions, within
+        the default budget; the node count alone refuses nothing."""
+        system = self.swap_first_two((2,) * 15)
+        assert successor_matrix(system).size == 5 * 2 ** 16
+        verdict = decide_convergence(system)
+        assert isinstance(replay_witness(system, verdict.witness), Cycling)
+        assert len(stable_states(system)) == 2 ** 16
+
+    def test_labels_hold_31_nodes_and_refuse_32_before_any_edge_array(self):
+        """Bit i-1 of an int32 label is node i, so a 32nd node does not fit;
+        it is refused before any edge array exists."""
+        verdict = decide_convergence(self.swap_first_two((1,) * 29))
+        assert verdict.witness.cycle == (frozenset(range(1, 32)),)
+        system = self.swap_first_two((1,) * 30)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="32 nodes do not fit"):
+                decide_convergence(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+
     @pytest.mark.parametrize(
         "bad_rule",
         [lambda s: (0.7, s[1]), lambda s: (0,), lambda s: (2, 0)],

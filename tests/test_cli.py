@@ -5,6 +5,7 @@ import io
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -255,6 +256,25 @@ class TestSimulateCommand:
         assert code == 2
 
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            {"kind": "periodic", "cycle": [[3]]},
+            {"kind": "periodic", "cycle": [[1, 2]], "prefix": [[5]]},
+            {"kind": "explicit", "sets": [[1], [1, 4]]},
+        ],
+        ids=["cycle", "prefix", "explicit"],
+    )
+    def test_nodes_outside_the_system_exit_2(self, tmp_path, schedule):
+        """fig1 has nodes 1 and 2; a schedule naming a node beyond them is
+        an input error, as it is for a single step (the schema refuses nodes
+        below 1)."""
+        scenario = dict(FIG1_ANALYZE, simulation={"initial": [0, 1], "schedule": schedule})
+        code, doc = invoke_json(["simulate", "--scenario", write_scenario(tmp_path, scenario)])
+        assert code == 2
+        assert doc["error_kind"] == "InvalidInput"
+        assert "out of range 1..2" in doc["error"]
+
 class TestGameCommands:
     def test_pne_on_fixture_game(self, tmp_path):
         scenario = {
@@ -336,6 +356,33 @@ class TestExportDot:
         assert lines.count('"a";') == 1
         assert '"a" -> "a" [label="{}"];' in lines
         assert '"a" -> "a" [label="{1}"];' in lines
+
+    def test_lines_are_counted_against_the_budget_before_they_are_built(self, tmp_path):
+        """export-dot writes one line per state and activation subset: 11
+        users on a path have 2^11 states, so their 2^22 lines exceed the
+        default budget and are refused before the graph is built.  fig1 has
+        4 states of 2 nodes: 16 lines."""
+        path = write_scenario(
+            tmp_path,
+            {"version": 1, "system": {"kind": "majority", "users": 11, "edges": [[i, i + 1] for i in range(1, 11)]}},
+        )
+        tracemalloc.start()
+        try:
+            code, doc = invoke_json(["export-dot", "--scenario", path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert doc["error_kind"] == "budget-exceeded"
+        assert doc["error"] == f"{2 ** 22} DOT edges exceed the enumeration budget {2 ** 20}"
+        assert peak < 2 ** 20
+        fig1 = write_scenario(tmp_path, FIG1_ANALYZE, "fig1.json")
+        code, text = invoke(["export-dot", "--scenario", fig1, "--budget", "16"])
+        assert code == 0
+        assert text.count(" -> ") == 16
+        code, doc = invoke_json(["export-dot", "--scenario", fig1, "--budget", "15"])
+        assert code == 3
+        assert doc["error"] == "16 DOT edges exceed the enumeration budget 15"
 
     def test_byte_identical_across_runs(self, tmp_path):
         path = write_scenario(tmp_path, FIG1_ANALYZE)

@@ -14,6 +14,7 @@ from asyncdyn.core import (
     RoundRobin,
     SeededRandom,
     Synchronous,
+    step,
 )
 from asyncdyn.errors import InsufficientHistory, InvalidInput, InvalidWitness
 from asyncdyn.games import Game
@@ -121,6 +122,37 @@ class TestRun:
         _, verdict = run(fig1, (0, 1), Periodic(cycle=(frozenset(),)))
         assert verdict == Cycling(period=1, segment=((0, 1), (0, 1)))
 
+
+    @pytest.mark.parametrize(
+        "schedule, bad",
+        [
+            (Periodic(cycle=({3},)), {3}),
+            (Periodic(cycle=({1, 2},), prefix=({0},)), {0}),
+            (ExplicitList([{0}, {-1}]), {0}),
+            (ExplicitList([{1}, {1, 2, 5}]), {1, 2, 5}),
+        ],
+    )
+    def test_sets_outside_the_system_are_refused(self, fig1, schedule, bad):
+        """A finite schedule naming a node outside 1..n is refused before the
+        run, as ``step`` refuses that set, not run as if the node were absent."""
+        with pytest.raises(InvalidInput, match="out of range 1..2"):
+            step(fig1, (0, 1), bad)
+        with pytest.raises(InvalidInput, match="out of range 1..2"):
+            run(fig1, (0, 1), schedule)
+
+    def test_sets_outside_a_k_recall_system_are_refused(self):
+        """Also for a non-stationary system, whose run has no phase check."""
+        system = KRecallSystem(space=ActionSpace((2,)), k=1, rule=lambda w, t: (t % 2,), stationary=False)
+        with pytest.raises(InvalidInput, match="out of range 1..1"):
+            run(system, ((0,),), Periodic(cycle=({1}, {2})), max_steps=5)
+
+    @pytest.mark.parametrize("nodes", [{1.5, True}, {"2"}, {1, 2.0}])
+    def test_nodes_must_be_integers(self, nodes):
+        """Node indices are not truncated or parsed: 1.5 is not node 1."""
+        with pytest.raises(InvalidInput, match="is not an integer"):
+            Periodic(cycle=(nodes,))
+        with pytest.raises(InvalidInput, match="is not an integer"):
+            ExplicitList([nodes])
 
 class TestKRecallRun:
     @pytest.fixture

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asyncdyn.core import ActionSpace, Synchronous, lift_k_recall
-from asyncdyn.errors import BudgetExceeded, Unsupported
+from asyncdyn.errors import BudgetExceeded, InvalidInput, Unsupported
 from asyncdyn.games import Game, best_response_table, enumerate_pne
 from asyncdyn import uncoupled
 from asyncdyn.simulate import run, Converged
@@ -21,23 +21,25 @@ from asyncdyn.uncoupled import (
     check_self_stabilization,
     check_self_stabilization_many,
     check_self_stabilization_randomized,
-    cyclic_successor,
     fixture_game_2x2x2,
-    node_utility,
     protocol_system,
     simulate_stay_or_roll,
-    stay_or_roll_support,
-    support_system,
-    three_recall_step,
     to_one_based,
-    two_recall_step,
 )
 
 from _helpers import (
+    cyclic_successor,
     naive_check_self_stabilization,
     naive_failing_windows,
     naive_stay_or_roll,
+    node_utility,
     random_game,
+    reference_protocol_system,
+    reference_simulate_stay_or_roll,
+    stay_or_roll_support,
+    support_system,
+    three_recall_step,
+    two_recall_step,
 )
 
 
@@ -351,7 +353,7 @@ class TestArrayProtocols:
         is_br, least = best_response_table(space, [g.utilities for g in batch])
         nxt = uncoupled._window_successors(protocol, space, is_br, least)
         for game, row in zip(batch, nxt):
-            lifted = lift_k_recall(protocol_system(protocol, game))
+            lifted = lift_k_recall(reference_protocol_system(protocol, game))
             windows = itertools.product(space.states(), repeat=lifted.k)
             assert row.tolist() == [lifted.encode(w[1:] + (lifted.base.rule(w),)) for w in windows]
 
@@ -428,6 +430,51 @@ class TestArrayProtocols:
     def test_two_recall_equals_the_reference_check(self, seed):
         game = random_game(random.Random(seed), (4, 4), hi=2)
         assert check_self_stabilization("two-recall", game) == naive_check_self_stabilization("two-recall", game)
+
+
+class TestProtocolSystem:
+    @given(
+        st.integers(min_value=0, max_value=10 ** 6),
+        st.sampled_from([("three-recall", (2, 2)), ("three-recall", (2, 3)),
+                         ("three-recall", (2, 2, 2)), ("two-recall", (4, 4))]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_rule_equals_the_reference_rule(self, seed, case):
+        """The per-window view of the array form answers every window as the
+        per-node reference steps do."""
+        protocol, sizes = case
+        rng = random.Random(seed)
+        game = random_game(rng, sizes, hi=rng.choice([1, 2, 9]))
+        system = protocol_system(protocol, game)
+        reference = reference_protocol_system(protocol, game)
+        assert (system.k, system.stationary, system.name) == (reference.k, True, protocol)
+        for window in itertools.product(game.space.states(), repeat=system.k):
+            assert system.rule(window) == reference.rule(window)
+
+    def test_rule_refuses_out_of_range_states(self, coordination):
+        rule = protocol_system("three-recall", coordination).rule
+        for window in [((0, 0), (0, 0), (0, 2)), ((0, 0), (-1, 0), (0, 0)), ((0, 0), (0, 0), (0, 0, 0))]:
+            with pytest.raises(InvalidInput):
+                rule(window)
+        with pytest.raises(InvalidInput):
+            rule(((0, 0), (0, 0)))
+
+    def test_simulate_stay_or_roll_equals_the_reference_run(self):
+        """300 seeded runs, from random states of random games (m1m2 among
+        them), give the answers of the per-node reference run."""
+        rng = random.Random(2024)
+        answers = []
+        for run_index in range(300):
+            if run_index % 10 == 0:
+                game = fixture_game_2x2x2()
+            else:
+                game = random_game(rng, rng.choice([(2, 2), (2, 3), (2, 2, 2), (3, 3)]), hi=rng.choice([1, 2, 4]))
+            state = tuple(rng.randrange(k) for k in game.space.sizes)
+            seed, steps = rng.randrange(10 ** 6), rng.choice([1, 5, 50])
+            got = simulate_stay_or_roll(game, state, seed=seed, max_steps=steps)
+            assert got == reference_simulate_stay_or_roll(game, state, seed=seed, max_steps=steps)
+            answers.append(got)
+        assert 0 < sum(answers) < len(answers)
 
 
 class TestRandomizedChecker:
