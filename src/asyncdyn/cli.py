@@ -422,8 +422,7 @@ def _provenance(scenario_bytes: bytes, seed) -> dict:
 
 
 def _emit(out, document: dict) -> None:
-    json.dump(document, out, indent=2, sort_keys=True)
-    out.write("\n")
+    out.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_analyze(doc: ScenarioDocument, args, result: dict) -> int:

@@ -132,6 +132,30 @@ def oracle_committed(system, state):
     return next(iter(stables))
 
 
+def naive_successor_csr(space: ActionSpace, rows, block: int) -> tuple[list, list, list]:
+    """(indptr, dst, label) lists of the successor CSR over reaction rows
+    stacked in blocks of ``block`` rows, one system each, built row by row:
+    row a has one edge per subset T of D(a), in ascending order of T, to the
+    window that drops its oldest state and appends its newest one with T's
+    coordinates replaced by the reaction, labelled T plus the nodes outside
+    D(a)."""
+    n, nb = space.n, space.num_states
+    indptr, dst, label = [0], [], []
+    for a, row in enumerate(rows.tolist()):
+        window = a % block
+        older = a - window + window % (block // nb) * nb
+        newest = space.decode(a % nb)
+        changing = [i for i in range(n) if row[i] != newest[i]]
+        outside = sum(1 << i for i in range(n) if i not in changing)
+        for j in range(1 << len(changing)):
+            active = [i for t, i in enumerate(changing) if j >> t & 1]
+            state = [row[i] if i in active else newest[i] for i in range(n)]
+            dst.append(older + space.encode(state))
+            label.append(outside | sum(1 << i for i in active))
+        indptr.append(len(dst))
+    return indptr, dst, label
+
+
 def oracle_oscillating_components(succ, components, cover, changing) -> list:
     """Per component, with plain dicts over the edge list: does it have an
     internal edge marked in ``changing`` (a sequence of bools, one per edge),

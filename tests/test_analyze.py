@@ -11,11 +11,13 @@ import itertools
 import operator
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from asyncdyn import analyze
 from asyncdyn.analyze import (
     Convergent,
     NonConvergent,
@@ -45,6 +47,7 @@ from asyncdyn.simulate import Cycling, replay_witness
 from _helpers import (
     all_subsets,
     naive_dynamics,
+    naive_successor_csr,
     naive_r_convergent,
     naive_spectrum,
     naive_stables,
@@ -750,12 +753,7 @@ class TestOscillationScan:
         witness walk hold a bool mask and one or two int32 arrays per edge at
         a time: at most 12 bytes per edge.  An intp index array of the
         internal edges (56% of them) kept during the scan exceeds that."""
-        rng, users = random.Random(1), 12
-        while True:
-            edges = [(u, v) for u in range(1, users + 1) for v in range(u + 1, users + 1) if rng.random() < 0.6]
-            if {x for e in edges for x in e} == set(range(1, users + 1)):
-                break
-        graph = transition_graph(build_majority(SocialGraph(users, tuple(edges))))
+        graph = transition_graph(large_majority())
         assert graph.succ.size == 877_055
         graph.components
         tracemalloc.start()
@@ -766,3 +764,108 @@ class TestOscillationScan:
             tracemalloc.stop()
         assert isinstance(verdict, NonConvergent)
         assert peak <= 12 * graph.succ.size
+
+
+@functools.cache
+def large_majority():
+    """The majority system of a G(12, 0.6) graph (perfbench's generator,
+    seed 1): 4096 states and 877,055 distinct transitions."""
+    rng, users = random.Random(1), 12
+    while True:
+        edges = [(u, v) for u in range(1, users + 1) for v in range(u + 1, users + 1) if rng.random() < 0.6]
+        if {x for e in edges for x in e} == set(range(1, users + 1)):
+            return build_majority(SocialGraph(users, tuple(edges)))
+
+
+# ---------------------------------------------------------------------------
+# The successor build: one prefix sum over packed edge words, in chunks
+# ---------------------------------------------------------------------------
+
+
+def build_inputs(kind, seed):
+    """(space, rows, block) of a random system or family, as
+    ``_successor_blocks`` takes them."""
+    if kind.endswith("family"):
+        space, rows = random_family(seed, kind.startswith("self-independent"))
+        return space, rows.reshape(-1, space.n), space.num_states
+    system = random_system(kind, random.Random(seed))
+    rows = system.reaction_rows()
+    return (system.space if isinstance(system, HistorylessSystem) else system.base.space), rows, rows.shape[0]
+
+
+def assert_built_like_the_naive_csr(space, rows, block):
+    """The int32 CSR equals the naive one with the default chunks and with
+    chunks of 1, 2, 7 and 64 edges (7 rounds down to 4): every row wider
+    than a chunk is cut into pieces."""
+    expected = naive_successor_csr(space, rows, block)
+    for edges in (analyze._CHUNK_EDGES, 1, 2, 7, 64):
+        with mock.patch.object(analyze, "_CHUNK_EDGES", edges):
+            succ = _successor_blocks(space, rows, block, None)
+        assert all(a.dtype == np.int32 for a in (succ.indptr, succ.dst, succ.label))
+        assert [succ.indptr.tolist(), succ.dst.tolist(), succ.label.tolist()] == list(expected)
+
+
+class TestSuccessorBuild:
+    @given(st.sampled_from(SCAN_KINDS), st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_random_systems_and_family_blocks(self, kind, seed):
+        """Random table, self-independent and lifted systems, and the block
+        CSR of random families (``decide_convergence_many``'s)."""
+        assert_built_like_the_naive_csr(*build_inputs(kind, seed))
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            TestTransitionGraph.swap_first_two((1,) * 29),  # a 31-node label
+            HistorylessSystem.from_array_rule(ActionSpace((2,) * 8), lambda d: 1 - d),  # 256 edges a row
+            HistorylessSystem.from_array_rule(ActionSpace((3, 4, 2)), lambda d: d[:, ::-1] % [3, 4, 2]),
+            HistorylessSystem.from_array_rule(ActionSpace((5, 5)), lambda d: d // 2),  # every step down
+            lift_k_recall(KRecallSystem(ActionSpace((2, 3)), 2, lambda w: (1 - w[0][0], (w[1][1] + 1) % 3))),
+        ],
+        ids=["31-nodes", "flip-8", "mixed-radix", "halving", "lifted"],
+    )
+    def test_wide_rows_and_negative_steps(self, system):
+        rows = system.reaction_rows()
+        space = system.space if isinstance(system, HistorylessSystem) else system.base.space
+        assert_built_like_the_naive_csr(space, rows, rows.shape[0])
+
+    def test_empty_family_and_all_fixed_systems(self):
+        space = ActionSpace((2, 3, 2))
+        empty = _successor_blocks(space, np.zeros((0, space.n), dtype=np.int64), space.num_states, None)
+        assert (empty.indptr.tolist(), empty.size) == ([0], 0)
+        assert decide_convergence_many(space, np.zeros((0, 12, 3), dtype=np.int64)).tolist() == []
+        fixed = HistorylessSystem.from_array_rule(space, lambda d: d)
+        succ = successor_matrix(fixed)
+        assert succ.indptr.tolist() == list(range(13))
+        assert succ.dst.tolist() == list(range(12)) and succ.label.tolist() == [7] * 12
+        assert isinstance(decide_convergence(fixed), Convergent)
+        assert stable_states(fixed) == frozenset(space.states())
+        assert decide_convergence_many(space, np.stack([space.digits()] * 3)).tolist() == [True] * 3
+
+    def test_peak_bytes_per_edge_of_the_build(self):
+        """``dst`` and ``label`` take 8 bytes per edge; the chunks keep every
+        temporary of the build within 2 more.  In one chunk of 2^20 edges
+        the same build peaks at about 29.6 bytes per edge."""
+        system = large_majority()
+        system.reaction_rows()
+        tracemalloc.start()
+        try:
+            succ = successor_matrix(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert succ.size == 877_055
+        assert peak <= 10 * succ.size
+
+    def test_the_searches_copy_no_edge_array(self):
+        """The scipy matrix wraps ``dst`` and ``indptr`` and weighs every edge
+        with one stride-0 float, so the SCC pass allocates well under a byte
+        per edge; a float64 weight array would take 8."""
+        graph = transition_graph(large_majority())
+        tracemalloc.start()
+        try:
+            graph.components
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= graph.succ.size

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,6 +43,12 @@ def fig1():
     return fixture("fig1")
 
 
+def assert_digits_decode(space):
+    digits = space.digits()
+    assert digits.shape == (space.num_states, space.n) and digits.dtype == np.int64
+    assert [tuple(row) for row in digits.tolist()] == [space.decode(i) for i in range(space.num_states)]
+
+
 class TestActionSpace:
     def test_counts(self):
         space = ActionSpace((2, 3, 4))
@@ -66,6 +73,16 @@ class TestActionSpace:
         for idx, state in enumerate(states):
             assert space.encode(state) == idx
             assert space.decode(idx) == state
+
+    @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=6))
+    def test_digits_rows_decode_their_index(self, sizes):
+        assert_digits_decode(ActionSpace(tuple(sizes)))
+
+    @pytest.mark.parametrize("sizes", [(1,) * 70, (2,) + (1,) * 69 + (3,), (1, 3, 1, 2, 1)])
+    def test_digits_of_spaces_with_many_single_action_nodes(self, sizes):
+        """70 nodes are more than numpy's 64 array dimensions, so no index
+        grid of the whole space exists; the digits must not need one."""
+        assert_digits_decode(ActionSpace(sizes))
 
     def test_invalid(self):
         with pytest.raises(InvalidInput):
