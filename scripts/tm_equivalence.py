@@ -15,11 +15,15 @@ prints a few of those machines.
 The verdicts are decided in batches of CHUNK machines: one tabulation of
 the batch's reactions and one graph with a block per machine.
 
-Usage: python scripts/tm_equivalence.py [--max-states 1|2] [--examples K]
+With --progress, the rate (machines per second) and the estimated time
+left are printed to stderr after every batch; stdout is unchanged.
+
+Usage: python scripts/tm_equivalence.py [--max-states 1|2] [--examples K] [--progress]
 """
 
 import argparse
 import itertools
+import sys
 import time
 
 from asyncdyn.analyze import decide_convergence_many
@@ -63,6 +67,11 @@ def outcomes(tm):
     return kinds
 
 
+def family_size(n_q):
+    """The number of machines ``machines(n_q)`` yields."""
+    return (6 * (n_q + 1)) ** (2 * n_q)
+
+
 def machines(n_q):
     states = tuple(f"q{i}" for i in range(n_q)) + ("h",)
     targets = [(q2, s2, m) for q2 in states for s2 in range(2) for m in (-1, 0, 1)]
@@ -78,10 +87,12 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-states", type=int, default=2, choices=(1, 2))
     parser.add_argument("--examples", type=int, default=3)
+    parser.add_argument("--progress", action="store_true", help="print the rate and the time left to stderr")
     args = parser.parse_args()
 
     total = strict_mm = freeze_mm = 0
     shown = 0
+    expected = sum(map(family_size, range(1, args.max_states + 1)))
     t0 = time.time()
     for n_q in range(1, args.max_states + 1):
         family = machines(n_q)
@@ -97,6 +108,12 @@ def main():
                 if convergent != strict and shown < args.examples:
                     shown += 1
                     print(f"strict mismatch example {shown}: delta = {tm.delta}")
+            if args.progress:
+                rate = total / max(time.time() - t0, 1e-9)
+                print(
+                    f"{total}/{expected} machines, {rate:.0f} machines/s, ETA {(expected - total) / rate:.0f}s",
+                    file=sys.stderr, flush=True,
+                )
     print(
         f"{total} machines: verdict vs strict halting -> {strict_mm} mismatches; "
         f"vs halts-or-freezes -> {freeze_mm} mismatches ({time.time()-t0:.0f}s)"

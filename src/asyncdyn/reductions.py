@@ -6,13 +6,14 @@ set-disjointness system, plus the named example fixtures.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ActionSpace, HistorylessSystem, _as_int, _check_count
+from .core import DEFAULT_STATE_BUDGET, ActionSpace, HistorylessSystem, _as_int, _check_count
 from .errors import BudgetExceeded, InvalidInput
 from .uncoupled import fixture_game_2x2x2
 
@@ -334,11 +335,26 @@ def build_tm(tm: TMDescription) -> HistorylessSystem:
     the head's pending symbol when addressed; the head waits until the
     addressed cell shows the pending symbol, then moves (clamped to the tape)
     and applies the transition table at the new position.  The head is the
-    identity on halting machine states, so halting configurations are stable."""
-    space, halting, delta = _tm_family([tm])
+    identity on halting machine states, so halting configurations are stable.
+
+    The reaction is a frame of the machine's shape plus the machine's code
+    vector (see ``_tm_frame``): a row's head action is its frame value plus
+    ``code[entry]``.  Machines of one shape share one ``ActionSpace``, and the
+    last frame built for a space within ``DEFAULT_STATE_BUDGET`` states is
+    kept, keyed by shape: cells, symbols, machine states and the indices of the
+    halting states.  The frame holds 8 * (cells + 2) bytes a state, so at that
+    bound one kept frame holds at most (cells + 2) * 8 MiB; the sweep's
+    144-state shape takes 4.6 KB.  It is built on the first tabulation, so
+    building a system allocates nothing state-sized, and beyond the bound the
+    frame of the rows asked for is built afresh at every call."""
+    shape, code = _tm_shape(tm), _tm_code(tm)
+    space = _tm_space(*shape[:3])
+    cells = tm.tape_cells
 
     def array_rule(d: np.ndarray) -> np.ndarray:
-        return _tm_rows(tm.tape_cells, tm.n_symbols, halting, delta, d)[0]
+        rows, entry = _tm_frame_at(shape, space, d)
+        rows[:, cells] += code[entry]
+        return rows
 
     return HistorylessSystem.from_array_rule(space, array_rule, name="tm")
 
@@ -347,58 +363,93 @@ def tm_family_rows(tms: Sequence[TMDescription], budget: int | None = None) -> t
     """The action space and the (B, N, n) reaction rows of ``build_tm`` for
     each of B machines that share their machine states, halting states,
     alphabet and tape: the input of ``analyze.decide_convergence_many``.
-    The B * N rows are counted against the budget before they are built."""
-    space, halting, delta = _tm_family(tms)
-    _check_count(len(tms) * space.num_states, "machine-system states", budget)
-    tm = tms[0]
-    return space, _tm_rows(tm.tape_cells, tm.n_symbols, halting, delta, space.digits())
-
-
-def _tm_family(tms: Sequence[TMDescription]) -> tuple[ActionSpace, np.ndarray, np.ndarray]:
-    """The shared space, the (Q,) halting mask and the (B, Q, symbols, 3)
-    transition array (next state index, written symbol, move + 1) of
-    machines that share states, halting set, alphabet and tape; a halting
-    state's entries are 0."""
+    The B * N rows are counted against the budget before they are built.
+    Every machine's rows are the one frame of the family's shape plus its own
+    code vector, and the frame is kept as ``build_tm`` keeps it."""
     if not tms:
         raise InvalidInput("a machine family needs at least one machine")
     tm = tms[0]
-    shape = (tm.states, tm.halting, tm.n_symbols, tm.tape_cells)
-    if any((t.states, t.halting, t.n_symbols, t.tape_cells) != shape for t in tms):
+    same = (tm.states, tm.halting, tm.n_symbols, tm.tape_cells)
+    if any((t.states, t.halting, t.n_symbols, t.tape_cells) != same for t in tms):
         raise InvalidInput("the machines of a family must share states, halting states, symbols and cells")
+    shape = _tm_shape(tm)
+    space = _tm_space(*shape[:3])
+    _check_count(len(tms) * space.num_states, "machine-system states", budget)
+    frame, entry = _tm_frame_at(shape, space, space.digits())
+    rows = np.repeat(frame[None], len(tms), axis=0)
+    rows[:, :, tm.tape_cells] += np.array([_tm_code(t) for t in tms])[:, entry]
+    return space, rows
+
+
+def _tm_shape(tm: TMDescription) -> tuple[int, int, int, tuple[int, ...]]:
+    """What the frame of a machine depends on: cells, symbols, the number of
+    machine states and the indices of the halting ones (not their names)."""
+    halting = tuple(i for i, q in enumerate(tm.states) if q in tm.halting)
+    return tm.tape_cells, tm.n_symbols, len(tm.states), halting
+
+
+@functools.cache
+def _tm_space(cells: int, symbols: int, n_states: int) -> ActionSpace:
+    """The one action space of a machine shape: a node per cell, then the head."""
+    return ActionSpace((symbols,) * cells + (n_states * symbols * cells * 3,))
+
+
+def _tm_code(tm: TMDescription) -> np.ndarray:
+    """The machine's code vector: entry ``q * symbols + s`` is the head action
+    that delta(q, s) leads to, less its new position (which the frame holds);
+    the last entry, read by every waiting head, is 0."""
     index = {q: i for i, q in enumerate(tm.states)}
-    keys = list(tm.delta)  # the same keys for every machine: all non-halting (state, symbol)
-    delta = np.zeros((len(tms), len(tm.states), tm.n_symbols, 3), dtype=np.int64)
-    entries = np.array(
-        [[(index[q2], sym2, move + 1) for q2, sym2, move in map(t.delta.__getitem__, keys)] for t in tms],
-        dtype=np.int64,
-    ).reshape(len(tms), len(keys), 3)
-    at = np.array([(index[q], sym) for q, sym in keys], dtype=np.int64).reshape(-1, 2)
-    delta[:, at[:, 0], at[:, 1]] = entries
-    halting = np.array([q in tm.halting for q in tm.states])
-    space = ActionSpace((tm.n_symbols,) * tm.tape_cells + (tm.head_actions,))
-    return space, halting, delta
+    symbols, step = tm.n_symbols, 3 * tm.tape_cells
+    code = [0] * (len(tm.states) * symbols + 1)
+    for (q, s), (q2, s2, move) in tm.delta.items():
+        code[index[q] * symbols + s] = (index[q2] * symbols + s2) * step + move + 1
+    return np.array(code, dtype=np.int64)
 
 
-def _tm_rows(cells: int, symbols: int, halting: np.ndarray, delta: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """(B, m, cells + 1) reactions of B machines at the m states of ``d``:
-    every cell but the addressed one keeps its symbol, which becomes the
-    pending symbol; the head waits on a halting state or until the addressed
-    cell shows the pending symbol, then moves (clamped to the tape) and
-    applies the machine's transition at the new position."""
+def _tm_frame(cells: int, symbols: int, n_states: int, halting: tuple[int, ...], d: np.ndarray):
+    """The frame of a machine shape at the states of ``d``: the reaction rows
+    with a moving head's new action reduced to its new position (times 3),
+    and each state's entry in the code vector, the last entry (0) where the
+    head waits.  Every cell but the addressed one keeps its symbol, which
+    becomes the pending symbol; the head waits on a halting state or until
+    the addressed cell shows the pending symbol, else it moves (clamped to the
+    tape) and reads the cell at its new position."""
     tape, head = d[:, :cells], d[:, cells]
     move = head % 3 - 1
     pos = head // 3 % cells
     sym = head // (3 * cells) % symbols
     q = head // (3 * cells * symbols)
     at = np.arange(d.shape[0])
-    waits = halting[q] | (tape[at, pos] != sym)
+    halts = np.zeros(n_states, dtype=bool)
+    halts[list(halting)] = True
+    waits = halts[q] | (tape[at, pos] != sym)
     new_pos = np.where((pos + move < 0) | (pos + move >= cells), pos, pos + move)
-    q2, sym2, move2 = np.moveaxis(delta[:, q, tape[at, new_pos]], -1, 0)
-    out = np.empty((delta.shape[0],) + d.shape, dtype=np.int64)
-    out[:, :, :cells] = tape
-    out[:, at, pos] = sym
-    out[:, :, cells] = np.where(waits, head, ((q2 * symbols + sym2) * cells + new_pos) * 3 + move2)
-    return out
+    rows = np.array(d, dtype=np.int64)
+    rows[at, pos] = sym
+    rows[:, cells] = np.where(waits, head, new_pos * 3)
+    entry = np.where(waits, n_states * symbols, q * symbols + tape[at, new_pos])
+    return rows, entry
+
+
+@functools.lru_cache(maxsize=1)
+def _tm_shape_frame(shape: tuple[int, int, int, tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only frame of a shape at every state of its space, the last
+    one asked for kept."""
+    frame = _tm_frame(*shape, _tm_space(*shape[:3]).digits())
+    for a in frame:
+        a.flags.writeable = False
+    return frame
+
+
+def _tm_frame_at(shape, space: ActionSpace, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A fresh copy of the frame rows, and the code entries, at the states of
+    ``d``: gathered from the kept frame within ``DEFAULT_STATE_BUDGET``
+    states, else built for ``d`` alone."""
+    if space.num_states > DEFAULT_STATE_BUDGET:
+        return _tm_frame(*shape, d)
+    frame, entry = _tm_shape_frame(shape)
+    at = d @ space.weights
+    return np.take(frame, at, axis=0), entry[at]
 
 
 # ---------------------------------------------------------------------------

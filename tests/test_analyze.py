@@ -10,6 +10,7 @@ import functools
 import itertools
 import operator
 import random
+import time
 import tracemalloc
 from unittest import mock
 
@@ -177,6 +178,26 @@ class TestTransitionGraph:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 16
+
+    def test_edge_triples_are_counted_against_the_graph_budget_first(self, fig1):
+        """``edges`` lists a triple per state and activation subset: a
+        31-node graph of 4 states would list 2^33, refused before any subset
+        is built.  The count is checked against the budget the graph was
+        compiled under."""
+        t0 = time.perf_counter()
+        tracemalloc.start()
+        try:
+            graph = transition_graph(self.swap_first_two((1,) * 29))
+            with pytest.raises(BudgetExceeded, match=f"^{4 << 31} \\(state, activation set\\) edges exceed"):
+                graph.edges
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - t0 < 1
+        assert peak < 2 ** 20
+        assert len(transition_graph(fig1, budget=16).edges) == 16
+        with pytest.raises(BudgetExceeded, match="^16 .* budget 15$"):
+            transition_graph(fig1, budget=15).edges
 
     @pytest.mark.parametrize(
         "bad_rule",

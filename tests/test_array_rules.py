@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from asyncdyn.core import DEFAULT_STATE_BUDGET, ActionSpace, HistorylessSystem
 from asyncdyn.errors import BudgetExceeded, InvalidInput
+from asyncdyn import reductions
 from asyncdyn.games import br_system
 from asyncdyn.reductions import (
     BgpInstance,
@@ -175,6 +176,103 @@ def test_tm_family_rows_refuse_mixed_empty_and_oversized_families():
     space, _ = tm_family_rows([one])
     with pytest.raises(BudgetExceeded):
         tm_family_rows([one, one], budget=2 * space.num_states - 1)
+
+
+def shaped_tm(rng, cells, symbols, count, halting, names="s"):
+    """A random machine of the given shape; ``halting`` holds state indices."""
+    states = tuple(f"{names}{i}" for i in range(count))
+    return TMDescription(
+        states=states, halting=frozenset(states[i] for i in halting), n_symbols=symbols, tape_cells=cells,
+        delta={(q, s): (rng.choice(states), rng.randrange(symbols), rng.choice((-1, 0, 1)))
+               for i, q in enumerate(states) if i not in halting for s in range(symbols)},
+    )
+
+
+def random_shape(rng):
+    """1-3 cells, 1-3 symbols, 2-4 machine states and any halting set."""
+    count = rng.randrange(2, 5)
+    halting = tuple(sorted(rng.sample(range(count), rng.randrange(count + 1))))
+    return rng.randrange(1, 4), rng.randrange(1, 4), count, halting
+
+
+@given(SEEDS)
+@settings(max_examples=30, deadline=None)
+def test_tm_frames_of_interleaved_shapes_match_the_oracle(seed):
+    """Machines of three random shapes, tabulated in random order: the one
+    kept frame is evicted and rebuilt at every change of shape, and every
+    machine's rows are still its per-state rule's, also where the array rule
+    is given a few states in any order rather than the whole space."""
+    rng = random.Random(seed)
+    shapes = [random_shape(rng) for _ in range(3)]
+    order = [rng.choice(shapes) for _ in range(8)]
+    reductions._tm_shape_frame.cache_clear()
+    for shape in order:
+        tm = shaped_tm(rng, *shape)
+        assert reductions._tm_shape(tm) == shape
+        system = build_tm(tm)
+        assert_rows_match(system, tm_rule(tm))
+        some = [system.space.decode(rng.randrange(system.num_states)) for _ in range(5)]
+        assert system.array_rule(np.array(some)).tolist() == [list(tm_rule(tm)(s)) for s in some]
+    changes = 1 + sum(a != b for a, b in zip(order, order[1:]))
+    assert reductions._tm_shape_frame.cache_info()[1:] == (changes, 1, 1)  # misses, maxsize, currsize
+
+
+@given(SEEDS)
+@settings(max_examples=20, deadline=None)
+def test_tm_frame_reads_no_state_names(seed):
+    """Two machines that differ only in the names of their states share one
+    frame and have the same rows."""
+    shape = random_shape(random.Random(seed))
+    one, other = (shaped_tm(random.Random(seed), *shape, names=names) for names in ("s", "renamed-"))
+    assert one.states != other.states
+    assert build_tm(one).reaction_rows().tolist() == build_tm(other).reaction_rows().tolist()
+    assert reductions._tm_shape_frame.cache_info().hits >= 1
+
+
+def test_tm_frame_is_read_only_and_no_machine_rows_alias_it():
+    rng = random.Random(7)
+    machines = [shaped_tm(rng, 2, 2, 3, (2,)) for _ in range(3)]
+    systems = [build_tm(tm) for tm in machines]
+    tabulated = [system.reaction_rows() for system in systems]
+    frame = reductions._tm_shape_frame(reductions._tm_shape(machines[0]))
+    _, family = tm_family_rows(machines)
+    for a in frame:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+        assert not any(np.shares_memory(a, rows) for rows in tabulated + [family])
+    assert family.flags.writeable and family.tolist() == [rows.tolist() for rows in tabulated]
+
+
+def test_tm_family_rows_of_two_alternating_shapes_stack_the_builder_rows():
+    rng = random.Random(3)
+    shapes = [(2, 2, 3, (2,)), (3, 1, 2, ())]
+    for shape in shapes * 3:
+        machines = [shaped_tm(rng, *shape) for _ in range(4)]
+        space, rows = tm_family_rows(machines)
+        assert rows.tolist() == [build_tm(tm).reaction_rows().tolist() for tm in machines]
+        assert all(build_tm(tm).space is space for tm in machines)
+
+
+def test_tm_reaction_beyond_the_default_budget_evaluates_one_row_and_keeps_no_frame():
+    """14 cells, 2 symbols and 3 machine states make 4,128,768 states, beyond
+    the default budget: building the system and one ``reaction`` allocate
+    nothing state-sized, and no frame is kept."""
+    rng = random.Random(14)
+    tm = shaped_tm(rng, 14, 2, 3, (2,))
+    states = [tuple(rng.randrange(2) for _ in range(14)) + (rng.randrange(252),) for _ in range(20)]
+    reductions._tm_shape_frame.cache_clear()
+    tracemalloc.start()
+    try:
+        system = build_tm(tm)
+        reactions = [system.reaction(s) for s in states]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert system.num_states == 4_128_768 > DEFAULT_STATE_BUDGET
+    assert reactions == [tm_rule(tm)(s) for s in states]
+    assert peak < 1 << 20
+    assert reductions._tm_shape_frame.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])

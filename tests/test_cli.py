@@ -384,6 +384,19 @@ class TestExportDot:
         assert code == 3
         assert doc["error"] == "16 DOT edges exceed the enumeration budget 15"
 
+    def test_an_explicit_budget_above_the_environment_budget_exports(self, tmp_path, monkeypatch):
+        """``--budget`` wins over ASYNCDYN_BUDGET for the lines as for the
+        graph: fig1's 16 lines pass at ``--budget 16`` under an environment
+        budget of 8, and only the environment budget refuses them."""
+        monkeypatch.setenv("ASYNCDYN_BUDGET", "8")
+        fig1 = write_scenario(tmp_path, FIG1_ANALYZE, "fig1.json")
+        code, text = invoke(["export-dot", "--scenario", fig1, "--budget", "16"])
+        assert code == 0
+        assert text.count(" -> ") == 16
+        code, doc = invoke_json(["export-dot", "--scenario", fig1])
+        assert code == 3
+        assert doc["error"] == "16 DOT edges exceed the enumeration budget 8"
+
     def test_byte_identical_across_runs(self, tmp_path):
         path = write_scenario(tmp_path, FIG1_ANALYZE)
         assert invoke(["export-dot", "--scenario", path]) == invoke(

@@ -65,6 +65,18 @@ def test_tm_equivalence_single_state_machines():
     assert re.search(r"144 machines: .* halts-or-freezes -> 0 mismatches", proc.stdout)
 
 
+def test_tm_equivalence_progress_goes_to_stderr_only():
+    """``--progress`` prints one rate-and-ETA line per batch to stderr and
+    leaves stdout as it was, apart from the run time it ends with."""
+    plain = run_script("tm_equivalence.py", "--max-states", "1")
+    shown = run_script("tm_equivalence.py", "--max-states", "1", "--progress")
+    assert shown.returncode == 0, shown.stderr
+    untimed = [re.sub(r"\(\d+s\)$", "", p.stdout.rstrip("\n")) for p in (plain, shown)]
+    assert untimed[0] == untimed[1] and "144 machines:" in untimed[0]
+    assert plain.stderr == ""
+    assert re.fullmatch(r"144/144 machines, \d+ machines/s, ETA 0s\n", shown.stderr)
+
+
 def test_stabilization_grid_default_run():
     proc = run_script("stabilization_grid.py")
     assert proc.returncode == 0, proc.stderr
