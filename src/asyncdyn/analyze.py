@@ -136,13 +136,10 @@ class TransitionGraph:
     edges of state a are in ascending order of T, the subset of D(a) they
     activate, so the first edge is the step of the empty activation set.  The
     SCC labels and the fixed-point mask are computed on first use and cached.
-    ``budget`` is the enumeration budget the graph was compiled under; it
-    also bounds the (state, activation set, state) triples of ``edges``.
     """
 
     system: HistorylessSystem | LiftedSystem
     succ: SuccessorGraph
-    budget: int | None = None
 
     @property
     def n(self) -> int:
@@ -180,28 +177,6 @@ class TransitionGraph:
         indptr = self.succ.indptr
         idx = np.arange(self.succ.rows, dtype=np.int64)
         return (np.diff(indptr) == 1) & (self.succ.dst[indptr[:-1]] == idx)
-
-    @property
-    def states(self) -> tuple:
-        return tuple(map(self.node, range(self.succ.rows)))
-
-    @property
-    def edges(self) -> tuple:
-        """One (state, activation set, state) edge per state and subset: the
-        subset s at state a takes the edge whose T is s & D(a).  The N * 2^n
-        triples are counted against the graph's budget before any is built."""
-        _check_count(self.succ.rows << self.n, "(state, activation set) edges", self.budget)
-        states = self.states
-        full = (1 << self.n) - 1
-        subsets = [subset_to_nodes(s, self.n) for s in range(full + 1)]
-        indptr, dst, label = (arr.tolist() for arr in (self.succ.indptr, self.succ.dst, self.succ.label))
-        edges = []
-        for a, state in enumerate(states):
-            lo, hi = indptr[a], indptr[a + 1]
-            changing = full ^ label[lo]
-            by_t = {t & changing: states[b] for t, b in zip(label[lo:hi], dst[lo:hi])}
-            edges.extend((state, subsets[s], by_t[s & changing]) for s in range(full + 1))
-        return tuple(edges)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,7 +333,7 @@ def _ruler(bits: int) -> np.ndarray:
 def transition_graph(system, budget: int | None = None) -> TransitionGraph:
     """Compile a historyless or lifted k-recall system into its transition
     graph; every analyze operation accepts the result in place of the system."""
-    return TransitionGraph(system, successor_matrix(system, budget), budget)
+    return TransitionGraph(system, successor_matrix(system, budget))
 
 
 def _compiled(system, budget: int | None) -> TransitionGraph:

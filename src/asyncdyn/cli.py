@@ -15,10 +15,12 @@ import functools
 import hashlib
 import json
 import math
-import string
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from . import __version__, analyze, games, reductions, simulate, uncoupled
 from .core import (
@@ -44,6 +46,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 10
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+_DOT_CHUNK = 1 << 16  # DOT lines formatted and written at a time
 
 
 @dataclass(frozen=True)
@@ -215,7 +218,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
     and SchemaError (with a field path) on structural violations."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested deeper than the recursion limit
         raise ParseError(f"invalid JSON: {exc}") from exc
     _check(raw, SCENARIO, "$")
     system, game, simulation = raw.get("system"), raw.get("game"), raw.get("simulation")
@@ -388,24 +391,43 @@ def _verdict_json(verdict) -> tuple[dict, int]:
     raise AsyncdynError(f"unrenderable verdict {verdict!r}")
 
 
-def _state_name(state, sizes) -> str:
-    if all(k <= 26 for k in sizes):
-        return "".join(string.ascii_lowercase[a] for a in state)
-    return ".".join(str(a) for a in state)
-
-
-def export_dot(graph: analyze.TransitionGraph) -> str:
-    """Deterministic DOT rendering: one node line per state named by its action
-    tuple (letters a, b, ... per action), one edge line per (state, activation
-    set, state), all sorted lexicographically."""
-    sizes = graph.system.space.sizes
-    node_lines = sorted(f'  "{_state_name(s, sizes)}";' for s in graph.states)
-    edge_lines = sorted(
-        f'  "{_state_name(a, sizes)}" -> "{_state_name(b, sizes)}" '
-        f'[label="{simulate.format_active(active)}"];'
-        for a, active, b in graph.edges
-    )
-    return "\n".join(["digraph transitions {", *node_lines, *edge_lines, "}"]) + "\n"
+def export_dot(system: HistorylessSystem, out, budget: int | None = None) -> None:
+    """Write the system's transition graph to ``out`` as DOT: a node line per
+    state, named by its actions (letters, or dotted numbers if a node has more
+    than 26), and an edge line per state and activation set, in string order.
+    A closing ``"`` sorts below every character of a name or label, so that
+    order ranks the N names, then the 2^n labels.  The N·2^n lines are counted
+    against the budget first and written at most ``_DOT_CHUNK`` at a time."""
+    space, n, width = system.space, system.n, 1 << system.n
+    _check_count(space.num_states << n, "DOT edges", budget)
+    succ = analyze.successor_matrix(system, budget)
+    letters = all(k <= 26 for k in space.sizes)
+    digits = (space.digits() + ord("a") * letters).tolist()
+    names = ["".join(map(chr, row)) if letters else ".".join(map(str, row)) for row in digits]
+    by_name = np.array(sorted(range(len(names)), key=names.__getitem__))
+    rank = np.argsort(by_name)
+    labels = [""]  # the nodes of subset s, comma-separated
+    for i in range(1, n + 1):
+        labels += [f"{b},{i}" if b else str(i) for b in labels]
+    by_label = np.array(sorted(range(width), key=lambda s: labels[s] + "}"))
+    # the ends of the edge lines, made in label order: a wide row reads them in memory order
+    labels = [f'" [label="{{{labels[s]}}}"];\n' for s in by_label.tolist()]
+    out.write("digraph transitions {\n")
+    for part in np.split(by_name, range(_DOT_CHUNK, by_name.size, _DOT_CHUNK)):
+        out.write("".join(f'  "{names[a]}";\n' for a in part.tolist()))
+    group = max(_DOT_CHUNK >> n, 1)  # rows at a time: one if a row is wider than a chunk
+    for rows in np.split(by_name, range(group, by_name.size, group)):
+        e, owner = analyze._row_edges(succ.indptr, rows)
+        # the line of row a and label rank r takes the edge labelled by_label[r] | the label of a's first edge
+        edge_at = np.empty((rows.size, width), dtype=np.int64)
+        edge_at[owner, succ.label[e]] = np.arange(e.size)
+        edge = edge_at[np.arange(rows.size)[:, None], by_label | succ.label[succ.indptr[rows], None]].ravel()
+        line = np.argsort((owner * rank.size + rank[succ.dst[e]])[edge], kind="stable")  # by target, then label
+        prefixes = [f'  "{names[a]}" -> "{names[b]}' for a, b in zip(rows[owner].tolist(), succ.dst[e].tolist())]
+        for part in np.split(line, range(_DOT_CHUNK, line.size, _DOT_CHUNK)):
+            ends = map(labels.__getitem__, (part & (width - 1)).tolist())
+            out.write("".join(chain.from_iterable(zip(map(prefixes.__getitem__, edge[part].tolist()), ends))))
+    out.write("}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +565,7 @@ def _cmd_build(doc: ScenarioDocument, args, result: dict) -> int:
 def _cmd_export_dot(doc: ScenarioDocument, args, out) -> int:
     if doc.system is None:
         raise SchemaError("system", "export-dot needs a system source")
-    system = _system_from_spec(doc.system)
-    # one line per state and activation subset, counted before any is built
-    _check_count(system.num_states << system.n, "DOT edges", args.budget)
-    out.write(export_dot(analyze.transition_graph(system, args.budget)))
+    export_dot(_system_from_spec(doc.system), out, args.budget)
     return EXIT_OK
 
 
@@ -574,7 +593,10 @@ def run_command(argv, out=None) -> int:
     try:
         with open(args.scenario, "rb") as fh:
             scenario_bytes = fh.read()
-        doc = parse_scenario(scenario_bytes.decode("utf-8"))
+        try:
+            doc = parse_scenario(scenario_bytes.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"the scenario is not UTF-8: {exc}") from None
         result = {"provenance": _provenance(scenario_bytes, args.seed)}
         if args.command == "analyze":
             code = _cmd_analyze(doc, args, result)

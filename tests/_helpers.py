@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import string
 from collections import deque
 from dataclasses import dataclass
 
+from asyncdyn.analyze import transition_graph
 from asyncdyn.core import ActionSpace, HistorylessSystem, KRecallSystem, LiftedSystem, lift_k_recall
 from asyncdyn.errors import InvalidInput, NonUniqueBestResponse, Unsupported
+from asyncdyn.simulate import format_active
 
 
 def all_subsets(n):
@@ -154,6 +157,42 @@ def naive_successor_csr(space: ActionSpace, rows, block: int) -> tuple[list, lis
             label.append(outside | sum(1 << i for i in active))
         indptr.append(len(dst))
     return indptr, dst, label
+
+
+def edge_triples(graph) -> tuple:
+    """One (state, activation set, state) triple per state (or window) and
+    activation subset of a compiled graph: the subset s at state a takes the
+    edge whose T is s & D(a)."""
+    n = graph.n
+    states = tuple(map(graph.node, range(graph.succ.rows)))
+    full = (1 << n) - 1
+    subsets = all_subsets(n)
+    indptr, dst, label = (arr.tolist() for arr in (graph.succ.indptr, graph.succ.dst, graph.succ.label))
+    edges = []
+    for a, state in enumerate(states):
+        lo, hi = indptr[a], indptr[a + 1]
+        changing = full ^ label[lo]
+        by_t = {t & changing: states[b] for t, b in zip(label[lo:hi], dst[lo:hi])}
+        edges.extend((state, subsets[s], by_t[s & changing]) for s in range(full + 1))
+    return tuple(edges)
+
+
+def dot_name(state, sizes) -> str:
+    if all(k <= 26 for k in sizes):
+        return "".join(string.ascii_lowercase[a] for a in state)
+    return ".".join(str(a) for a in state)
+
+
+def oracle_dot(system: HistorylessSystem) -> str:
+    """The DOT text of a historyless system, formatted from its edge triples
+    and sorted as strings."""
+    sizes = system.space.sizes
+    node_lines = sorted(f'  "{dot_name(s, sizes)}";' for s in system.space.states())
+    edge_lines = sorted(
+        f'  "{dot_name(a, sizes)}" -> "{dot_name(b, sizes)}" [label="{format_active(active)}"];'
+        for a, active, b in edge_triples(transition_graph(system))
+    )
+    return "\n".join(["digraph transitions {", *node_lines, *edge_lines, "}"]) + "\n"
 
 
 def oracle_oscillating_components(succ, components, cover, changing) -> list:

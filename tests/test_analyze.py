@@ -7,6 +7,7 @@ the named-example tests were computed with these oracles and frozen.
 """
 
 import functools
+import io
 import itertools
 import operator
 import random
@@ -40,6 +41,7 @@ from asyncdyn.analyze import (
     _strong_components,
     _successor_blocks,
 )
+from asyncdyn.cli import export_dot
 from asyncdyn.core import ActionSpace, HistorylessSystem, check_r_fair, lift_k_recall, KRecallSystem
 from asyncdyn.errors import BudgetExceeded, InvalidInput
 from asyncdyn.reductions import SocialGraph, build_majority, build_snake_system, fixture, snake_for_system
@@ -47,6 +49,7 @@ from asyncdyn.simulate import Cycling, replay_witness
 
 from _helpers import (
     all_subsets,
+    edge_triples,
     naive_dynamics,
     naive_successor_csr,
     naive_r_convergent,
@@ -80,24 +83,23 @@ def assert_witness_replays(system, verdict):
 
 class TestTransitionGraph:
     def test_fig1_shape(self, fig1):
-        graph = transition_graph(fig1)
-        assert len(graph.states) == 4
-        assert len(graph.edges) == 16
-        assert ((0, 1), frozenset({2}), (0, 0)) in graph.edges
+        edges = edge_triples(transition_graph(fig1))
+        assert len({a for a, _, _ in edges}) == 4
+        assert len(edges) == 16
+        assert ((0, 1), frozenset({2}), (0, 0)) in edges
 
     def test_single_node_identity(self):
         system = HistorylessSystem.from_rule(ActionSpace((1,)), lambda s: s)
-        graph = transition_graph(system)
-        assert len(graph.states) == 1
-        assert len(graph.edges) == 2
-        assert all(a == b for a, _, b in graph.edges)
+        edges = edge_triples(transition_graph(system))
+        assert len({a for a, _, _ in edges}) == 1
+        assert len(edges) == 2
+        assert all(a == b for a, _, b in edges)
 
     def test_out_degree_and_empty_loops(self):
         system = random_table_system(random.Random(3), max_nodes=3)
-        graph = transition_graph(system)
         n = system.space.n
         per_state = {}
-        for a, s, b in graph.edges:
+        for a, s, b in edge_triples(transition_graph(system)):
             per_state[a] = per_state.get(a, 0) + 1
             if not s:
                 assert a == b
@@ -179,25 +181,26 @@ class TestTransitionGraph:
             tracemalloc.stop()
         assert peak < 2 ** 16
 
-    def test_edge_triples_are_counted_against_the_graph_budget_first(self, fig1):
-        """``edges`` lists a triple per state and activation subset: a
-        31-node graph of 4 states would list 2^33, refused before any subset
-        is built.  The count is checked against the budget the graph was
-        compiled under."""
+    def test_dot_lines_are_counted_against_the_budget_first(self, fig1):
+        """``export_dot`` writes a line per state and activation subset: a
+        31-node system of 4 states would have 2^33, refused before the graph
+        or any line is built."""
+        out = io.StringIO()
         t0 = time.perf_counter()
         tracemalloc.start()
         try:
-            graph = transition_graph(self.swap_first_two((1,) * 29))
-            with pytest.raises(BudgetExceeded, match=f"^{4 << 31} \\(state, activation set\\) edges exceed"):
-                graph.edges
+            with pytest.raises(BudgetExceeded, match=f"^{4 << 31} DOT edges exceed"):
+                export_dot(self.swap_first_two((1,) * 29), out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert time.perf_counter() - t0 < 1
         assert peak < 2 ** 20
-        assert len(transition_graph(fig1, budget=16).edges) == 16
-        with pytest.raises(BudgetExceeded, match="^16 .* budget 15$"):
-            transition_graph(fig1, budget=15).edges
+        assert out.getvalue() == ""
+        export_dot(fig1, out, budget=16)
+        assert out.getvalue().count(" -> ") == 16
+        with pytest.raises(BudgetExceeded, match="^16 DOT edges exceed the enumeration budget 15$"):
+            export_dot(fig1, io.StringIO(), budget=15)
 
     @pytest.mark.parametrize(
         "bad_rule",
@@ -248,7 +251,7 @@ def test_lifted_successors_match_transition(seed):
     lifted = random_lifted_system(random.Random(seed))
     space = lifted.base.space
     states = list(space.states())
-    successors = {(w, active): nxt for w, active, nxt in transition_graph(lifted).edges}
+    successors = {(w, active): nxt for w, active, nxt in edge_triples(transition_graph(lifted))}
     assert len(successors) == len(states) ** 2 * 2 ** space.n
     for window in itertools.product(states, repeat=2):
         for mask in range(1 << space.n):
@@ -561,7 +564,7 @@ class TestSparseGraphAgainstOracles:
         system = random_system(kind, random.Random(seed))
         graph = transition_graph(system)
         states, step, n = naive_dynamics(system)
-        edges = graph.edges
+        edges = edge_triples(graph)
         assert len(edges) == len(states) * 2 ** n
         assert all(b == step(a, active) for a, active, b in edges)
 

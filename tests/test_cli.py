@@ -1,23 +1,35 @@
 """Scenario parsing, command dispatch, exit codes, DOT export."""
 
 import copy
+import functools
 import io
 import json
+import random
 import re
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import asyncdyn
-from asyncdyn.analyze import transition_graph
+from asyncdyn import cli
 from asyncdyn.cli import ANALYSES, SCHEDULES, SYSTEMS, build_parser, export_dot, parse_scenario, run_command
 from asyncdyn.core import ActionSpace, HistorylessSystem
 from asyncdyn.errors import ParseError, SchemaError
-from asyncdyn.reductions import FIXTURES, fixture
+from asyncdyn.reductions import (
+    FIXTURES,
+    SocialGraph,
+    build_disjointness,
+    build_majority,
+    build_snake_system,
+    fixture,
+)
 from asyncdyn.simulate import Cycling, Witness, replay_witness
+
+from _helpers import oracle_dot, random_table_system
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -342,6 +354,38 @@ class TestBuildCommand:
         assert doc2["stable_states"] == [[0, 0], [1, 1]]
 
 
+def dot_text(system, budget=None) -> str:
+    out = io.StringIO()
+    export_dot(system, out, budget)
+    return out.getvalue()
+
+
+def random_rows_system(sizes, seed):
+    """A table system over ``sizes`` whose reaction rows are drawn at random."""
+    rng = random.Random(seed)
+    space = ActionSpace(sizes)
+    return HistorylessSystem.from_table(space, [tuple(map(rng.randrange, sizes)) for _ in range(space.num_states)])
+
+
+DOT_SYSTEMS = {
+    **{name: functools.partial(fixture, name) for name, fx in FIXTURES.items() if fx.kind == "system"},
+    "snake-5": functools.partial(build_snake_system, 5),
+    "disjointness-5": functools.partial(build_disjointness, 5, {1, 3}, {2}),
+    # dotted names, some a prefix of others ("0.2", "0.25")
+    "27-actions": functools.partial(random_rows_system, (2, 27), 1),
+    "single-action-nodes": functools.partial(random_rows_system, (1, 2, 1, 3, 1), 2),
+    # two-digit labels
+    "10-nodes": functools.partial(random_rows_system, (2, 2, 1, 1, 1, 1, 1, 2, 2, 2), 3),
+    "11-nodes": functools.partial(random_rows_system, (2, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2), 4),
+}
+
+
+@functools.cache
+def dot_case(name):
+    system = DOT_SYSTEMS[name]()
+    return system, oracle_dot(system)
+
+
 class TestExportDot:
     def test_fig1_contains_expected_line(self, tmp_path):
         path = write_scenario(tmp_path, FIG1_ANALYZE)
@@ -351,7 +395,7 @@ class TestExportDot:
 
     def test_single_state_identity(self):
         system = HistorylessSystem.from_rule(ActionSpace((1,)), lambda s: s)
-        text = export_dot(transition_graph(system))
+        text = dot_text(system)
         lines = [line.strip() for line in text.splitlines()]
         assert lines.count('"a";') == 1
         assert '"a" -> "a" [label="{}"];' in lines
@@ -402,6 +446,38 @@ class TestExportDot:
         assert invoke(["export-dot", "--scenario", path]) == invoke(
             ["export-dot", "--scenario", path]
         )
+
+    @pytest.mark.parametrize("chunk", [cli._DOT_CHUNK, 1, 7, 64])
+    @pytest.mark.parametrize("name", DOT_SYSTEMS)
+    def test_equals_the_sorted_string_oracle(self, name, chunk, monkeypatch):
+        """The lines ordered by name and label ranks are the oracle's lines
+        sorted as strings, byte for byte, also when the rows are written in
+        groups of a few rows or in slices of a row."""
+        system, expected = dot_case(name)
+        monkeypatch.setattr(cli, "_DOT_CHUNK", chunk)
+        assert dot_text(system) == expected
+
+    @given(st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_random_tables_equal_the_oracle(self, seed):
+        system = random_table_system(random.Random(seed), max_nodes=4, max_actions=4)
+        assert dot_text(system) == oracle_dot(system)
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            build_majority(SocialGraph(n=10, edges=tuple((i, i + 1) for i in range(1, 10)))),
+            HistorylessSystem.from_rule(ActionSpace((2,) + (1,) * 16), lambda s: (1 - s[0],) + s[1:]),
+        ],
+        ids=["path-10", "row-wider-than-a-chunk"],
+    )
+    def test_no_write_holds_more_than_a_chunk(self, system):
+        """The 10-user path graph has 2^20 lines, 1024 per state; the second
+        system's 2 states have 2^17 lines each, more than a chunk."""
+        writes = []
+        export_dot(system, SimpleNamespace(write=lambda text: writes.append(text.count("\n"))))
+        assert max(writes) <= cli._DOT_CHUNK
+        assert sum(writes) == 2 + system.num_states + (system.num_states << system.n)
 
 
 def table_system(rows):
@@ -466,6 +542,22 @@ class TestMalformedInputExit2:
         code, doc = invoke_json(["simulate", "--scenario", write_scenario(tmp_path, scenario)])
         assert code == 2
         assert doc["error"].startswith("simulation.schedule.p:")
+
+    def test_scenario_that_is_not_utf8_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(FIG1_ANALYZE).replace("fig1", "fig\xe9").encode("latin-1"))
+        code, doc = invoke_json(["analyze", "--scenario", str(path)])
+        assert code == 2
+        assert doc["error_kind"] == "ParseError"
+        assert "UTF-8" in doc["error"]
+
+    def test_json_nested_past_the_recursion_limit_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"version": 1, "system": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, doc = invoke_json(["analyze", "--scenario", str(path)])
+        assert code == 2
+        assert doc["error_kind"] == "ParseError"
+        assert "recursion" in doc["error"]
 
     @pytest.mark.parametrize(
         "command, source, field",
