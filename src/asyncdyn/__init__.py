@@ -4,7 +4,6 @@ game-dynamics conversions, uncoupled self-stabilization protocols, and builders
 for the circuit / social-network / BGP / Turing-machine / snake gadgets."""
 
 from .analyze import (
-    CommitMap,
     Convergent,
     NonConvergent,
     TransitionGraph,

@@ -179,23 +179,6 @@ class TransitionGraph:
         return (np.diff(indptr) == 1) & (self.succ.dst[indptr[:-1]] == idx)
 
 
-@dataclass(frozen=True, eq=False)
-class CommitMap:
-    """Per-state commitment: the single stable state every fair trajectory
-    reaches, or None for uncommitted states."""
-
-    entries: dict
-
-    def target(self, state):
-        return self.entries[state]
-
-    def is_committed(self, state) -> bool:
-        return self.entries[state] is not None
-
-    def uncommitted(self):
-        return sorted(s for s, t in self.entries.items() if t is None)
-
-
 # ---------------------------------------------------------------------------
 # Compilation
 # ---------------------------------------------------------------------------
@@ -205,11 +188,11 @@ def successor_matrix(system, budget: int | None = None) -> SuccessorGraph:
     """The distinct successors of every state (or window) of the system.
 
     Row a holds one edge per subset T of D(a), in ascending order of T,
-    labelled T | (nodes outside D(a)).  The edges are counted from the
-    degrees |D(a)| and checked against the budget before they are built.
-    A historyless system is a lifted one whose windows hold one state: the
-    successor of a window drops its oldest state and appends the newest one
-    with the activated coordinates replaced by the reaction.
+    labelled T | (nodes outside D(a)).  Over 31 nodes are refused before the
+    reaction is tabulated, and the edges, counted from the degrees |D(a)|,
+    before they are built.  A historyless system is a lifted one whose windows
+    hold one state: a window's successor drops its oldest state and appends
+    the newest one with the activated coordinates replaced by the reaction.
     """
     if isinstance(system, HistorylessSystem):
         space = system.space
@@ -217,6 +200,7 @@ def successor_matrix(system, budget: int | None = None) -> SuccessorGraph:
         space = system.base.space
     else:
         raise Unsupported(f"no transition interface for {type(system).__name__}")
+    _check_labels(space.n)
     rows = system.reaction_rows(budget)
     return _successor_blocks(space, rows, rows.shape[0], budget)
 
@@ -289,8 +273,6 @@ def _row_steps(space: ActionSpace, rows: np.ndarray, block: int, budget: int | N
     a-1, which activates all of D(a-1).
     """
     n, nb = space.n, space.num_states
-    if n > _LABEL_BITS:
-        raise BudgetExceeded(f"{n} nodes do not fit the {_LABEL_BITS}-bit activation labels of a sparse graph")
     count = rows.shape[0]
     # the digits of a window index are those of its newest state
     delta = ((rows.reshape(-1, nb, n) - space.digits()) * space.weights).reshape(count, n)
@@ -338,6 +320,11 @@ def transition_graph(system, budget: int | None = None) -> TransitionGraph:
 
 def _compiled(system, budget: int | None) -> TransitionGraph:
     return system if isinstance(system, TransitionGraph) else transition_graph(system, budget)
+
+
+def _check_labels(n: int) -> None:
+    if n > _LABEL_BITS:
+        raise BudgetExceeded(f"{n} nodes do not fit the {_LABEL_BITS}-bit activation labels of a sparse graph")
 
 
 def _check_index(count: int, what: str) -> int:
@@ -497,6 +484,7 @@ def decide_convergence_many(space: ActionSpace, rows, budget: int | None = None)
     N, n = space.num_states, space.n
     if rows.ndim != 3 or rows.shape[1:] != (N, n):
         raise InvalidInput(f"rows must have shape (B, {N}, {n}), got {rows.shape}")
+    _check_labels(n)
     space.check_budget(budget)
     B = rows.shape[0]
     rows = _checked_rows(space, rows.reshape(B * N, n), B * N).reshape(B, N, n)
@@ -517,10 +505,10 @@ def decide_convergence_many(space: ActionSpace, rows, budget: int | None = None)
     return convergent
 
 
-def committed_map(system, budget: int | None = None) -> CommitMap:
-    """For each state: the unique stable state all fair trajectories reach, or
-    None when the state is uncommitted (several reachable stable states, or a
-    reachable fair oscillation).
+def committed_map(system, budget: int | None = None) -> dict:
+    """{state: the unique stable state all fair trajectories reach, or None
+    when the state is uncommitted (several reachable stable states, or a
+    reachable fair oscillation)}.
 
     Every sink SCC is a stable state or oscillates.  So a state is
     uncommitted iff it reaches an oscillating component or an edge whose two
@@ -536,9 +524,7 @@ def committed_map(system, budget: int | None = None) -> CommitMap:
     seeds = osc[graph.components[1]]
     seeds |= np.logical_or.reduceat(succ.by_source(nearest) != nearest[succ.dst], succ.indptr[:-1])
     uncommitted = np.isfinite(dijkstra(reverse, indices=np.flatnonzero(seeds), unweighted=True, min_only=True))
-    return CommitMap(
-        {graph.node(i): None if uncommitted[i] else graph.node(int(nearest[i])) for i in range(succ.rows)}
-    )
+    return {graph.node(i): None if uncommitted[i] else graph.node(int(nearest[i])) for i in range(succ.rows)}
 
 
 # ---------------------------------------------------------------------------

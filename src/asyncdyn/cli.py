@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -40,6 +39,7 @@ from .errors import (
     BudgetExceeded,
     ParseError,
     SchemaError,
+    Unsupported,
 )
 
 EXIT_OK = 0
@@ -47,15 +47,6 @@ EXIT_NEGATIVE = 10
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 _DOT_CHUNK = 1 << 16  # DOT lines formatted and written at a time
-
-
-@dataclass(frozen=True)
-class ScenarioDocument:
-    version: int
-    system: dict | None
-    game: dict | None
-    analysis: dict | None
-    simulation: dict | None
 
 
 def _expect(cond: bool, path: str, msg: str):
@@ -213,8 +204,8 @@ SCENARIO = {
 }
 
 
-def parse_scenario(text: str) -> ScenarioDocument:
-    """Parse and validate a scenario document; raises ParseError on bad JSON
+def parse_scenario(text: str) -> dict:
+    """The checked dict of a scenario document; raises ParseError on bad JSON
     and SchemaError (with a field path) on structural violations."""
     try:
         raw = json.loads(text)
@@ -239,9 +230,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
             _expect(len(table) == count, f"game.utilities[{i}]", f"expected {count} integers")
     if simulation is not None and simulation["schedule"]["kind"] == "periodic":
         _expect(len(simulation["schedule"]["cycle"]) > 0, "simulation.schedule.cycle", "cycle must be nonempty")
-    return ScenarioDocument(
-        version=raw.get("version", 1), system=system, game=game, analysis=raw.get("analysis"), simulation=simulation
-    )
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +387,8 @@ def export_dot(system: HistorylessSystem, out, budget: int | None = None) -> Non
     A closing ``"`` sorts below every character of a name or label, so that
     order ranks the N names, then the 2^n labels.  The N·2^n lines are counted
     against the budget first and written at most ``_DOT_CHUNK`` at a time."""
+    if not isinstance(system, HistorylessSystem):
+        raise Unsupported(f"export_dot takes a historyless system, not {type(system).__name__}")
     space, n, width = system.space, system.n, 1 << system.n
     _check_count(space.num_states << n, "DOT edges", budget)
     succ = analyze.successor_matrix(system, budget)
@@ -447,16 +438,20 @@ def _emit(out, document: dict) -> None:
     out.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
-def _cmd_analyze(doc: ScenarioDocument, args, result: dict) -> int:
-    if doc.analysis is None:
+def _dynamics(doc: dict):
+    """The scenario's system, or the best-response dynamics of its game."""
+    if "system" in doc:
+        return _system_from_spec(doc["system"])
+    return games.br_system(_game_from_spec(doc["game"]), tie_break="min")
+
+
+def _cmd_analyze(doc: dict, args, result: dict) -> int:
+    if "analysis" not in doc:
         raise SchemaError("analysis", "the analyze command needs an analysis request")
-    kind = doc.analysis["kind"]
+    kind = doc["analysis"]["kind"]
     if kind in ("pne", "uncoupled-check"):
         raise SchemaError("analysis.kind", f"use the {kind} command for {kind!r} requests")
-    if doc.system is not None:
-        system = _system_from_spec(doc.system)
-    else:
-        system = games.br_system(_game_from_spec(doc.game), tie_break="min")
+    system = _dynamics(doc)
     budget = args.budget
     t0 = time.perf_counter()
     graph = analyze.transition_graph(system, budget)
@@ -467,20 +462,20 @@ def _cmd_analyze(doc: ScenarioDocument, args, result: dict) -> int:
         "sccs": analyze.scc_count(graph),
     }
     if kind == "spectrum":
-        reachable = sorted(analyze.spectrum(graph, tuple(doc.analysis["state"])))
+        reachable = sorted(analyze.spectrum(graph, tuple(doc["analysis"]["state"])))
         result.update(verdict="ok", spectrum=[_state_json(s) for s in reachable])
         code = EXIT_OK
     elif kind == "committed":
         result.update(verdict="ok", committed=[
             {"state": _state_json(s), "committed_to": _state_json(t) if t is not None else None}
-            for s, t in sorted(analyze.committed_map(graph).entries.items())
+            for s, t in sorted(analyze.committed_map(graph).items())
         ])
         code = EXIT_OK
     else:
         if kind == "convergence":
             verdict = analyze.decide_convergence(graph)
         else:
-            verdict = analyze.decide_r_convergence(graph, doc.analysis["r"], budget)
+            verdict = analyze.decide_r_convergence(graph, doc["analysis"]["r"], budget)
         payload, code = _verdict_json(verdict)
         if isinstance(verdict, analyze.NonConvergent):
             replay = simulate.replay_witness(system, verdict.witness, budget)
@@ -491,14 +486,11 @@ def _cmd_analyze(doc: ScenarioDocument, args, result: dict) -> int:
     return code
 
 
-def _cmd_simulate(doc: ScenarioDocument, args, result: dict) -> int:
-    if doc.simulation is None:
+def _cmd_simulate(doc: dict, args, result: dict) -> int:
+    if "simulation" not in doc:
         raise SchemaError("simulation", "the simulate command needs a simulation request")
-    if doc.system is not None:
-        system = _system_from_spec(doc.system)
-    else:
-        system = games.br_system(_game_from_spec(doc.game), tie_break="min")
-    spec = doc.simulation
+    system = _dynamics(doc)
+    spec = doc["simulation"]
     seed = args.seed if args.seed is not None else spec.get("seed")
     schedule = _schedule_from_spec(spec["schedule"], seed)
     initial = spec["initial"]
@@ -522,11 +514,11 @@ def _cmd_simulate(doc: ScenarioDocument, args, result: dict) -> int:
     return code
 
 
-def _cmd_pne(doc: ScenarioDocument, args, result: dict) -> int:
-    if doc.game is not None:
-        game = _game_from_spec(doc.game)
+def _cmd_pne(doc: dict, args, result: dict) -> int:
+    if "game" in doc:
+        game = _game_from_spec(doc["game"])
     else:
-        game = games.induced_game(_system_from_spec(doc.system), args.budget)
+        game = games.induced_game(_system_from_spec(doc["system"]), args.budget)
     pne = sorted(games.enumerate_pne(game, args.budget))
     result["verdict"] = "ok"
     result["pne"] = [_state_json(s) for s in pne]
@@ -534,13 +526,13 @@ def _cmd_pne(doc: ScenarioDocument, args, result: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_uncoupled_check(doc: ScenarioDocument, args, result: dict) -> int:
-    if doc.analysis is None or doc.analysis.get("kind") != "uncoupled-check":
+def _cmd_uncoupled_check(doc: dict, args, result: dict) -> int:
+    if doc.get("analysis", {}).get("kind") != "uncoupled-check":
         raise SchemaError("analysis", "the uncoupled-check command needs an uncoupled-check request")
-    if doc.game is None:
+    if "game" not in doc:
         raise SchemaError("game", "uncoupled-check needs a game source")
-    game = _game_from_spec(doc.game)
-    protocol = doc.analysis["protocol"]
+    game = _game_from_spec(doc["game"])
+    protocol = doc["analysis"]["protocol"]
     if protocol == "stay-or-roll":
         verdict = uncoupled.check_self_stabilization_randomized(game, args.budget)
     else:
@@ -551,10 +543,10 @@ def _cmd_uncoupled_check(doc: ScenarioDocument, args, result: dict) -> int:
     return code
 
 
-def _cmd_build(doc: ScenarioDocument, args, result: dict) -> int:
-    if doc.system is None:
+def _cmd_build(doc: dict, args, result: dict) -> int:
+    if "system" not in doc:
         raise SchemaError("system", "the build command needs a system source")
-    system = _system_from_spec(doc.system)
+    system = _system_from_spec(doc["system"])
     rows = system.reaction_rows(args.budget)
     result["verdict"] = "ok"
     result["system"] = {"kind": "table", "sizes": list(system.space.sizes), "table": rows.tolist()}
@@ -562,10 +554,10 @@ def _cmd_build(doc: ScenarioDocument, args, result: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_export_dot(doc: ScenarioDocument, args, out) -> int:
-    if doc.system is None:
+def _cmd_export_dot(doc: dict, args, out) -> int:
+    if "system" not in doc:
         raise SchemaError("system", "export-dot needs a system source")
-    export_dot(_system_from_spec(doc.system), out, args.budget)
+    export_dot(_system_from_spec(doc["system"]), out, args.budget)
     return EXIT_OK
 
 

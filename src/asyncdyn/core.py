@@ -28,6 +28,7 @@ ActivationSet = frozenset[int]
 
 DEFAULT_STATE_BUDGET = 2 ** 20
 BUDGET_ENV_VAR = "ASYNCDYN_BUDGET"
+_CELLS_PER_STATE = 64  # cells of a state-sized array per budgeted state: N·n <= 64·budget
 
 
 def resolve_budget(budget: int | None = None) -> int:
@@ -49,6 +50,15 @@ def _check_count(count: int, what: str, budget: int | None) -> int:
     limit = resolve_budget(budget)
     if count > limit:
         raise BudgetExceeded(f"{count} {what} exceed the enumeration budget {limit}")
+    return count
+
+
+def _check_rows(count: int, n: int, what: str, budget: int | None) -> int:
+    """Count ``count`` states (or windows), and their rows of n cells, against the budget."""
+    limit = resolve_budget(budget)
+    _check_count(count, what, limit)
+    if count * n > _CELLS_PER_STATE * limit:
+        raise BudgetExceeded(f"{count} {what} of {n} nodes exceed the {_CELLS_PER_STATE * limit}-cell budget")
     return count
 
 
@@ -132,7 +142,14 @@ class ActionSpace:
         return active
 
     def check_budget(self, budget: int | None = None) -> int:
-        return _check_count(self.num_states, "joint states", budget)
+        return _check_rows(self.num_states, self.n, "joint states", budget)
+
+    @cached_property
+    def within_default_budget(self) -> bool:
+        """Whether ``check_budget`` passes at the default budget: only then
+        is a reaction tabulated and kept, or a machine shape's frame."""
+        states = self.num_states
+        return states <= DEFAULT_STATE_BUDGET and states * self.n <= _CELLS_PER_STATE * DEFAULT_STATE_BUDGET
 
 
 @functools.cache
@@ -178,14 +195,14 @@ class _Reaction:
         if self._rows is not None:
             return self._rows
         rows = _checked_rows(self.space, self.array_rule(self.space.digits()), self.space.num_states)
-        if self.space.num_states <= DEFAULT_STATE_BUDGET:
+        if self.space.within_default_budget:
             rows.flags.writeable = False
             self._rows = rows
         return rows
 
     def __call__(self, state: State) -> State:
         state = self.space.validate_state(state)
-        if self.space.num_states > DEFAULT_STATE_BUDGET:
+        if not self.space.within_default_budget:
             return tuple(_checked_rows(self.space, self.array_rule(np.array([state], dtype=np.int64)), 1)[0].tolist())
         rows = self._rows if self._rows is not None else self.rows(DEFAULT_STATE_BUDGET)
         return tuple(rows[self.space.encode(state)].tolist())
@@ -462,7 +479,7 @@ class LiftedSystem:
     def reaction_rows(self, budget: int | None = None) -> np.ndarray:
         """(N^k, n) int64 array whose row i is the recall rule at the window
         with index i; the windows of a historyless system hold one state."""
-        _check_count(self.num_states, "window states", budget)
+        _check_rows(self.num_states, self.n, "window states", budget)
         states = tuple(self.base.space.states())
         rows = [self.base.rule(w) for w in product(states, repeat=self.k)]
         return _checked_rows(self.base.space, rows, self.num_states)
@@ -632,10 +649,3 @@ def check_r_fair(prefix, r: int, n: int) -> bool:
             return False
     return True
 
-
-def schedule_phase_key(schedule: Schedule, t: int, n: int):
-    """Finite phase identifier at step t (1-based), or None when the schedule has
-    unbounded phase (seeded schedules).  Trajectory suffixes from equal (state,
-    phase) pairs coincide, which is what exact cycle detection needs."""
-    periodic = _periodic(schedule, n)
-    return None if periodic is None else periodic.phase(t)

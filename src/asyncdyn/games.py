@@ -64,11 +64,6 @@ def best_responses(game: Game, node: int, state) -> frozenset[int]:
     return frozenset(a for a, v in values.items() if v == best)
 
 
-def is_pne(game: Game, state) -> bool:
-    state = game.space.validate_state(state)
-    return all(state[i - 1] in best_responses(game, i, state) for i in range(1, game.n + 1))
-
-
 def _own_action_axes(space: ActionSpace):
     """Per node, the shape (states of the nodes before it, its own actions,
     states of the nodes after it) that an axis of N state indices takes."""
@@ -139,13 +134,4 @@ def induced_game(system: HistorylessSystem, budget: int | None = None) -> Game:
     """Indicator game: a node earns 1 exactly when its action matches its reaction."""
     matches = system.reaction_rows(budget) == system.space.digits()
     return Game(space=system.space, utilities=tuple(map(tuple, matches.T.astype(int).tolist())))
-
-
-def scale_utilities(game: Game, node: int, scale: int = 1, shift: int = 0) -> Game:
-    """Positive-affine transform of one node's table (argmax-preserving)."""
-    if scale < 1:
-        raise InvalidInput("scale must be a positive integer")
-    tables = list(game.utilities)
-    tables[node - 1] = tuple(u * scale + shift for u in tables[node - 1])
-    return Game(space=game.space, utilities=tuple(tables))
 

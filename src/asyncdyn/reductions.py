@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_STATE_BUDGET, ActionSpace, HistorylessSystem, _as_int, _check_count
+from .core import ActionSpace, HistorylessSystem, _as_int, _check_rows
 from .errors import BudgetExceeded, InvalidInput
 from .uncoupled import fixture_game_2x2x2
 
@@ -60,13 +60,6 @@ class CircuitDescription:
             for w in g.inputs:
                 if w not in known:
                     raise InvalidInput(f"gate {g.name}: unknown wire {w!r}")
-
-
-def circuit_node_names(circuit: CircuitDescription) -> list[str]:
-    """System node names in order: inputs, gates, inserted identity nodes."""
-    names = [n for n, _ in circuit.inputs] + [g.name for g in circuit.gates]
-    names += [f"{g.name}.id" for g in circuit.gates if g.name in g.inputs]
-    return names
 
 
 def build_circuit(circuit: CircuitDescription) -> HistorylessSystem:
@@ -253,13 +246,6 @@ def build_bgp(instance: BgpInstance) -> HistorylessSystem:
     return HistorylessSystem.from_array_rule(space, array_rule, name="bgp")
 
 
-def bgp_route_of_action(instance: BgpInstance, node: int, action: int) -> Route:
-    """Decode one AS's action back into its route (the empty tuple for the
-    empty route); nodes are 1-based in ranking order."""
-    a, routes = instance.rankings[node - 1]
-    return routes[action] if action < len(routes) else ()
-
-
 # ---------------------------------------------------------------------------
 # Space-bounded Turing machines
 # ---------------------------------------------------------------------------
@@ -314,20 +300,6 @@ class TMDescription:
                     raise InvalidInput(f"delta is not total: missing ({q!r}, {sym})")
         object.__setattr__(self, "delta", delta)
 
-    @property
-    def head_actions(self) -> int:
-        return len(self.states) * self.n_symbols * self.tape_cells * 3
-
-    def head_encode(self, q: str, sym: int, pos: int, move: int) -> int:
-        qi = self.states.index(q)
-        return ((qi * self.n_symbols + sym) * self.tape_cells + (pos - 1)) * 3 + (move + 1)
-
-    def head_decode(self, action: int) -> tuple[str, int, int, int]:
-        action, move = divmod(action, 3)
-        action, pos = divmod(action, self.tape_cells)
-        qi, sym = divmod(action, self.n_symbols)
-        return self.states[qi], sym, pos + 1, move - 1
-
 
 def build_tm(tm: TMDescription) -> HistorylessSystem:
     """One node per tape cell (actions = symbols) plus a head node whose action
@@ -340,13 +312,13 @@ def build_tm(tm: TMDescription) -> HistorylessSystem:
     The reaction is a frame of the machine's shape plus the machine's code
     vector (see ``_tm_frame``): a row's head action is its frame value plus
     ``code[entry]``.  Machines of one shape share one ``ActionSpace``, and the
-    last frame built for a space within ``DEFAULT_STATE_BUDGET`` states is
-    kept, keyed by shape: cells, symbols, machine states and the indices of the
-    halting states.  The frame holds 8 * (cells + 2) bytes a state, so at that
-    bound one kept frame holds at most (cells + 2) * 8 MiB; the sweep's
-    144-state shape takes 4.6 KB.  It is built on the first tabulation, so
-    building a system allocates nothing state-sized, and beyond the bound the
-    frame of the rows asked for is built afresh at every call."""
+    last frame of a space ``within_default_budget`` (states and cells) is
+    kept, keyed by shape: cells, symbols, machine states and the indices of
+    the halting states.  The frame holds 8 * (cells + 2) bytes a state, so
+    one kept frame holds at most 520 MiB; the sweep's 144-state shape takes
+    4.6 KB.  It is built on the first tabulation, so building a system
+    allocates nothing state-sized, and beyond the bound the frame of the rows
+    asked for is built afresh at every call."""
     shape, code = _tm_shape(tm), _tm_code(tm)
     space = _tm_space(*shape[:3])
     cells = tm.tape_cells
@@ -363,7 +335,7 @@ def tm_family_rows(tms: Sequence[TMDescription], budget: int | None = None) -> t
     """The action space and the (B, N, n) reaction rows of ``build_tm`` for
     each of B machines that share their machine states, halting states,
     alphabet and tape: the input of ``analyze.decide_convergence_many``.
-    The B * N rows are counted against the budget before they are built.
+    The B * N rows and their cells count against the budget before they exist.
     Every machine's rows are the one frame of the family's shape plus its own
     code vector, and the frame is kept as ``build_tm`` keeps it."""
     if not tms:
@@ -374,7 +346,7 @@ def tm_family_rows(tms: Sequence[TMDescription], budget: int | None = None) -> t
         raise InvalidInput("the machines of a family must share states, halting states, symbols and cells")
     shape = _tm_shape(tm)
     space = _tm_space(*shape[:3])
-    _check_count(len(tms) * space.num_states, "machine-system states", budget)
+    _check_rows(len(tms) * space.num_states, space.n, "machine-system states", budget)
     frame, entry = _tm_frame_at(shape, space, space.digits())
     rows = np.repeat(frame[None], len(tms), axis=0)
     rows[:, :, tm.tape_cells] += np.array([_tm_code(t) for t in tms])[:, entry]
@@ -443,9 +415,9 @@ def _tm_shape_frame(shape: tuple[int, int, int, tuple[int, ...]]) -> tuple[np.nd
 
 def _tm_frame_at(shape, space: ActionSpace, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A fresh copy of the frame rows, and the code entries, at the states of
-    ``d``: gathered from the kept frame within ``DEFAULT_STATE_BUDGET``
-    states, else built for ``d`` alone."""
-    if space.num_states > DEFAULT_STATE_BUDGET:
+    ``d``: gathered from the kept frame within the default budget, else
+    built for ``d`` alone."""
+    if not space.within_default_budget:
         return _tm_frame(*shape, d)
     frame, entry = _tm_shape_frame(shape)
     at = d @ space.weights

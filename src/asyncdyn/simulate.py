@@ -47,18 +47,12 @@ class Trajectory:
     """
 
     initial: Window
-    schedule: Schedule
     trace: tuple[tuple[State, ActivationSet | None], ...]
     dropped: int = 0
 
     @cached_property
     def states(self) -> tuple[State, ...]:
         return tuple(state for state, _ in self.trace)
-
-    @cached_property
-    def activations(self) -> tuple[ActivationSet, ...]:
-        """The activation sets that produced the retained computed states."""
-        return tuple(active for _, active in self.trace if active is not None)
 
     def rows(self) -> list[tuple[int, State, ActivationSet | None]]:
         """(time, state, producing activation set or None) per retained state."""
@@ -180,7 +174,7 @@ def run(
         trace.append((new, active))
     if verdict is None:
         verdict = BudgetExhausted(recent[-1])
-    trajectory = Trajectory(initial=window, schedule=schedule, trace=tuple(trace), dropped=t + 1 - len(trace))
+    trajectory = Trajectory(initial=window, trace=tuple(trace), dropped=t + 1 - len(trace))
     return trajectory, verdict
 
 

@@ -22,15 +22,14 @@ modular differences and min-of-set tie-breaking unchanged.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .core import ActionSpace, KRecallSystem, _check_count, resolve_budget, window_space
+from .core import ActionSpace, KRecallSystem, _check_rows, resolve_budget, window_space
 from .errors import InvalidInput, Unsupported
-from .games import Game, best_response_table, best_responses, enumerate_pne
+from .games import Game, best_response_table, enumerate_pne  # enumerate_pne is unused: perfbench hooks it here
 
 PROTOCOLS = ("three-recall", "two-recall")
 
@@ -143,9 +142,9 @@ def check_self_stabilization_many(
     ``utilities`` has shape (B, n, N) as in ``games.best_response_table``.
 
     Returns one verdict per game, equal to the single-game verdict.  The N^k
-    windows of one game are counted against the budget once some game has a
-    PNE, before any window array exists; games are then processed in chunks
-    whose windows together fit the budget.
+    windows of one game and their N^k·n cells are counted against the budget
+    once some game has a PNE, before any window array exists; games are then
+    processed in chunks whose windows together fit the budget.
     """
     k = _recall(protocol, space)
     is_br, least = best_response_table(space, utilities)
@@ -156,7 +155,7 @@ def check_self_stabilization_many(
         return verdicts
     windows = window_space(space, k)
     limit = resolve_budget(budget)
-    count = _check_count(windows.num_states, "window states", limit)
+    count = _check_rows(windows.num_states, space.n, "window states", limit)
     newest = np.arange(count) % space.num_states
     step = limit // count
     for start in range(0, todo.size, step):
@@ -231,26 +230,6 @@ def check_self_stabilization_randomized(
     if reach.all():
         return SelfStabilizing()
     return Fails(witness=space.decode(int(reach.argmin())))  # least in encoded order
-
-
-def simulate_stay_or_roll(
-    game: Game, initial, seed: int, max_steps: int = 10_000
-) -> bool:
-    """Seeded Monte-Carlo run of stay-or-roll under the synchronous schedule;
-    True when a PNE is reached within the budget.  A sanity cross-check for the
-    support-level decision procedure, not a decision procedure itself."""
-    space = game.space
-    state = space.validate_state(initial)
-    pne = enumerate_pne(game)
-    rng = random.Random(seed)
-    for _ in range(max_steps):
-        if state in pne:
-            return True
-        state = tuple(
-            a if a in best_responses(game, i + 1, state) else rng.randrange(space.sizes[i])
-            for i, a in enumerate(state)
-        )
-    return state in pne
 
 
 def to_one_based(state) -> tuple[int, ...]:

@@ -317,9 +317,8 @@ def naive_r_convergent(system, r: int) -> bool:
 
 def naive_pne(game) -> frozenset:
     """PNEs by the per-state best-response sets."""
-    from asyncdyn.games import is_pne
-
-    return frozenset(s for s in game.space.states() if is_pne(game, s))
+    utilities = [node_utility(game, i) for i in range(1, game.n + 1)]
+    return frozenset(s for s in game.space.states() if all(u.is_best_responding(s) for u in utilities))
 
 
 def naive_br_rows(game, tie_break=None) -> list:
@@ -494,8 +493,10 @@ def support_system(game, budget: int | None = None) -> SupportSystem:
 
 
 def reference_simulate_stay_or_roll(game, initial, seed: int, max_steps: int = 10_000) -> bool:
-    """Seeded stay-or-roll run through the per-node best responses, drawing
-    exactly as ``uncoupled.simulate_stay_or_roll`` does."""
+    """Seeded Monte-Carlo run of stay-or-roll under the synchronous schedule,
+    through the per-node best responses: True when a PNE is reached within
+    max_steps.  A sanity check of the support-level decision, not a decision
+    procedure itself."""
     space = game.space
     state = space.validate_state(initial)
     utilities = [node_utility(game, i) for i in range(1, game.n + 1)]
@@ -821,19 +822,36 @@ def bgp_rule(instance):
     return rule
 
 
+def tm_head_codec(tm):
+    """(decode, encode) of a head action: the machine state, pending symbol,
+    position 1..cells and pending move -1..1, the move least significant."""
+
+    def decode(action):
+        action, move = divmod(action, 3)
+        action, pos = divmod(action, tm.tape_cells)
+        qi, sym = divmod(action, tm.n_symbols)
+        return tm.states[qi], sym, pos + 1, move - 1
+
+    def encode(q, sym, pos, move):
+        return ((tm.states.index(q) * tm.n_symbols + sym) * tm.tape_cells + pos - 1) * 3 + move + 1
+
+    return decode, encode
+
+
 def tm_rule(tm):
     n = tm.tape_cells
+    decode, encode = tm_head_codec(tm)
 
     def rule(state):
         cells = state[:n]
-        q, sym, pos, move = tm.head_decode(state[n])
+        q, sym, pos, move = decode(state[n])
         out = [sym if i + 1 == pos else cells[i] for i in range(n)]
         if q in tm.halting or cells[pos - 1] != sym:
             out.append(state[n])
         else:
             new_pos = pos + move if 1 <= pos + move <= n else pos
             q2, sym2, move2 = tm.delta[(q, cells[new_pos - 1])]
-            out.append(tm.head_encode(q2, sym2, new_pos, move2))
+            out.append(encode(q2, sym2, new_pos, move2))
         return tuple(out)
 
     return rule
@@ -846,11 +864,28 @@ def _cube_vertex(state):
     return v
 
 
+def orientation_rule(z, vertices):
+    """Per cube vertex v and dimension b, bit b of the end that v's b-edge
+    points at: snake edges follow the cycle, an edge with one end on the
+    snake points at that end, and any other edge points at its lesser end."""
+    on = set(vertices)
+    after = dict(zip(vertices, vertices[1:] + vertices[:1]))
+
+    def head(u, w):
+        if u in on and w in on:
+            return w if after[u] == w else u
+        if u in on or w in on:
+            return u if u in on else w
+        return min(u, w)
+
+    return [[head(v, v ^ 1 << b) >> b & 1 for b in range(z)] for v in range(1 << z)]
+
+
 def snake_rule(n):
-    from asyncdyn.reductions import _orientation_bits, snake_for_system
+    from asyncdyn.reductions import snake_for_system
 
     z = n - 2
-    bits = _orientation_bits(z, snake_for_system(n).vertices)
+    bits = orientation_rule(z, snake_for_system(n).vertices)
 
     def rule(state):
         out1 = 0 if all(a == 0 for a in state[1:]) else 1
@@ -866,13 +901,13 @@ def snake_rule(n):
 
 
 def disjointness_rule(n, A, B):
-    from asyncdyn.reductions import _orientation_bits, disjointness_snake
+    from asyncdyn.reductions import disjointness_snake
 
     snake = disjointness_snake(n)
     z = n - 2
     a_vertices = {snake.vertices[j - 1] for j in A}
     b_vertices = {snake.vertices[j - 1] for j in B}
-    bits = _orientation_bits(z, snake.vertices)
+    bits = orientation_rule(z, snake.vertices)
 
     def rule(state):
         v = _cube_vertex(state)

@@ -46,7 +46,6 @@ from asyncdyn.uncoupled import (
     check_self_stabilization,
     check_self_stabilization_randomized,
     fixture_game_2x2x2,
-    simulate_stay_or_roll,
     to_one_based,
 )
 
@@ -57,6 +56,7 @@ from _helpers import (
     oracle_shc,
     random_game,
     random_self_independent_system,
+    reference_simulate_stay_or_roll,
     support_system,
 )
 
@@ -372,7 +372,7 @@ def test_criterion_10_stabilization_grid():
                 frontier = nxt - seen
                 seen |= frontier
             unreachable = not (seen & enumerate_pne(game))
-            return unreachable and not simulate_stay_or_roll(game, witness, seed=11, max_steps=3000)
+            return unreachable and not reference_simulate_stay_or_roll(game, witness, seed=11, max_steps=3000)
 
         WITNESS_REGISTRY.append(("criterion-10d m1m2 witness", replay_fails_witness))
 

@@ -237,7 +237,7 @@ def test_graph_answers_match_system_answers(name, params):
     assert decide_convergence(graph) == decide_convergence(system)
     for r in (2, 4):
         assert decide_r_convergence(graph, r) == decide_r_convergence(system, r)
-    assert committed_map(graph).entries == committed_map(system).entries
+    assert committed_map(graph) == committed_map(system)
     for state in system.space.states():
         assert spectrum(graph, state) == spectrum(system, state)
 
@@ -305,12 +305,12 @@ class TestSpectrum:
 class TestCommittedMap:
     def test_fig1(self, fig1):
         cmap = committed_map(fig1)
-        assert cmap.target((0, 0)) == (0, 0)
-        assert cmap.target((1, 1)) == (1, 1)
-        assert not cmap.is_committed((0, 1))
-        assert not cmap.is_committed((1, 0))
+        assert cmap[(0, 0)] == (0, 0)
+        assert cmap[(1, 1)] == (1, 1)
+        assert cmap[(0, 1)] is None
+        assert cmap[(1, 0)] is None
         for state in fig1.space.states():
-            assert cmap.target(state) == oracle_committed(fig1, state)
+            assert cmap[state] == oracle_committed(fig1, state)
 
     def test_three_stable_example(self):
         """Every stable state commits to itself; the origin reaches all three
@@ -318,8 +318,8 @@ class TestCommittedMap:
         system = fixture("ex-three-stable")
         cmap = committed_map(system)
         for b in stable_states(system):
-            assert cmap.target(b) == b
-        assert not cmap.is_committed((0, 0))
+            assert cmap[b] == b
+        assert cmap[(0, 0)] is None
         assert len(spectrum(system, (0, 0))) == 3
 
     @given(st.integers(min_value=0, max_value=10 ** 6))
@@ -328,7 +328,7 @@ class TestCommittedMap:
         system = random_table_system(random.Random(seed), max_nodes=2, max_actions=3)
         cmap = committed_map(system)
         for state in system.space.states():
-            assert cmap.target(state) == oracle_committed(system, state)
+            assert cmap[state] == oracle_committed(system, state)
 
     @given(st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=20, deadline=None)
@@ -337,7 +337,7 @@ class TestCommittedMap:
         cmap = committed_map(system)
         convergent = isinstance(decide_convergence(system), Convergent)
         for state in system.space.states():
-            target = cmap.target(state)
+            target = cmap[state]
             if target is not None:
                 assert spectrum(system, state) == {target}
             elif convergent:
@@ -402,7 +402,7 @@ class TestDecideConvergence:
         cmap = committed_map(system)
         space = system.space
         for state in space.states():
-            t1 = cmap.target(state)
+            t1 = cmap[state]
             if t1 is None:
                 continue
             for i in range(space.n):
@@ -410,7 +410,7 @@ class TestDecideConvergence:
                     if alt == state[i]:
                         continue
                     other = state[:i] + (alt,) + state[i + 1:]
-                    t2 = cmap.target(other)
+                    t2 = cmap[other]
                     if t2 is not None:
                         assert t1 == t2
 
@@ -420,7 +420,7 @@ class TestDecideConvergence:
         system = random_self_independent_system(random.Random(seed), max_nodes=3)
         if len(stable_states(system)) >= 2:
             cmap = committed_map(system)
-            assert cmap.uncommitted()
+            assert None in cmap.values()
 
 
 class TestDecideRConvergence:
@@ -606,7 +606,7 @@ class TestSparseGraphAgainstOracles:
         system = random_system(kind, random.Random(seed), max_actions=2)
         cmap = committed_map(system)
         for state in naive_dynamics(system)[0]:
-            assert cmap.target(state) == oracle_committed(system, state)
+            assert cmap[state] == oracle_committed(system, state)
             assert spectrum(system, state) == naive_spectrum(system, state)
 
     @system_cases

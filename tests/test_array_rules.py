@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asyncdyn.core import DEFAULT_STATE_BUDGET, ActionSpace, HistorylessSystem
+from asyncdyn.core import DEFAULT_STATE_BUDGET, ActionSpace, HistorylessSystem, KRecallSystem, lift_k_recall
 from asyncdyn.errors import BudgetExceeded, InvalidInput
 from asyncdyn import reductions
 from asyncdyn.games import br_system
@@ -431,6 +431,33 @@ def test_reaction_beyond_the_default_budget_evaluates_one_row():
     assert peak < 1 << 20
     with pytest.raises(BudgetExceeded):
         system.reaction_rows()
+
+
+def test_cells_beyond_the_budget_are_refused_before_any_array_exists():
+    """Rows of n actions hold N·n cells, counted against 64 cells a budgeted
+    state: 2^20 states of 1,020 nodes are refused at the default budget, and
+    1,024 states of 1,010 nodes at a budget of 2^13 states, though their
+    states fit.  ``reaction`` then evaluates one row."""
+    wide = HistorylessSystem.from_array_rule(ActionSpace((2,) * 20 + (1,) * 1000), lambda d: d)
+    narrow = HistorylessSystem.from_array_rule(ActionSpace((2,) * 10 + (1,) * 1000), lambda d: d)
+    state = (1, 0) * 10 + (0,) * 1000
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="1048576 joint states of 1020 nodes"):
+            wide.reaction_rows()
+        with pytest.raises(BudgetExceeded, match="1024 joint states of 1010 nodes"):
+            narrow.reaction_rows(budget=1 << 13)
+        assert wide.reaction(state) == state
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert narrow.reaction_rows(budget=1 << 14).shape == (1024, 1010)
+    # a lifted system's N^k windows hold N^k·n cells: 16 windows of 101 nodes
+    lifted = lift_k_recall(KRecallSystem(ActionSpace((2,) + (1,) * 100), k=4, rule=lambda w: w[-1]))
+    with pytest.raises(BudgetExceeded, match="16 window states of 101 nodes"):
+        lifted.reaction_rows(budget=16)
+    assert lifted.reaction_rows(budget=26).shape == (16, 101)
 
 
 def test_array_rules_are_checked_like_every_tabulation():

@@ -18,7 +18,7 @@ import asyncdyn
 from asyncdyn import cli
 from asyncdyn.cli import ANALYSES, SCHEDULES, SYSTEMS, build_parser, export_dot, parse_scenario, run_command
 from asyncdyn.core import ActionSpace, HistorylessSystem
-from asyncdyn.errors import ParseError, SchemaError
+from asyncdyn.errors import ParseError, SchemaError, Unsupported
 from asyncdyn.reductions import (
     FIXTURES,
     SocialGraph,
@@ -29,7 +29,7 @@ from asyncdyn.reductions import (
 )
 from asyncdyn.simulate import Cycling, Witness, replay_witness
 
-from _helpers import oracle_dot, random_table_system
+from _helpers import oracle_dot, random_lifted_system, random_table_system
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -59,8 +59,7 @@ FIG1_ANALYZE = {
 class TestParseScenario:
     def test_valid_fixture_scenario(self):
         doc = parse_scenario(json.dumps(FIG1_ANALYZE))
-        assert doc.system["name"] == "fig1"
-        assert doc.analysis["kind"] == "convergence"
+        assert doc == FIG1_ANALYZE
 
     def test_bad_json_is_parse_error(self):
         with pytest.raises(ParseError):
@@ -441,6 +440,12 @@ class TestExportDot:
         assert code == 3
         assert doc["error"] == "16 DOT edges exceed the enumeration budget 8"
 
+    def test_a_lifted_system_is_refused_before_any_write(self):
+        out = io.StringIO()
+        with pytest.raises(Unsupported):
+            export_dot(random_lifted_system(random.Random(1)), out)
+        assert out.getvalue() == ""
+
     def test_byte_identical_across_runs(self, tmp_path):
         path = write_scenario(tmp_path, FIG1_ANALYZE)
         assert invoke(["export-dot", "--scenario", path]) == invoke(
@@ -478,6 +483,49 @@ class TestExportDot:
         export_dot(system, SimpleNamespace(write=lambda text: writes.append(text.count("\n"))))
         assert max(writes) <= cli._DOT_CHUNK
         assert sum(writes) == 2 + system.num_states + (system.num_states << system.n)
+
+
+def wide_tm(cells):
+    """A two-state machine over one symbol: 6 * cells states of cells + 1
+    nodes, so N·n grows with cells squared."""
+    delta = [{"state": "q", "read": 0, "next": "h", "write": 0, "move": 1}]
+    return {"kind": "tm", "states": ["q", "h"], "halting": ["h"], "symbols": 1, "cells": cells, "delta": delta}
+
+
+def traced_invoke(argv):
+    tracemalloc.start()
+    try:
+        code, text = invoke(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, json.loads(text), peak
+
+
+class TestCellBudget:
+    """A state-sized array holds N·n cells: the budget counts them before
+    any such array exists, and the 31-bit label limit is checked before the
+    reaction is tabulated."""
+
+    def test_the_label_limit_comes_before_the_tabulation(self, tmp_path):
+        scenario = {"version": 1, "system": wide_tm(600), "analysis": {"kind": "convergence"}}
+        code, doc, peak = traced_invoke(["analyze", "--scenario", write_scenario(tmp_path, scenario)])
+        assert code == 3
+        assert doc["error"] == "601 nodes do not fit the 31-bit activation labels of a sparse graph"
+        assert peak < 1 << 20
+
+    def test_a_space_too_wide_to_tabulate_simulates_one_row_at_a_time(self, tmp_path):
+        system = wide_tm(6000)
+        simulation = {"initial": [0] * 6001, "schedule": {"kind": "synchronous"}, "max_steps": 10}
+        path = write_scenario(tmp_path, {"version": 1, "system": system, "simulation": simulation})
+        code, doc, peak = traced_invoke(["simulate", "--scenario", path])
+        assert (code, doc["verdict"]) == (0, "converged")
+        assert peak < 64 << 20
+        path = write_scenario(tmp_path, {"version": 1, "system": system}, "build.json")
+        code, doc, peak = traced_invoke(["build", "--scenario", path])
+        assert (code, doc["error_kind"]) == (3, "budget-exceeded")
+        assert doc["error"] == f"36000 joint states of 6001 nodes exceed the {64 << 20}-cell budget"
+        assert peak < 1 << 20
 
 
 def table_system(rows):

@@ -16,11 +16,11 @@ from asyncdyn.core import (
     SeededRandom,
     SeededRFair,
     Synchronous,
+    _periodic,
     check_r_fair,
     check_self_independent,
     is_stable,
     lift_k_recall,
-    schedule_phase_key,
     schedule_prefix,
     step,
     step_history,
@@ -357,13 +357,13 @@ class TestSchedules:
         for schedule, periodic in pairs:
             assert schedule_prefix(schedule, 12, n) == schedule_prefix(periodic, 12, n)
             for t in range(1, 13):
-                assert schedule_phase_key(schedule, t, n) == schedule_phase_key(periodic, t, n)
+                assert _periodic(schedule, n).phase(t) == periodic.phase(t)
         for t in range(1, 13):
-            assert schedule_phase_key(Synchronous(), t, n) == 0
-            assert schedule_phase_key(RoundRobin(), t, n) == (t - 1) % n
-            assert schedule_phase_key(ExplicitList(sets=sets), t, n) == (("prefix", t) if t <= 3 else 0)
-        assert schedule_phase_key(SeededRandom(seed=1), 1, n) is None
-        assert schedule_phase_key(SeededRFair(seed=1, r=2), 1, n) is None
+            assert _periodic(Synchronous(), n).phase(t) == 0
+            assert _periodic(RoundRobin(), n).phase(t) == (t - 1) % n
+            assert _periodic(ExplicitList(sets=sets), n).phase(t) == (("prefix", t) if t <= 3 else 0)
+        assert _periodic(SeededRandom(seed=1), n) is None
+        assert _periodic(SeededRFair(seed=1, r=2), n) is None
 
     @given(st.integers(min_value=0, max_value=10 ** 9))
     @settings(max_examples=25)

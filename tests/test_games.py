@@ -17,7 +17,6 @@ from asyncdyn.games import (
     br_system,
     enumerate_pne,
     induced_game,
-    scale_utilities,
 )
 from asyncdyn.reductions import SocialGraph, build_majority, fixture
 from asyncdyn.uncoupled import fixture_game_2x2x2
@@ -227,7 +226,9 @@ class TestConversionInvariants:
         rng = random.Random(seed)
         game = random_game(rng, (2, 3), hi=5)
         node = rng.randrange(1, 3)
-        scaled = scale_utilities(game, node, scale=scale, shift=shift)
+        tables = list(game.utilities)
+        tables[node - 1] = tuple(u * scale + shift for u in tables[node - 1])
+        scaled = Game(space=game.space, utilities=tuple(tables))
         for state in game.space.states():
             assert best_responses(game, node, state) == best_responses(scaled, node, state)
         assert enumerate_pne(game) == enumerate_pne(scaled)

@@ -24,14 +24,13 @@ from asyncdyn.reductions import (
     Snake,
     SocialGraph,
     TMDescription,
-    bgp_route_of_action,
+    _orientation_bits,
     build_bgp,
     build_circuit,
     build_disjointness,
     build_majority,
     build_snake_system,
     build_tm,
-    circuit_node_names,
     disjointness_snake,
     fixture,
     is_snake,
@@ -46,6 +45,8 @@ from _helpers import (
     oracle_always_stabilizes,
     oracle_max_induced_cycle,
     oracle_shc,
+    orientation_rule,
+    tm_head_codec,
 )
 
 
@@ -56,7 +57,7 @@ class TestCircuits:
             gates=(GateSpec(name="not", inputs=("not",), table=(1, 0)),),
         )
         system = build_circuit(circuit)
-        assert circuit_node_names(circuit) == ["not", "not.id"]
+        assert system.reaction((0, 1)) == (0, 0)  # node 2 is the identity node "not.id"
         assert system.num_states == 4
         assert stable_states(system) == frozenset()
         assert isinstance(decide_convergence(system), NonConvergent)
@@ -172,9 +173,10 @@ class TestBgp:
         instance = disagree_instance()
         system = build_bgp(instance)
         for state in stable_states(system):
+            # action a of an AS is its a-th ranked route; the last is the empty route
             routes = {
-                node: bgp_route_of_action(instance, node, action)
-                for node, action in enumerate(state, start=1)
+                node: (ranked + ((),))[action]
+                for node, ((_, ranked), action) in enumerate(zip(instance.rankings, state), start=1)
             }
             assert all(r and r[-1] == 0 for r in routes.values())
             # next hops are consistent: a route through a neighbour extends
@@ -266,8 +268,11 @@ class TestTuringMachines:
                 (q, s): ("h", s, 0) for q in ("q0", "q1") for s in (0, 1)
             },
         )
-        for action in range(tm.head_actions):
-            assert tm.head_encode(*tm.head_decode(action)) == action
+        decode, encode = tm_head_codec(tm)
+        head_actions = build_tm(tm).space.sizes[-1]
+        assert head_actions == 3 * 2 * 3 * 3
+        for action in range(head_actions):
+            assert encode(*decode(action)) == action
 
     def test_delta_must_be_total(self):
         with pytest.raises(InvalidInput):
@@ -305,6 +310,16 @@ class TestSnakeSearch:
     def test_snake_validation(self):
         with pytest.raises(InvalidInput):
             Snake(dimension=3, vertices=(0, 1, 3, 2, 6, 4))  # chord 0-2
+
+    @pytest.mark.parametrize(
+        "z, snake",
+        [(z, lambda z=z: longest_snake(z)) for z in (3, 4, 5)]
+        + [(n - 2, lambda n=n: disjointness_snake(n)) for n in (5, 6, 7)],
+        ids=["Q3", "Q4", "Q5", "disjointness-5", "disjointness-6", "disjointness-7"],
+    )
+    def test_orientation_follows_its_rule(self, z, snake):
+        vertices = snake().vertices
+        assert _orientation_bits(z, vertices) == orientation_rule(z, vertices)
 
 
 class TestSnakeSystem:

@@ -69,7 +69,7 @@ class TestRun:
         t2, v2 = run(fig1, (0, 1), SeededRandom(seed=42, p=0.5), max_steps=50)
         assert v1 == v2
         assert t1.states == t2.states
-        assert t1.activations == t2.activations
+        assert t1.trace == t2.trace
 
     @pytest.mark.parametrize(
         "schedule", [Synchronous(), RoundRobin(), SeededRandom(seed=5, p=0.5)], ids=["sync", "round-robin", "seeded"]
@@ -96,11 +96,10 @@ class TestRun:
         system = random_table_system(rng, max_nodes=3, max_actions=3)
         initial = tuple(rng.randrange(k) for k in system.space.sizes)
         traj, _ = run(system, initial, SeededRandom(seed=seed, p=0.6), max_steps=30)
-        if not traj.activations:
+        activations = [active for _, active in traj.trace if active is not None]
+        if not activations:
             return
-        replayed, _ = run(
-            system, initial, ExplicitList(sets=traj.activations), max_steps=len(traj.activations)
-        )
+        replayed, _ = run(system, initial, ExplicitList(sets=activations), max_steps=len(activations))
         assert replayed.states == traj.states[: len(replayed.states)]
 
     @given(st.integers(min_value=0, max_value=10 ** 6))
