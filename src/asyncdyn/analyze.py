@@ -270,7 +270,10 @@ def _row_steps(space: ActionSpace, rows: np.ndarray, block: int, budget: int | N
     j adds w_t and drops w_0 .. w_{t-1}, so ``steps[offset[a] + 1 + t]`` is
     w_t - (w_0 + ... + w_{t-1}).  ``head[a]`` is the word of the first edge
     of row a, the empty activation set's, minus that of the last edge of row
-    a-1, which activates all of D(a-1).
+    a-1, which activates all of D(a-1).  The empty set leads a state (and a
+    one-state window) to itself, so only a longer window's head needs the
+    shift that drops its oldest state.  The digits subtracted from the rows
+    are the space's kept read-only ones, the array the tabulation read.
     """
     n, nb = space.n, space.num_states
     count = rows.shape[0]
@@ -292,11 +295,13 @@ def _row_steps(space: ActionSpace, rows: np.ndarray, block: int, budget: int | N
     before = steps.take(offset)  # the sum of the w_t of the rows above a
     np.subtract(2 * words, steps[1:], out=steps[1:])
     steps[1:] += before.repeat(degree)
-    idx = np.arange(count, dtype=np.int64)
-    window = idx % block
+    idx = np.arange(count, dtype=np.int64)  # each row's empty-set successor: itself ...
+    if block > nb:  # ... unless its window drops its oldest state
+        window = idx % block
+        idx += (window % (block // nb)) * nb + idx % nb - window
     # the last edge of a row is its first plus all its w_t, so the first
     # edges minus ``before``, differenced, are the heads
-    head = idx - window + (window % (block // nb)) * nb + idx % nb + (((1 << n) - 1 - mask) << 32) - before
+    head = idx + (((1 << n) - 1 - mask) << 32) - before
     head[1:] -= head[:-1].copy()
     return indptr, width, offset, steps, head
 
@@ -353,7 +358,10 @@ def _path(graph: SuccessorGraph, start: int, goal: np.ndarray) -> tuple[list, in
     """(activation labels along the path, goal node) to the first node of the
     ``goal`` mask in breadth-first order from start.  scipy visits each row in
     CSR order, and a path between two nodes of one SCC never leaves it, so
-    inside an SCC this is the BFS restricted to that SCC."""
+    inside an SCC this is the BFS restricted to that SCC.  A start that is
+    a goal is the first node in that order, reached with no search."""
+    if goal[start]:
+        return [], start
     order, parent = breadth_first_order(graph.adjacency, start, return_predecessors=True)
     v = reached = int(order[np.argmax(goal[order])])
     assert goal[v], "no path to the goal; SCC invariant violated"

@@ -500,7 +500,7 @@ def _cmd_simulate(doc: dict, args, result: dict) -> int:
         initial = tuple(initial)
     max_steps = args.max_steps if args.max_steps is not None else spec.get("max_steps", simulate.DEFAULT_MAX_STEPS)
     t0 = time.perf_counter()
-    trajectory, verdict = simulate.run(system, initial, schedule, max_steps=max_steps)
+    trajectory, verdict = simulate.run(system, initial, schedule, max_steps=max_steps, budget=args.budget)
     payload, code = _verdict_json(verdict)
     result.update(payload)
     result["statistics"] = {

@@ -62,6 +62,11 @@ def _check_rows(count: int, n: int, what: str, budget: int | None) -> int:
     return count
 
 
+def _fits(count: int, n: int, limit: int) -> bool:
+    """Whether ``_check_rows`` passes ``count`` rows of n cells at the budget ``limit``."""
+    return count <= limit and count * n <= _CELLS_PER_STATE * limit
+
+
 def _as_int(value, what: str = "action") -> int:
     """An integer of any integer type (numpy integers included) as a Python
     int; floats and strings are refused, not truncated."""
@@ -114,10 +119,30 @@ class ActionSpace:
         return weights
 
     def digits(self) -> np.ndarray:
-        """(N, n) array whose row i is ``decode(i)``; built afresh at every
-        call, so a large space keeps no array alive."""
+        """(N, n) int64 array whose row i is ``decode(i)``.  Within the default
+        budget it is built on first use and kept, read-only, like ``weights``;
+        a larger space builds it afresh at every call and keeps nothing alive."""
+        if self.within_default_budget:
+            return self._kept_digits
+        return self._digits()
+
+    @cached_property
+    def _kept_digits(self) -> np.ndarray:
+        digits = self._digits()
+        digits.flags.writeable = False
+        return digits
+
+    def _digits(self) -> np.ndarray:
         idx = np.arange(self.num_states, dtype=np.int64)
         return idx[:, None] // self.weights % np.array(self.sizes, dtype=np.int64)
+
+    @cached_property
+    def _bounds(self) -> np.ndarray:
+        """The action counts as read-only uint64: an int64 action viewed as
+        uint64 is below its count iff it is in range, negatives included."""
+        bounds = np.array(self.sizes, dtype=np.uint64)
+        bounds.flags.writeable = False
+        return bounds
 
     def states(self) -> Iterator[State]:
         """All joint states in encoded (lexicographic) order."""
@@ -147,9 +172,9 @@ class ActionSpace:
     @cached_property
     def within_default_budget(self) -> bool:
         """Whether ``check_budget`` passes at the default budget: only then
-        is a reaction tabulated and kept, or a machine shape's frame."""
-        states = self.num_states
-        return states <= DEFAULT_STATE_BUDGET and states * self.n <= _CELLS_PER_STATE * DEFAULT_STATE_BUDGET
+        are the digits kept, a reaction tabulated and kept, or a machine
+        shape's frame."""
+        return _fits(self.num_states, self.n, DEFAULT_STATE_BUDGET)
 
 
 @functools.cache
@@ -172,7 +197,7 @@ def _checked_rows(space: ActionSpace, rows, count: int) -> np.ndarray:
     if rows.shape != (count, space.n):
         raise InvalidInput(f"reaction must give {count} rows of {space.n} actions, got shape {rows.shape}")
     rows = rows.astype(np.int64, copy=False)
-    if (rows < 0).any() or (rows >= np.array(space.sizes, dtype=np.int64)).any():
+    if (rows.view(np.uint64) >= space._bounds).any():
         raise InvalidInput(f"reaction produced an action out of range for sizes {space.sizes}")
     return rows
 
@@ -200,12 +225,17 @@ class _Reaction:
             self._rows = rows
         return rows
 
-    def __call__(self, state: State) -> State:
-        state = self.space.validate_state(state)
-        if not self.space.within_default_budget:
-            return tuple(_checked_rows(self.space, self.array_rule(np.array([state], dtype=np.int64)), 1)[0].tolist())
-        rows = self._rows if self._rows is not None else self.rows(DEFAULT_STATE_BUDGET)
-        return tuple(rows[self.space.encode(state)].tolist())
+    def __call__(self, state: State, budget: int | None = None) -> State:
+        """The reaction at one state: read off the rows, which are tabulated
+        on first use if the space is within the default budget and within
+        ``budget``; otherwise the array rule on that state's row alone."""
+        space, rows = self.space, self._rows
+        state = space.validate_state(state)
+        if rows is None:
+            if not _fits(space.num_states, space.n, min(resolve_budget(budget), DEFAULT_STATE_BUDGET)):
+                return tuple(_checked_rows(space, self.array_rule(np.array([state], dtype=np.int64)), 1)[0].tolist())
+            rows = self.rows(budget)
+        return tuple(rows[space.encode(state)].tolist())
 
 
 @dataclass(frozen=True)
@@ -275,6 +305,10 @@ class HistorylessSystem:
         array_rule: ArrayRule,
         name: str = "",
     ) -> "HistorylessSystem":
+        """The system whose reaction is ``array_rule``, an (m, n) to (m, n)
+        map of state matrices.  The rule must not write into its input:
+        within the default budget that is the space's kept, read-only
+        ``digits``, and a write raises."""
         return cls(space=space, array_rule=array_rule, name=name)
 
     @property
@@ -285,9 +319,11 @@ class HistorylessSystem:
     def num_states(self) -> int:
         return self.space.num_states
 
-    def reaction(self, state: State) -> State:
-        """The reaction at one state; beyond the default budget, the array rule on one row."""
-        return self._reaction(state)
+    def reaction(self, state: State, budget: int | None = None) -> State:
+        """The reaction at one state.  The reaction is tabulated, and kept,
+        only within the default budget and within ``budget``; beyond either,
+        this is the array rule on one row."""
+        return self._reaction(state, budget)
 
     def reaction_rows(self, budget: int | None = None) -> np.ndarray:
         """(N, n) int64 array whose row i is the reaction at the state with

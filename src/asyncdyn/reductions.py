@@ -317,8 +317,8 @@ def build_tm(tm: TMDescription) -> HistorylessSystem:
     the halting states.  The frame holds 8 * (cells + 2) bytes a state, so
     one kept frame holds at most 520 MiB; the sweep's 144-state shape takes
     4.6 KB.  It is built on the first tabulation, so building a system
-    allocates nothing state-sized, and beyond the bound the frame of the rows
-    asked for is built afresh at every call."""
+    allocates nothing state-sized.  Beyond the bound, and for fewer rows than
+    the whole space, the frame of the rows asked for is built afresh."""
     shape, code = _tm_shape(tm), _tm_code(tm)
     space = _tm_space(*shape[:3])
     cells = tm.tape_cells
@@ -415,9 +415,10 @@ def _tm_shape_frame(shape: tuple[int, int, int, tuple[int, ...]]) -> tuple[np.nd
 
 def _tm_frame_at(shape, space: ActionSpace, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A fresh copy of the frame rows, and the code entries, at the states of
-    ``d``: gathered from the kept frame within the default budget, else
-    built for ``d`` alone."""
-    if not space.within_default_budget:
+    ``d``: gathered from the kept frame when ``d`` is every state of a space
+    within the default budget, else built for ``d`` alone (as for the one
+    row of a reaction that its budget leaves untabulated)."""
+    if len(d) != space.num_states or not space.within_default_budget:
         return _tm_frame(*shape, d)
     frame, entry = _tm_shape_frame(shape)
     at = d @ space.weights

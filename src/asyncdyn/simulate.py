@@ -112,13 +112,16 @@ def run(
     schedule: Schedule,
     max_steps: int = DEFAULT_MAX_STEPS,
     trace_limit: int = DEFAULT_TRACE_LIMIT,
+    budget: int | None = None,
 ) -> tuple[Trajectory, RunVerdict]:
     """Run the system from an initial state or window under a schedule.
 
     Returns the materialized trajectory together with a verdict.  Verdicts are
     sound: Converged means the run can never leave the reported state again,
     and Cycling means a (state, phase) pair repeated under a finitely-phased
-    schedule, so the suffix is exactly periodic.
+    schedule, so the suffix is exactly periodic.  A historyless reaction is
+    tabulated only if its space fits ``budget`` (and the default budget);
+    otherwise each step evaluates the reaction at its one state.
     """
     if max_steps <= 0:
         raise InvalidInput("max_steps must be positive")
@@ -150,7 +153,7 @@ def run(
 
     def react() -> State:
         if not memo:
-            memo.append(system.reaction(recent[-1]) if historyless else system.reaction(recent, t + 1))
+            memo.append(system.reaction(recent[-1], budget) if historyless else system.reaction(recent, t + 1))
         return memo[0]
 
     visited: dict = {}
@@ -207,7 +210,7 @@ def replay_witness(
             f"{phase_states} window states exceed the replay budget {limit}"
         )
     bound = phase_states * len(witness.cycle) + len(witness.prefix) + len(witness.initial) + 1
-    _, verdict = run(system, witness.initial, witness.schedule(), max_steps=bound)
+    _, verdict = run(system, witness.initial, witness.schedule(), max_steps=bound, budget=budget)
     return verdict
 
 

@@ -44,7 +44,15 @@ from asyncdyn.analyze import (
 from asyncdyn.cli import export_dot
 from asyncdyn.core import ActionSpace, HistorylessSystem, check_r_fair, lift_k_recall, KRecallSystem
 from asyncdyn.errors import BudgetExceeded, InvalidInput
-from asyncdyn.reductions import SocialGraph, build_majority, build_snake_system, fixture, snake_for_system
+from asyncdyn.reductions import (
+    FIXTURES,
+    SocialGraph,
+    build_disjointness,
+    build_majority,
+    build_snake_system,
+    fixture,
+    snake_for_system,
+)
 from asyncdyn.simulate import Cycling, replay_witness
 
 from _helpers import (
@@ -421,6 +429,68 @@ class TestDecideConvergence:
         if len(stable_states(system)) >= 2:
             cmap = committed_map(system)
             assert None in cmap.values()
+
+
+def search_every_leg(graph, start, goal):
+    """``analyze._path`` as it was before a leg that starts at its goal
+    skipped its search: every leg runs one breadth-first search."""
+    order, parent = analyze.breadth_first_order(graph.adjacency, start, return_predecessors=True)
+    v = reached = int(order[np.argmax(goal[order])])
+    path = []
+    while v != start:
+        u = int(parent[v])
+        lo = graph.indptr[u]
+        path.append(int(graph.label[lo + graph.dst[lo : graph.indptr[u + 1]].tolist().index(v)]))
+        v = u
+    return path[::-1], reached
+
+
+def witness_systems():
+    """Every system fixture, snake and disjointness systems at n=5, and 50
+    random table systems."""
+    systems = [fixture(name) for name, entry in FIXTURES.items() if entry.kind == "system"]
+    systems.append(build_snake_system(5))
+    systems += [build_disjointness(5, A, B) for A, B in [(set(), set()), ({1, 2}, {2, 3}), ({1, 3}, {2}), ({1}, {1})]]
+    rng = random.Random(20)
+    systems += [random_table_system(rng) for _ in range(50)]
+    return systems
+
+
+class TestWitnessWalk:
+    """A leg of the witness walk that starts at its goal is the empty path,
+    found without a search; the witnesses are those of a search per leg."""
+
+    def test_a_leg_that_starts_at_its_goal_runs_no_search(self, monkeypatch, fig1):
+        calls, search = [], analyze.breadth_first_order
+
+        def counted(graph, start, **kw):
+            calls.append(start)
+            return search(graph, start, **kw)
+
+        monkeypatch.setattr(analyze, "breadth_first_order", counted)
+        succ = transition_graph(fig1).succ
+        goal = np.arange(succ.rows) == fig1.space.encode((1, 0))
+        assert analyze._path(succ, 2, goal) == ([], 2) and calls == []
+        assert analyze._path(succ, 1, goal) == search_every_leg(succ, 1, goal) == ([3], 2)
+        assert calls == [1, 1]
+
+    def test_witnesses_equal_those_of_a_search_per_leg_and_replay(self):
+        nonconvergent, at_goal, path = 0, [], analyze._path
+
+        def count_legs_at_their_goal(graph, start, goal):
+            at_goal.append(bool(goal[start]))
+            return path(graph, start, goal)
+
+        for system in witness_systems():
+            graph = transition_graph(system)
+            with mock.patch.object(analyze, "_path", count_legs_at_their_goal):
+                verdict = decide_convergence(graph)
+            with mock.patch.object(analyze, "_path", search_every_leg):
+                assert decide_convergence(graph) == verdict
+            if isinstance(verdict, NonConvergent):
+                nonconvergent += 1
+                assert_witness_replays(system, verdict)
+        assert nonconvergent >= 20 and 0 < sum(at_goal) < len(at_goal)
 
 
 class TestDecideRConvergence:

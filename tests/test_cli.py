@@ -527,6 +527,28 @@ class TestCellBudget:
         assert doc["error"] == f"36000 joint states of 6001 nodes exceed the {64 << 20}-cell budget"
         assert peak < 1 << 20
 
+    def test_simulate_tabulates_only_within_its_budget(self, tmp_path):
+        """A 600-cell machine whose head walks right: 3,600 states, within the
+        default budget but not within ``--budget 10``.  Under that budget each
+        step evaluates the reaction at its one state, with the same verdict
+        and trace as the tabulated run."""
+        system = dict(wide_tm(600), delta=[{"state": "q", "read": 0, "next": "q", "write": 0, "move": 1}])
+        simulation = {"initial": [0] * 601, "schedule": {"kind": "synchronous"}, "max_steps": 10}
+        path = write_scenario(tmp_path, {"version": 1, "system": system, "simulation": simulation})
+        docs, traces = [], []
+        for name, budget in (("budgeted", ["--budget", "10"]), ("default", [])):
+            trace = str(tmp_path / f"{name}.txt")
+            code, doc, peak = traced_invoke(["simulate", "--scenario", path, "--trace", trace] + budget)
+            assert code == 0
+            if budget:
+                assert peak < 2 << 20
+            del doc["statistics"]["runtime_s"], doc["trace_file"]
+            docs.append(doc)
+            traces.append(Path(trace).read_text())
+        assert docs[0] == docs[1] and docs[0]["verdict"] == "budget-exhausted"
+        assert docs[0]["statistics"]["steps"] == 10
+        assert traces[0] == traces[1] and len(traces[0].splitlines()) == 11
+
 
 def table_system(rows):
     return {"kind": "table", "sizes": [2, 2], "table": rows}

@@ -1,12 +1,15 @@
 """Core model: spaces, reactions, schedules, single-step semantics."""
 
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from asyncdyn.core import (
+    DEFAULT_STATE_BUDGET,
     ActionSpace,
     ExplicitList,
     HistorylessSystem,
@@ -16,6 +19,7 @@ from asyncdyn.core import (
     SeededRandom,
     SeededRFair,
     Synchronous,
+    _checked_rows,
     _periodic,
     check_r_fair,
     check_self_independent,
@@ -84,6 +88,52 @@ class TestActionSpace:
         grid of the whole space exists; the digits must not need one."""
         assert_digits_decode(ActionSpace(sizes))
 
+    def test_digits_are_kept_read_only_within_the_default_budget(self):
+        """Like ``weights``: built on first use, then the same read-only
+        array at every call; equality and hashing still read only the sizes."""
+        space, fresh = ActionSpace((2, 3, 4)), ActionSpace((2, 3, 4))
+        digits = space.digits()
+        assert space.digits() is digits and not digits.flags.writeable
+        assert fresh.digits() is not digits and space == fresh and hash(space) == hash(fresh)
+        with pytest.raises(ValueError):
+            digits[0, 0] = 1
+
+    def test_digits_beyond_the_default_budget_are_fresh_and_kept_nowhere(self):
+        """One node with one action more than the default budget allows: each
+        call builds its own writable 8 MiB array, and dropping it frees it."""
+        space = ActionSpace((DEFAULT_STATE_BUDGET + 1,))
+        assert not space.within_default_budget
+        tracemalloc.start()
+        try:
+            first, second = space.digits(), space.digits()
+            assert first is not second and first.flags.writeable and second.flags.writeable
+            assert first[-1, 0] == DEFAULT_STATE_BUDGET and np.array_equal(first, second)
+            del first, second
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << 16
+
+    def test_an_array_rule_that_writes_into_its_input_raises(self):
+        """The rule reads the kept digits, so a write into them raises, and
+        the digits stay those of a fresh divide-and-modulo build."""
+        space = ActionSpace((2, 3))
+        fresh = np.arange(space.num_states)[:, None] // space.weights % np.array(space.sizes)
+
+        def bump(d):
+            d[:, 0] = 1 - d[:, 0]
+            return d
+
+        def shift(d):
+            d += 0
+            return d
+
+        for rule in (bump, shift):
+            system = HistorylessSystem.from_array_rule(space, rule)
+            with pytest.raises(ValueError, match="read-only"):
+                system.reaction_rows()
+            assert np.array_equal(space.digits(), fresh)
+
     def test_invalid(self):
         with pytest.raises(InvalidInput):
             ActionSpace(())
@@ -98,6 +148,90 @@ class TestActionSpace:
             space.validate_active({0})
         with pytest.raises(InvalidInput):
             space.validate_active({3})
+
+
+def four_pass_checked_rows(space, rows, count):
+    """The row check as it was before its range test became one unsigned
+    comparison: a lower and an upper bound, each compared and reduced."""
+    try:
+        rows = np.array(rows)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"reaction produced a malformed state: {exc}") from exc
+    if rows.dtype.kind not in "biu":
+        raise InvalidInput(f"reaction produced an action that is not an integer (type {rows.dtype})")
+    if rows.shape != (count, space.n):
+        raise InvalidInput(f"reaction must give {count} rows of {space.n} actions, got shape {rows.shape}")
+    rows = rows.astype(np.int64, copy=False)
+    if (rows < 0).any() or (rows >= np.array(space.sizes, dtype=np.int64)).any():
+        raise InvalidInput(f"reaction produced an action out of range for sizes {space.sizes}")
+    return rows
+
+
+EXTREMES = [-(2 ** 63), -(2 ** 32), -(2 ** 31), -1, 2 ** 31, 2 ** 32, 2 ** 63 - 1]
+
+
+@st.composite
+def candidate_rows(draw):
+    """(space, rows, count): rows of every integer width and of bools, with
+    values in range, just outside it and at the extremes of int64, plus
+    float, ragged and mis-shaped rows."""
+    space = ActionSpace(tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))))
+    count, n = draw(st.integers(1, 4)), space.n
+    kind = draw(st.sampled_from(["int64", "uint64", "int32", "int8", "bool", "float", "list", "ragged", "shape"]))
+    if kind == "ragged":
+        return space, [[0] * n] * (count - 1) + [[0] * (n + 1)], count
+    if kind == "shape":
+        shape = draw(st.sampled_from([(count, n + 1), (count + 1, n), (count * n,), (count, n, 1), (0, n)]))
+        return space, np.zeros(shape, dtype=np.int64), count
+    values = draw(st.lists(st.one_of(st.integers(-2, 6), st.sampled_from(EXTREMES)), min_size=count * n, max_size=count * n))
+    rows = np.array(values, dtype=np.int64).reshape(count, n)
+    if kind == "uint64":
+        rows = rows.view(np.uint64)
+    elif kind in ("int32", "int8"):
+        rows = rows.astype(kind)  # wraps, like any narrowing cast
+    elif kind == "bool":
+        rows = rows % 2 == 1
+    elif kind == "float":
+        rows = rows.astype(float)
+    elif kind == "list":
+        rows = rows.tolist()
+    return space, rows, count
+
+
+def check_outcome(check, space, rows, count):
+    try:
+        checked = check(space, rows, count)
+    except InvalidInput as exc:
+        return "refused", str(exc)
+    assert checked.dtype == np.int64
+    return "passed", checked.tolist()
+
+
+class TestCheckedRows:
+    """``_checked_rows`` tests the range of every action with one unsigned
+    comparison against the kept sizes; it refuses exactly what the old
+    four-pass check refused, with the same messages."""
+
+    @given(candidate_rows())
+    @settings(max_examples=400, deadline=None)
+    def test_refuses_exactly_what_the_four_pass_check_refused(self, case):
+        assert check_outcome(_checked_rows, *case) == check_outcome(four_pass_checked_rows, *case)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.int32, np.int8])
+    def test_each_column_refuses_a_negative_and_its_size(self, dtype):
+        space = ActionSpace((2, 3, 1, 5))
+        message = f"reaction produced an action out of range for sizes {space.sizes}"
+        # the extremes of the signed type; as uint64 they read 2^63 and 2^63 - 1
+        signed = np.iinfo(np.int64 if dtype is np.uint64 else dtype)
+        for j, k in enumerate(space.sizes):
+            for bad in (-1, k, signed.min, signed.max):
+                rows = space.digits().copy()
+                rows[-1, j] = bad
+                rows = rows.view(np.uint64) if dtype is np.uint64 else rows.astype(dtype)
+                for check in (_checked_rows, four_pass_checked_rows):
+                    with pytest.raises(InvalidInput, match=re.escape(message)):
+                        check(space, rows, space.num_states)
+        assert np.array_equal(_checked_rows(space, space.digits(), space.num_states), space.digits())
 
 
 class TestStep:

@@ -79,11 +79,22 @@ class TestRun:
         the reaction; the step that ends the run makes only the test."""
         ring = fixture("ring", n=4)
         reaction, calls = HistorylessSystem.reaction, []
-        monkeypatch.setattr(HistorylessSystem, "reaction", lambda self, s: calls.append(s) or reaction(self, s))
+        monkeypatch.setattr(
+            HistorylessSystem, "reaction", lambda self, s, *budget: calls.append(s) or reaction(self, s, *budget)
+        )
         trajectory, verdict = run(ring, (1, 0, 0, 0), schedule, max_steps=40)
         steps = len(trajectory.trace) - 1
         assert steps > 0
         assert calls == [state for state, _ in trajectory.trace[: steps + (not isinstance(verdict, BudgetExhausted))]]
+
+    @pytest.mark.parametrize("budget", [1, 15, 16, None])
+    def test_a_reaction_is_tabulated_only_within_the_run_budget(self, budget):
+        """ring n=4 has 16 states: a smaller budget leaves the reaction
+        untabulated and evaluates it one state at a time, to the same run."""
+        ring, reference = fixture("ring", n=4), fixture("ring", n=4)
+        trajectory, verdict = run(ring, (1, 0, 0, 0), RoundRobin(), max_steps=40, budget=budget)
+        assert (trajectory, verdict) == run(reference, (1, 0, 0, 0), RoundRobin(), max_steps=40)
+        assert (ring._reaction._rows is None) == (budget is not None and budget < 16)
 
     def test_budget_must_be_positive(self, fig1):
         with pytest.raises(InvalidInput):
