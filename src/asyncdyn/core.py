@@ -29,6 +29,11 @@ ActivationSet = frozenset[int]
 DEFAULT_STATE_BUDGET = 2 ** 20
 BUDGET_ENV_VAR = "ASYNCDYN_BUDGET"
 _CELLS_PER_STATE = 64  # cells of a state-sized array per budgeted state: N·n <= 64·budget
+# The most bytes that one array built for a shape, not for a call, may take
+# and still be kept for the life of the process: a space's digits, a machine
+# shape's frame, the per-shape constants of the uncoupled checkers.  Beyond
+# it each call builds its own, so a call leaves nothing state-sized behind.
+KEPT_BYTES = 1 << 18
 
 
 def resolve_budget(budget: int | None = None) -> int:
@@ -119,10 +124,11 @@ class ActionSpace:
         return weights
 
     def digits(self) -> np.ndarray:
-        """(N, n) int64 array whose row i is ``decode(i)``.  Within the default
-        budget it is built on first use and kept, read-only, like ``weights``;
-        a larger space builds it afresh at every call and keeps nothing alive."""
-        if self.within_default_budget:
+        """(N, n) int64 array whose row i is ``decode(i)``.  Within
+        ``KEPT_BYTES`` it is built on first use and kept, read-only, like
+        ``weights``; a larger space builds it afresh at every call and keeps
+        nothing alive."""
+        if 8 * self.num_states * self.n <= KEPT_BYTES:
             return self._kept_digits
         return self._digits()
 
@@ -172,8 +178,7 @@ class ActionSpace:
     @cached_property
     def within_default_budget(self) -> bool:
         """Whether ``check_budget`` passes at the default budget: only then
-        are the digits kept, a reaction tabulated and kept, or a machine
-        shape's frame."""
+        is a reaction tabulated and kept."""
         return _fits(self.num_states, self.n, DEFAULT_STATE_BUDGET)
 
 
@@ -185,13 +190,19 @@ def window_space(space: ActionSpace, k: int) -> ActionSpace:
     return ActionSpace((space.num_states,) * k)
 
 
-def _checked_rows(space: ActionSpace, rows, count: int) -> np.ndarray:
+def _checked_rows(space: ActionSpace, rows, count: int, given: np.ndarray | None = None) -> np.ndarray:
     """The one validator of a tabulated reaction: ``count`` rows of one
-    integer action per node, each in range; returned as an int64 array."""
-    try:
-        rows = np.array(rows)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"reaction produced a malformed state: {exc}") from exc
+    integer action per node, each in range; returned as an int64 array.
+    A fresh int64 array that the rule made, owns and may write is returned
+    as it is; anything else, the rule's input ``given`` included, is copied."""
+    if not (
+        isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows is not given
+        and rows.flags.owndata and rows.flags.writeable
+    ):
+        try:
+            rows = np.array(rows)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"reaction produced a malformed state: {exc}") from exc
     if rows.dtype.kind not in "biu":
         raise InvalidInput(f"reaction produced an action that is not an integer (type {rows.dtype})")
     if rows.shape != (count, space.n):
@@ -219,7 +230,8 @@ class _Reaction:
         self.space.check_budget(budget)
         if self._rows is not None:
             return self._rows
-        rows = _checked_rows(self.space, self.array_rule(self.space.digits()), self.space.num_states)
+        digits = self.space.digits()
+        rows = _checked_rows(self.space, self.array_rule(digits), self.space.num_states, digits)
         if self.space.within_default_budget:
             rows.flags.writeable = False
             self._rows = rows
@@ -307,8 +319,8 @@ class HistorylessSystem:
     ) -> "HistorylessSystem":
         """The system whose reaction is ``array_rule``, an (m, n) to (m, n)
         map of state matrices.  The rule must not write into its input:
-        within the default budget that is the space's kept, read-only
-        ``digits``, and a write raises."""
+        within ``KEPT_BYTES`` that is the space's kept, read-only ``digits``,
+        and a write raises."""
         return cls(space=space, array_rule=array_rule, name=name)
 
     @property

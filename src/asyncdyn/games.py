@@ -1,16 +1,46 @@
 """Games with integer utilities, PNE enumeration, and the conversions between
 games and historyless self-independent systems (best-response dynamics in one
-direction, indicator utilities in the other)."""
+direction, indicator utilities in the other).
+
+Every game of one shape shares that shape's constants, built on first use and
+kept by ``shape_constant``; each ``Game`` builds its best-response table once,
+``Game.br_table``, which PNE enumeration, best-response dynamics and the
+uncoupled checkers all read."""
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ActionSpace, HistorylessSystem, State
+from .core import KEPT_BYTES, ActionSpace, HistorylessSystem, State
 from .errors import InvalidInput, NonUniqueBestResponse
+
+_KEPT: dict = {}  # (name, space) -> read-only arrays of one shape; see shape_constant
+
+
+def shape_constant(name: str, space: ActionSpace, build):
+    """The arrays ``build()`` returns for ``space``, which depend only on its
+    shape.  They are built on first use and kept, read-only, keyed by
+    (name, space) (a space hashes by its sizes, so every equal space shares
+    them), when together they take at most ``KEPT_BYTES``; a larger shape
+    builds them at every call and keeps nothing."""
+    kept = _KEPT.get((name, space))
+    if kept is not None:
+        return kept
+    arrays = build()
+    if sum(a.nbytes for a in arrays) <= KEPT_BYTES:
+        for a in arrays:
+            a.flags.writeable = False
+        _KEPT[name, space] = arrays
+    return arrays
+
+
+def radix(space: ActionSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The space's (N, n) digits and its (n,) weights, shared by its shape."""
+    return shape_constant("radix", space, lambda: (space.digits(), space.weights))
 
 
 @dataclass(frozen=True)
@@ -44,6 +74,15 @@ class Game:
     def n(self) -> int:
         return self.space.n
 
+    @functools.cached_property
+    def br_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """This game's ``best_response_table``, two read-only (N, n) arrays
+        ``is_br`` and ``least``, built on first use."""
+        is_br, least = best_response_table(self.space, (self.utilities,))
+        for a in (is_br, least):
+            a.flags.writeable = False
+        return is_br[0], least[0]
+
     def utility(self, node: int, state) -> int:
         state = self.space.validate_state(state)
         if not 1 <= node <= self.space.n:
@@ -73,23 +112,52 @@ def _own_action_axes(space: ActionSpace):
         outer *= k
 
 
+def _own_action_index(space: ActionSpace) -> np.ndarray:
+    """(n, N, K) index into a game's n·N utilities, K the most actions of a
+    node: entry [i, s, a] is node i+1's utility at state s with its own
+    action replaced by a, and by its last action for a beyond it, which
+    changes neither the maximum nor the first place of it.  Kept per shape."""
+
+    def build():
+        digits, weights = radix(space)
+        n, count, most = space.n, space.num_states, max(space.sizes)
+        index = np.empty((n, count, most), dtype=np.int64)
+        for i, k in enumerate(space.sizes):
+            first = np.arange(i * count, (i + 1) * count) - digits[:, i] * weights[i]  # own action 0
+            index[i] = first[:, None] + np.minimum(np.arange(most), k - 1) * weights[i]
+        return (index,)
+
+    return shape_constant("own-actions", space, build)[0]
+
+
 def best_response_table(space: ActionSpace, utilities) -> tuple[np.ndarray, np.ndarray]:
     """Best responses of every node at every state, for B games on one space.
 
     ``utilities`` has shape (B, n, N): entry [b, i, s] is node i+1's utility
-    at the state with index s in game b.  Returns two (B, N, n) arrays:
+    at the state with index s in game b, a bool or an integer (beyond 64
+    bits, an object array of Python ints).  Returns two (B, N, n) arrays:
     ``is_br`` (is node i+1's action at s a best response?) and ``least``
     (node i+1's least best response at s).  Node i+1's entries read only
     ``utilities[:, i]``, so the table is uncoupled by construction.
     """
-    u = np.asarray(utilities)
-    if u.dtype.kind not in "iu":  # integers beyond 64 bits stay exact Python ints
+    try:
+        u = np.asarray(utilities)
+    except (ValueError, OverflowError):  # ragged, or too wide for one numeric dtype
+        u = None
+    if u is None or u.dtype.kind not in "biu":  # integers beyond 64 bits stay exact Python ints
         u = np.asarray(utilities, dtype=object)
+        if not all(isinstance(x, (int, np.integer)) for x in u.flat):
+            raise InvalidInput("utilities must be integers")
     if u.ndim != 3 or u.shape[1:] != (space.n, space.num_states):
         raise InvalidInput(
             f"utilities must have shape (games, {space.n}, {space.num_states}), got {u.shape}"
         )
     games = len(u)
+    # a shape whose own-action index is kept takes every node in one gather;
+    # a larger one goes node by node through reshaped views, with no index
+    if 8 * space.n * space.num_states * max(space.sizes) <= KEPT_BYTES:
+        values = u.reshape(games, -1)[:, _own_action_index(space)]  # (B, n, N, most actions)
+        return (u == values.max(-1)).transpose(0, 2, 1), values.argmax(-1).transpose(0, 2, 1)
     is_br = np.empty((games, space.n, space.num_states), dtype=bool)
     least = np.empty(is_br.shape, dtype=np.int64)
     for i, axes in enumerate(_own_action_axes(space)):
@@ -102,8 +170,7 @@ def best_response_table(space: ActionSpace, utilities) -> tuple[np.ndarray, np.n
 def enumerate_pne(game: Game, budget: int | None = None) -> frozenset[State]:
     """Exactly the states where every node's action is a best response."""
     game.space.check_budget(budget)
-    is_br, _ = best_response_table(game.space, [game.utilities])
-    return frozenset(map(game.space.decode, np.flatnonzero(is_br[0].all(-1)).tolist()))
+    return frozenset(map(game.space.decode, np.flatnonzero(game.br_table[0].all(-1)).tolist()))
 
 
 def br_system(game: Game, tie_break: str | None = None, budget: int | None = None) -> HistorylessSystem:
@@ -116,18 +183,18 @@ def br_system(game: Game, tie_break: str | None = None, budget: int | None = Non
         raise InvalidInput(f'tie_break must be None or "min", got {tie_break!r}')
     space = game.space
     space.check_budget(budget)
-    is_br, least = best_response_table(space, [game.utilities])
+    is_br, least = game.br_table
     if tie_break is None:
         # node i+1 ties at s when two or more of its own actions best-respond
         tied = np.empty((space.n, space.num_states), dtype=bool)
         for i, axes in enumerate(_own_action_axes(space)):
-            tied.reshape((space.n,) + axes)[i] = is_br[0, :, i].reshape(axes).sum(axis=1, keepdims=True) > 1
+            tied.reshape((space.n,) + axes)[i] = is_br[:, i].reshape(axes).sum(axis=1, keepdims=True) > 1
         if tied.any():
             s, i = divmod(int(tied.T.argmax()), space.n)  # first in (state, node) order
             state = space.decode(s)
             brs = best_responses(game, i + 1, state)
             raise NonUniqueBestResponse(f"node {i + 1} has best responses {sorted(brs)} at state {state}")
-    return HistorylessSystem.from_table(space, least[0], name="best-response")
+    return HistorylessSystem.from_table(space, least, name="best-response")
 
 
 def induced_game(system: HistorylessSystem, budget: int | None = None) -> Game:

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import ActionSpace, HistorylessSystem, _as_int, _check_rows
+from .core import KEPT_BYTES, ActionSpace, HistorylessSystem, _as_int, _check_rows
 from .errors import BudgetExceeded, InvalidInput
 from .uncoupled import fixture_game_2x2x2
 
@@ -312,10 +312,9 @@ def build_tm(tm: TMDescription) -> HistorylessSystem:
     The reaction is a frame of the machine's shape plus the machine's code
     vector (see ``_tm_frame``): a row's head action is its frame value plus
     ``code[entry]``.  Machines of one shape share one ``ActionSpace``, and the
-    last frame of a space ``within_default_budget`` (states and cells) is
-    kept, keyed by shape: cells, symbols, machine states and the indices of
-    the halting states.  The frame holds 8 * (cells + 2) bytes a state, so
-    one kept frame holds at most 520 MiB; the sweep's 144-state shape takes
+    last frame of at most ``KEPT_BYTES`` is kept, keyed by shape: cells,
+    symbols, machine states and the indices of the halting states.  The frame
+    holds 8 * (cells + 2) bytes a state; the sweep's 144-state shape takes
     4.6 KB.  It is built on the first tabulation, so building a system
     allocates nothing state-sized.  Beyond the bound, and for fewer rows than
     the whole space, the frame of the rows asked for is built afresh."""
@@ -416,9 +415,10 @@ def _tm_shape_frame(shape: tuple[int, int, int, tuple[int, ...]]) -> tuple[np.nd
 def _tm_frame_at(shape, space: ActionSpace, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A fresh copy of the frame rows, and the code entries, at the states of
     ``d``: gathered from the kept frame when ``d`` is every state of a space
-    within the default budget, else built for ``d`` alone (as for the one
-    row of a reaction that its budget leaves untabulated)."""
-    if len(d) != space.num_states or not space.within_default_budget:
+    whose frame (rows and entries) fits ``KEPT_BYTES``, else built for ``d``
+    alone (as for the one row of a reaction that its budget leaves
+    untabulated)."""
+    if len(d) != space.num_states or 8 * space.num_states * (space.n + 1) > KEPT_BYTES:
         return _tm_frame(*shape, d)
     frame, entry = _tm_shape_frame(shape)
     at = d @ space.weights

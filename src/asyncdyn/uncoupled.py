@@ -15,6 +15,14 @@ Each deterministic protocol is written once, as ``_window_successors``: the
 checkers run pointer doubling over it, and ``protocol_system`` is its
 per-window view.  The per-node steps are test oracles.
 
+A check pays for its game, not for its shape.  Each ``Game`` builds its
+best-response table once, ``Game.br_table``, which both checkers read.  What
+every game of a shape shares is built once per shape by
+``games.shape_constant`` and kept if it fits ``core.KEPT_BYTES``: the digits
+and weights, each window's successor less the game's answer and its newest
+state (``_windows``), and the mask bits of stay-or-roll.  A larger shape
+builds them at every call and keeps nothing.
+
 Action arithmetic here follows the protocols' 1-based formulas; the module
 converts to the library's 0-based encoding at the boundary, which leaves both
 modular differences and min-of-set tie-breaking unchanged.
@@ -22,6 +30,7 @@ modular differences and min-of-set tie-breaking unchanged.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Union
 
@@ -29,7 +38,8 @@ import numpy as np
 
 from .core import ActionSpace, KRecallSystem, _check_rows, resolve_budget, window_space
 from .errors import InvalidInput, Unsupported
-from .games import Game, best_response_table, enumerate_pne  # enumerate_pne is unused: perfbench hooks it here
+from .games import Game, best_response_table, radix, shape_constant
+from .games import enumerate_pne  # unused: perfbench hooks it here
 
 PROTOCOLS = ("three-recall", "two-recall")
 
@@ -52,11 +62,12 @@ def protocol_system(protocol: str, game: Game) -> KRecallSystem:
     space = game.space
     k = _recall(protocol, space)
     windows = window_space(space, k)
-    is_br, least = best_response_table(space, [game.utilities])
+    is_br, least = game.br_table
 
     def rule(window):
         w = windows.encode(windows.validate_state(space.encode(space.validate_state(s)) for s in window))
-        nxt = _window_successors(protocol, space, is_br, least, np.array([w], dtype=np.int64))
+        parts = _window_parts(protocol, space, np.array([w], dtype=np.int64))
+        nxt = _window_successors(protocol, space, is_br[None], least[None], parts)
         return space.decode(int(nxt[0, 0]) % space.num_states)
 
     return KRecallSystem(space=space, k=k, rule=rule, stationary=True, name=protocol)
@@ -83,38 +94,59 @@ class NoPNE:
 StabilizationVerdict = Union[SelfStabilizing, Fails, NoPNE]
 
 
-def _window_successors(protocol: str, space: ActionSpace, is_br, least, w=None) -> np.ndarray:
-    """(B, N^k) index of the window that follows each window of each game
-    under the synchronous schedule: drop the oldest state, append the new one.
-    Given an array ``w`` of window indices, only those windows' successors,
-    shape (B, len(w)).
+def _window_parts(protocol: str, space: ActionSpace, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What the successors of the windows ``w`` share across games:
+    ``(plain, src, newest)``.  In a game whose answer at each state is
+    ``answer`` (N,), the successor of w[j] is ``plain[j]`` plus
+    ``answer[src[j]]``, where ``src[j] == N`` stands for an answer of 0;
+    ``newest[j]`` is w[j]'s newest state.
 
     A window is indexed by its point in ``window_space(space, k)``, the
-    oldest state most significant.  Each protocol decides its case on whole
-    states, so a window has one new state: under 3-recall ``f[c]`` (keep a
-    best response, else play the least one) after a repeated state c, the
-    cyclic successor of a after a rejected repetition (a, a, c), else c
-    again; under 2-recall the analogous cases on (a, b), with the
-    best-response mask at b as the game's only input.
+    oldest state most significant, and its successor drops the oldest state
+    and appends the new one.  Each protocol decides its case on whole states,
+    so a window has one new state: under 3-recall the game's answer at c
+    (keep a best response, else play the least one) after a repeated state
+    c, the cyclic successor of a after a rejected repetition (a, a, c), else
+    c again; under 2-recall the analogous cases on (a, b), with the answer at
+    b (keep a best response, else step back) as the game's only part.
     """
     n_states = space.num_states
-    digits = space.digits()
     windows = window_space(space, _recall(protocol, space))
-    if w is None:
-        w = np.arange(windows.num_states, dtype=np.int64)
     states = np.unravel_index(w, windows.sizes)  # the window space's decode: k state indices, oldest first
     if protocol == "three-recall":
         a, b, c = states
-        answer = np.where(is_br, digits, least) @ space.weights  # (B, N)
-        new = np.where(b == c, answer[:, c], np.where(a == b, (a + 1) % n_states, c))
+        asked, src = b == c, c
+        plain = np.where(a == b, (a + 1) % n_states, c)
     else:
         a, b = states
+        digits = radix(space)[0]
         sizes = np.array(space.sizes, dtype=np.int64)
         move_on = (a != b) & ((digits[a] - digits[b]) % sizes <= 1).all(-1)
-        query = ((digits[b] - digits[a]) % sizes <= 2).all(-1)
-        answer = np.where(is_br, digits, (digits - 1) % sizes) @ space.weights
-        new = np.where(move_on, (a + 1) % n_states, np.where(query, answer[:, b], b))
-    return w % windows.weights[0] * n_states + new
+        asked, src = ~move_on & ((digits[b] - digits[a]) % sizes <= 2).all(-1), b
+        plain = np.where(move_on, (a + 1) % n_states, b)
+    plain[asked] = 0
+    plain += w % windows.weights[0] * n_states
+    return plain, np.where(asked, src, n_states), w % n_states
+
+
+def _windows(protocol: str, space: ActionSpace) -> tuple[np.ndarray, ...]:
+    """``_window_parts`` of every window, kept per shape by ``shape_constant``."""
+    count = window_space(space, _recall(protocol, space)).num_states
+    return shape_constant(protocol, space, lambda: _window_parts(protocol, space, np.arange(count)))
+
+
+def _window_successors(protocol: str, space: ActionSpace, is_br, least, parts) -> np.ndarray:
+    """(B, M) index of the window that follows each window of each game
+    under the synchronous schedule, for the M windows of ``parts`` (those of
+    ``_window_parts``); ``is_br`` and ``least`` are B games' best-response
+    tables, (B, N, n) as ``best_response_table`` gives them."""
+    plain, src, _ = parts
+    digits, weights = radix(space)
+    if protocol == "two-recall":  # a node that does not best-respond steps back, whatever its least response
+        least = (digits - 1) % np.array(space.sizes, dtype=np.int64)
+    answer = np.zeros((len(is_br), space.num_states + 1), dtype=np.int64)
+    answer[:, :-1] = np.where(is_br, digits, least) @ weights
+    return plain + answer[:, src]
 
 
 def _failing_windows(nxt: np.ndarray, pne_newest: np.ndarray) -> np.ndarray:
@@ -146,22 +178,28 @@ def check_self_stabilization_many(
     once some game has a PNE, before any window array exists; games are then
     processed in chunks whose windows together fit the budget.
     """
+    _recall(protocol, space)
+    return _check_windows(protocol, space, *best_response_table(space, utilities), budget)
+
+
+def _check_windows(
+    protocol: str, space: ActionSpace, is_br, least, budget: int | None
+) -> list[StabilizationVerdict]:
+    """``check_self_stabilization_many`` from the games' best-response tables."""
     k = _recall(protocol, space)
-    is_br, least = best_response_table(space, utilities)
     pne = is_br.all(-1)  # (B, N)
     verdicts: list[StabilizationVerdict] = [NoPNE()] * len(pne)
-    todo = np.flatnonzero(pne.any(-1))
+    todo = pne.any(-1).nonzero()[0]
     if not todo.size:
         return verdicts
     windows = window_space(space, k)
     limit = resolve_budget(budget)
-    count = _check_rows(windows.num_states, space.n, "window states", limit)
-    newest = np.arange(count) % space.num_states
-    step = limit // count
+    step = limit // _check_rows(windows.num_states, space.n, "window states", limit)
+    parts = _windows(protocol, space)
     for start in range(0, todo.size, step):
         chunk = todo[start:start + step]
-        nxt = _window_successors(protocol, space, is_br[chunk], least[chunk])
-        fails = _failing_windows(nxt, pne[chunk][:, newest])
+        nxt = _window_successors(protocol, space, is_br[chunk], least[chunk], parts)
+        fails = _failing_windows(nxt, pne[chunk[:, None], parts[2]])
         for g, row in zip(chunk.tolist(), fails):
             if row.any():  # the least failing window in encoded order
                 window = windows.decode(int(row.argmax()))
@@ -179,9 +217,11 @@ def check_self_stabilization(
 
     The synchronous successor is a function on windows, so each trajectory ends
     in a cycle; the system self-stabilizes iff every reachable cycle visits
-    only PNE states.  The one-game case of ``check_self_stabilization_many``.
+    only PNE states.  The one-game case of ``check_self_stabilization_many``,
+    on the game's own best-response table.
     """
-    return check_self_stabilization_many(protocol, game.space, [game.utilities], budget)[0]
+    is_br, least = game.br_table
+    return _check_windows(protocol, game.space, is_br[None], least[None], budget)[0]
 
 
 def check_self_stabilization_randomized(
@@ -197,39 +237,54 @@ def check_self_stabilization_randomized(
     states that reach a PNE is grown from the PNEs by that test, with one
     row of keys per mask that occurs.  The N states are counted against the
     budget, and the (masks, N) key rows are built in chunks of at most
-    budget entries.
+    budget entries, each once per visit: the chunks are visited in turn,
+    each grown to its own fixpoint, until a whole round of them adds no
+    state.
     """
     space = game.space
-    space.check_budget(budget)
-    is_br = best_response_table(space, [game.utilities])[0][0]
+    limit = resolve_budget(budget)
+    space.check_budget(limit)
+    is_br = game.br_table[0]
     reach = is_br.all(-1)
     if not reach.any():
         return NoPNE()
-    # a node with one action always stays, so masks are codes over the others
-    live = np.flatnonzero(np.array(space.sizes) > 1)
-    codes = (is_br[:, live] @ (1 << np.arange(live.size))).tolist()
-    index: dict[int, int] = {}  # mask code -> row, in order of first occurrence
-    group = np.array([index.setdefault(c, len(index)) for c in codes])
-    masks = np.array(list(index))
-    place = (masks[:, None] >> np.arange(live.size) & 1) * space.weights[live]  # (G, live)
-    digits = space.digits()[:, live]
-    own = (digits * place[group]).sum(-1)  # each state's key under its own mask
-    assert (own[reach] == np.flatnonzero(reach)).all(), "a PNE must be absorbing under stay-or-roll"
-    step = resolve_budget(budget) // space.num_states
-    while True:
-        grown = reach.copy()
-        for lo in range(0, len(masks), step):
-            keys = place[lo:lo + step] @ digits.T  # (masks in chunk, N)
-            hit = np.zeros(keys.shape, dtype=bool)
-            hit[np.arange(len(keys))[:, None], keys[:, reach]] = True
-            mine = (group >= lo) & (group < lo + step)
-            grown[mine] |= hit[group[mine] - lo, own[mine]]
-        if (grown == reach).all():
+    digits, weights = radix(space)
+    bits = shape_constant("stay-or-roll", space, lambda: (_live_bits(space),))[0]
+    codes = is_br @ bits  # each state's mask, as a code over the nodes with more than one action
+    seen = np.zeros(bits.sum() + 1, dtype=bool)
+    seen[codes] = True
+    masks = seen.nonzero()[0]
+    group = (np.cumsum(seen) - 1)[codes]  # each state's row in masks
+    place = (masks[:, None] & bits != 0) * weights  # (G, n): the place values of each mask's nodes
+    own = (is_br * digits) @ weights  # each state's key under its own mask; a PNE's is itself
+    step = limit // space.num_states
+    starts = range(0, len(masks), step)
+    quiet = 0  # chunks visited in a row, up to this one, that have nothing left to add
+    for lo in itertools.cycle(starts):
+        keys = place[lo:lo + step] @ digits.T  # (masks in chunk, N)
+        # a state whose mask is in another chunk reads the extra row, never hit
+        row = np.where((group >= lo) & (group < lo + len(keys)), group - lo, len(keys))
+        hit = np.zeros((len(keys) + 1, space.num_states), dtype=bool)
+        new = reach.nonzero()[0]
+        grew = False
+        while new.size:
+            hit[:-1][np.arange(len(keys))[:, None], keys[:, new]] = True
+            new = (hit[row, own] & ~reach).nonzero()[0]
+            reach[new] = True
+            grew |= bool(new.size)
+        quiet = 1 if grew else quiet + 1
+        if quiet >= len(starts):
             break
-        reach = grown
     if reach.all():
         return SelfStabilizing()
     return Fails(witness=space.decode(int(reach.argmin())))  # least in encoded order
+
+
+def _live_bits(space: ActionSpace) -> np.ndarray:
+    """Each node's bit in a best-response mask code: a node with one action
+    always stays, so it gets none, and the others get 1, 2, 4, ... in order."""
+    live = np.array(space.sizes) > 1
+    return live << (np.cumsum(live) - live)
 
 
 def to_one_based(state) -> tuple[int, ...]:

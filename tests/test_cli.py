@@ -24,6 +24,8 @@ from asyncdyn.reductions import (
     SocialGraph,
     build_disjointness,
     build_majority,
+    _tm_shape_frame,
+    _tm_space,
     build_snake_system,
     fixture,
 )
@@ -548,6 +550,27 @@ class TestCellBudget:
         assert docs[0] == docs[1] and docs[0]["verdict"] == "budget-exhausted"
         assert docs[0]["statistics"]["steps"] == 10
         assert traces[0] == traces[1] and len(traces[0].splitlines()) == 11
+
+    def test_a_tabulated_simulate_keeps_nothing_state_sized(self, tmp_path):
+        """The same machine without ``--budget`` tabulates its 3,600 x 601
+        rows (17.3 MB) once: its digits (as large) are neither kept by the
+        space nor copied again with the rows, and its frame is not kept, so
+        the call peaks under 49.9 MiB and leaves less than 1 MiB behind."""
+        system = dict(wide_tm(600), delta=[{"state": "q", "read": 0, "next": "q", "write": 0, "move": 1}])
+        simulation = {"initial": [0] * 601, "schedule": {"kind": "synchronous"}, "max_steps": 10}
+        path = write_scenario(tmp_path, {"version": 1, "system": system, "simulation": simulation})
+        _tm_space.cache_clear()  # a fresh space and frame, whatever ran before
+        _tm_shape_frame.cache_clear()
+        tracemalloc.start()
+        try:
+            code, text = invoke(["simulate", "--scenario", path])
+            del text
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 49.9 * (1 << 20)
+        assert kept < 1 << 20
 
 
 def table_system(rows):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from asyncdyn.core import (
     DEFAULT_STATE_BUDGET,
+    KEPT_BYTES,
     ActionSpace,
     ExplicitList,
     HistorylessSystem,
@@ -31,7 +32,7 @@ from asyncdyn.core import (
     window_space,
 )
 from asyncdyn.errors import InsufficientHistory, InvalidInput, Unsupported
-from asyncdyn.reductions import fixture
+from asyncdyn.reductions import _tm_space, fixture
 from asyncdyn.simulate import Converged, run
 
 from _helpers import (
@@ -113,6 +114,20 @@ class TestActionSpace:
         finally:
             tracemalloc.stop()
         assert held < 1 << 16
+
+    def test_digits_are_kept_only_within_the_kept_bytes(self):
+        """Digits of at most ``KEPT_BYTES`` are kept; one state more and each
+        call builds its own, although the space is far within the default
+        budget.  The spaces of the benchmark's Turing-machine sweep (96 and
+        144 states of 3 nodes) and of its 9-user majority graph keep theirs."""
+        for space in (_tm_space(2, 2, 2), _tm_space(2, 2, 3), ActionSpace((2,) * 9)):
+            assert space.digits() is space.digits() and not space.digits().flags.writeable
+        largest = ActionSpace((KEPT_BYTES // 8,))
+        assert largest.digits() is largest.digits()
+        beyond = ActionSpace((KEPT_BYTES // 8 + 1,))
+        assert beyond.within_default_budget
+        first, second = beyond.digits(), beyond.digits()
+        assert first is not second and first.flags.writeable and np.array_equal(first, second)
 
     def test_an_array_rule_that_writes_into_its_input_raises(self):
         """The rule reads the kept digits, so a write into them raises, and
@@ -232,6 +247,30 @@ class TestCheckedRows:
                     with pytest.raises(InvalidInput, match=re.escape(message)):
                         check(space, rows, space.num_states)
         assert np.array_equal(_checked_rows(space, space.digits(), space.num_states), space.digits())
+
+
+    def test_a_fresh_int64_result_is_not_copied(self):
+        """Rows that the rule made as a fresh, owned, writable int64 array are
+        returned as they are; a view, a read-only array, another dtype and
+        the rule's own input are copied."""
+        space = ActionSpace((2, 3))
+        rows = space.digits().copy()
+        assert _checked_rows(space, rows, space.num_states) is rows
+        assert _checked_rows(space, rows, space.num_states, rows) is not rows
+        for other in (rows[:], space.digits(), rows.astype(np.int32)):
+            checked = _checked_rows(space, other, space.num_states)
+            assert checked is not other and not np.shares_memory(checked, other)
+            assert np.array_equal(checked, rows)
+
+    def test_an_identity_rule_gets_a_copy_of_its_input(self):
+        """Beyond ``KEPT_BYTES`` the rule's input is fresh writable digits:
+        an identity rule that returns them still gets its rows copied."""
+        for space in (ActionSpace((2, 3)), ActionSpace((KEPT_BYTES // 8 + 1,))):
+            seen = []
+            system = HistorylessSystem.from_array_rule(space, lambda d: seen.append(d) or d)
+            rows = system.reaction_rows()
+            assert rows is not seen[0] and not np.shares_memory(rows, seen[0])
+            assert np.array_equal(rows, seen[0])
 
 
 class TestStep:

@@ -2,12 +2,14 @@
 
 import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from asyncdyn.analyze import Convergent, NonConvergent, decide_convergence, stable_states
+from asyncdyn import games
 from asyncdyn.core import ActionSpace, HistorylessSystem, check_self_independent
 from asyncdyn.errors import InvalidInput, NonUniqueBestResponse
 from asyncdyn.games import (
@@ -19,7 +21,13 @@ from asyncdyn.games import (
     induced_game,
 )
 from asyncdyn.reductions import SocialGraph, build_majority, fixture
-from asyncdyn.uncoupled import fixture_game_2x2x2
+from asyncdyn.uncoupled import (
+    check_self_stabilization,
+    check_self_stabilization_many,
+    check_self_stabilization_randomized,
+    fixture_game_2x2x2,
+    protocol_system,
+)
 
 from _helpers import naive_br_rows, naive_pne, random_game, random_self_independent_system
 
@@ -107,6 +115,80 @@ class TestBrSystem:
 
     def test_result_is_self_independent(self, coordination):
         assert check_self_independent(br_system(coordination)).ok
+
+
+class TestUtilityTypes:
+    """``best_response_table`` takes bool and integer arrays, and object
+    arrays of integers (the exact form of utilities beyond 64 bits); like
+    ``Game``, it refuses anything else instead of comparing it."""
+
+    SPACE = ActionSpace((2, 2))
+
+    @pytest.mark.parametrize(
+        "utilities",
+        [
+            [[[0.5, 1, 0, 0], [0, 0, 0, 0]]],
+            [[[float("nan"), 1, 0, 0], [0, 0, 0, 0]]],
+            [[["1", "0", "0", "0"], ["0", "0", "0", "0"]]],
+            np.zeros((1, 2, 4)),
+            np.array([[[1, 2.0, 0, 0], [0, 0, 0, 0]]], dtype=object),
+            [[[1, 0, 0], [0, 0, 0, 0]]],
+        ],
+        ids=["fraction", "nan", "strings", "float-array", "object-float", "ragged"],
+    )
+    def test_non_integers_are_refused(self, utilities):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput):
+                best_response_table(self.SPACE, utilities)
+            with pytest.raises(InvalidInput):
+                check_self_stabilization_many("three-recall", self.SPACE, utilities)
+
+    def test_bool_and_integer_dtypes_agree(self):
+        """The same tables as bools, as any integer dtype, as Python ints
+        beyond 64 bits (shifted by 2^70) and mixed with int64 scalars."""
+        tables = np.array([[[1, 0, 0, 1], [0, 1, 1, 1]]])
+        expected = best_response_table(self.SPACE, tables.astype(np.int64))
+        wide = [[[v + 2 ** 70 for v in row] for row in game] for game in tables.tolist()]
+        mixed = np.array([[[np.int64(v) for v in row] for row in game] for game in tables.tolist()], dtype=object)
+        for u in (tables.astype(bool), tables.astype(np.uint8), tables.astype(np.int32), wide, mixed):
+            got = best_response_table(self.SPACE, u)
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+    @pytest.mark.parametrize("sizes", [(2, 3), (3, 3), (2, 2, 2), (1, 3), (4, 1, 2)])
+    def test_a_shape_beyond_the_kept_bytes_gets_the_same_table(self, sizes, monkeypatch):
+        """With nothing kept, each call takes one node at a time through the
+        own-action axes instead of one gather: the tables are the same."""
+        rng = random.Random(len(sizes) * 100 + sum(sizes))
+        utilities = [random_game(rng, sizes, lo=-h, hi=h).utilities for h in (1, 2, 9, 10 ** 30)]
+        space = ActionSpace(sizes)
+        gathered = [best_response_table(space, [u]) for u in utilities]
+        monkeypatch.setattr(games, "KEPT_BYTES", 0)
+        for u, expected in zip(utilities, gathered):
+            got = best_response_table(space, [u])
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, expected))
+
+
+class TestOneTablePerGame:
+    def test_the_table_is_built_once_and_read_only(self, monkeypatch):
+        """PNE enumeration, best-response dynamics and both checkers read the
+        game's one table: it is built once, on first use."""
+        calls = []
+        build = games.best_response_table
+        monkeypatch.setattr(games, "best_response_table", lambda *args: calls.append(args) or build(*args))
+        game = fixture_game_2x2x2()
+        assert enumerate_pne(game) == {(0, 0, 0)}
+        br_system(game, tie_break="min")
+        check_self_stabilization("three-recall", game)
+        check_self_stabilization_randomized(game)
+        protocol_system("three-recall", game).rule(((0, 0, 0),) * 3)
+        assert len(calls) == 1
+        is_br, least = game.br_table
+        assert is_br.shape == least.shape == (8, 3)
+        assert not is_br.flags.writeable and not least.flags.writeable
+        fresh = build(game.space, [game.utilities])
+        assert np.array_equal(is_br, fresh[0][0]) and np.array_equal(least, fresh[1][0])
 
 
 class TestBestResponseTable:

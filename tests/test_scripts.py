@@ -77,6 +77,22 @@ def test_tm_equivalence_progress_goes_to_stderr_only():
     assert re.fullmatch(r"144/144 machines, \d+ machines/s, ETA 0s\n", shown.stderr)
 
 
+def test_stabilization_grid_progress_goes_to_stderr_only():
+    """``--progress`` prints one games-rate-and-ETA line per batch of the
+    exhaustive 2x2 sweep (81 batches of 81 games) to stderr and leaves stdout
+    as it was, apart from the run times."""
+    plain = run_script("stabilization_grid.py")
+    shown = run_script("stabilization_grid.py", "--progress")
+    assert shown.returncode == 0, shown.stderr
+    untimed = [re.sub(r"\((\d+|\d+\.\d)s\)$", "", p.stdout, flags=re.M) for p in (plain, shown)]
+    assert untimed[0] == untimed[1] and "three-recall on all 6561 2x2 games" in untimed[0]
+    assert plain.stderr == ""
+    lines = shown.stderr.splitlines()
+    assert len(lines) == 81
+    assert all(re.fullmatch(r"\d+/6561 games, \d+ games/s, ETA \d+s", line) for line in lines)
+    assert lines[-1].startswith("6561/6561 games,") and lines[-1].endswith(" ETA 0s")
+
+
 def test_stabilization_grid_default_run():
     proc = run_script("stabilization_grid.py")
     assert proc.returncode == 0, proc.stderr

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from asyncdyn.core import ActionSpace, Synchronous, lift_k_recall
 from asyncdyn.errors import BudgetExceeded, InvalidInput, Unsupported
 from asyncdyn.games import Game, best_response_table, enumerate_pne
-from asyncdyn import uncoupled
+from asyncdyn import games as games_module, uncoupled
 from asyncdyn.simulate import run, Converged
 from asyncdyn.uncoupled import (
     Fails,
@@ -222,7 +222,8 @@ class TestUncoupledness:
         protocol = "two-recall" if min(sizes) >= 4 else "three-recall"
         digits = space.digits()
         is_br, least = best_response_table(space, [game.utilities])
-        actions = digits[uncoupled._window_successors(protocol, space, is_br, least) % space.num_states]
+        windows = uncoupled._windows(protocol, space)
+        actions = digits[uncoupled._window_successors(protocol, space, is_br, least, windows) % space.num_states]
         for i in range(space.n):
             other = random_game(rng, sizes, hi=3)
             tables = list(other.utilities)
@@ -231,7 +232,7 @@ class TestUncoupledness:
             is_br2, least2 = best_response_table(space, [mutated.utilities])
             assert (is_br2[..., i] == is_br[..., i]).all()
             assert (least2[..., i] == least[..., i]).all()
-            nxt2 = uncoupled._window_successors(protocol, space, is_br2, least2)
+            nxt2 = uncoupled._window_successors(protocol, space, is_br2, least2, windows)
             assert (digits[nxt2 % space.num_states][..., i] == actions[..., i]).all()
 
 
@@ -303,7 +304,7 @@ class TestCheckSelfStabilization:
         ends; the witness is the first window, in encoded order (oldest state
         most significant), that ends at a non-PNE state."""
 
-        def repeat_last(protocol, space, is_br, least):
+        def repeat_last(protocol, space, is_br, least, parts):
             n_states = space.num_states
             w = np.arange(n_states ** 3)
             return np.tile(w % n_states ** 2 * n_states + w % n_states, (len(is_br), 1))
@@ -350,7 +351,7 @@ class TestArrayProtocols:
         batch = [random_game(rng, sizes, hi=rng.choice([1, 2, 9])) for _ in range(3)]
         space = batch[0].space
         is_br, least = best_response_table(space, [g.utilities for g in batch])
-        nxt = uncoupled._window_successors(protocol, space, is_br, least)
+        nxt = uncoupled._window_successors(protocol, space, is_br, least, uncoupled._windows(protocol, space))
         for game, row in zip(batch, nxt):
             lifted = lift_k_recall(reference_protocol_system(protocol, game))
             windows = itertools.product(space.states(), repeat=lifted.k)
@@ -550,6 +551,115 @@ class TestRandomizedChecker:
         if verdict == SelfStabilizing():
             for state in game.space.states():
                 assert reference_simulate_stay_or_roll(game, state, seed=seed, max_steps=5000)
+
+
+class TestPerShapeConstants:
+    """The checkers read the constants of a shape, kept once per shape, and
+    each game's one best-response table; verdicts and witnesses are those of
+    the per-node reference checkers."""
+
+    def test_both_checkers_equal_the_naive_ones_on_all_2x2_games(self):
+        space = ActionSpace((2, 2))
+        tables = list(itertools.product(range(3), repeat=4))
+        for u1 in tables:
+            for u2 in tables:
+                game = Game(space, (u1, u2))
+                assert check_self_stabilization("three-recall", game) == naive_check_self_stabilization(
+                    "three-recall", game
+                )
+                assert check_self_stabilization_randomized(game) == naive_stay_or_roll(game)
+
+    @pytest.mark.parametrize("sizes", [(2, 3), (3, 3), (2, 2, 2), (2, 2, 3)])
+    def test_both_checkers_equal_the_naive_ones_on_seeded_games(self, sizes):
+        """Seeded games with utilities up to 1, 2 or 4, and games with a
+        stay-or-roll trap like m1m2's where the shape has three nodes."""
+        rng = random.Random(sum(sizes) * 1000 + len(sizes))
+        outcomes = []
+        for j in range(12):
+            game = random_game(rng, sizes, hi=(1, 2, 4)[j % 3])
+            if len(sizes) == 3 and j % 2:
+                last = sizes[2] - 1
+                tables = [list(t) for t in game.utilities]
+                for idx, (a, b, c) in enumerate(game.space.states()):
+                    tables[2][idx] = 1 if c == last else rng.randrange(2)
+                    if c == last:
+                        tables[0][idx], tables[1][idx] = int(a == b), int(a != b)
+                game = Game(game.space, tuple(map(tuple, tables)))
+            three = check_self_stabilization("three-recall", game)
+            assert three == naive_check_self_stabilization("three-recall", game)
+            verdict = check_self_stabilization_randomized(game)
+            assert verdict == naive_stay_or_roll(game)
+            outcomes.append(type(verdict))
+        assert SelfStabilizing in outcomes
+        if len(sizes) == 3:
+            assert Fails in outcomes
+
+    def test_a_fresh_equal_space_gives_the_same_verdicts(self):
+        """Games on a new ``ActionSpace`` equal to one already used read the
+        same kept constants and get the same verdicts and witnesses."""
+        rng = random.Random(23)
+        used = ActionSpace((2, 2, 2))
+        tables = [random_game(rng, used.sizes, hi=2).utilities for _ in range(30)]
+        tables.append(fixture_game_2x2x2().utilities)
+
+        def verdicts(space):
+            return [
+                (
+                    check_self_stabilization("three-recall", Game(space, u)),
+                    check_self_stabilization_randomized(Game(space, u)),
+                )
+                for u in tables
+            ]
+
+        first = verdicts(used)
+        fresh = ActionSpace((2, 2, 2))
+        assert fresh is not used and verdicts(fresh) == first
+        assert check_self_stabilization_many("three-recall", fresh, tables) == [v for v, _ in first]
+        assert uncoupled._windows("three-recall", fresh) is uncoupled._windows("three-recall", used)
+        assert first[-1][1] == Fails(witness=(0, 0, 1))
+
+    @pytest.mark.parametrize("sizes", [(2, 3), (2, 2, 2), (4, 4)])
+    def test_constants_built_per_call_give_the_same_verdicts(self, sizes, monkeypatch):
+        """A shape beyond ``KEPT_BYTES`` builds its constants at every call
+        and keeps none: the verdicts and witnesses are those of a kept shape."""
+        rng = random.Random(sum(sizes))
+        batch = [random_game(rng, sizes, hi=(1, 2, 4)[j % 3]) for j in range(20)] + [fixture_game_2x2x2()] * (
+            sizes == (2, 2, 2)
+        )
+        protocol = "two-recall" if min(sizes) >= 4 else "three-recall"
+
+        def verdicts():
+            games = [Game(g.space, g.utilities) for g in batch]  # fresh tables
+            return (
+                [check_self_stabilization(protocol, g) for g in games],
+                [check_self_stabilization_randomized(g) for g in games],
+                check_self_stabilization_many(protocol, batch[0].space, [g.utilities for g in games]),
+            )
+
+        kept = verdicts()
+        monkeypatch.setattr(games_module, "KEPT_BYTES", 0)
+        monkeypatch.setattr(games_module, "_KEPT", {})
+        assert verdicts() == kept and not games_module._KEPT
+        assert any(isinstance(v, Fails) for v in kept[1]) == (sizes == (2, 2, 2))
+
+    def test_m1m2_still_fails_at_its_least_state(self, m1m2):
+        assert check_self_stabilization_randomized(m1m2) == Fails(witness=(0, 0, 1))
+        assert check_self_stabilization_randomized(m1m2, budget=m1m2.space.num_states) == Fails(witness=(0, 0, 1))
+
+    def test_a_large_shape_keeps_nothing_after_its_check(self):
+        """The 3x3x3x3 game's 531,441 windows are beyond ``KEPT_BYTES``: their
+        constants are built for the call and freed after it, and the call
+        peaks below the 33.5 MiB of per-call successors it took before."""
+        game = random_game(random.Random(8), (3, 3, 3, 3), hi=9)
+        tracemalloc.start()
+        try:
+            verdict = check_self_stabilization("three-recall", game)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict == SelfStabilizing()
+        assert kept < 1 << 20
+        assert peak < 33.5 * (1 << 20)
 
 
 class TestFixtureGame:
