@@ -54,7 +54,7 @@ from .core import (
     HistorylessSystem,
     LiftedSystem,
     _check_count,
-    _checked_rows,
+    _valid_rows,
     resolve_budget,
 )
 from .errors import BudgetExceeded, InvalidInput, Unsupported
@@ -486,7 +486,8 @@ def decide_convergence_many(space: ActionSpace, rows, budget: int | None = None)
     systems are decided in chunks of consecutive systems whose edges fit the
     budget: one CSR with one block per system, one SCC pass and one
     oscillation scan per chunk.  A witness for a non-convergent system comes
-    from ``decide_convergence`` on that system alone.
+    from ``decide_convergence`` on that system alone.  The rows are read
+    where they lie: int64 rows are checked and never copied.
     """
     rows = np.asarray(rows)
     N, n = space.num_states, space.n
@@ -495,7 +496,7 @@ def decide_convergence_many(space: ActionSpace, rows, budget: int | None = None)
     _check_labels(n)
     space.check_budget(budget)
     B = rows.shape[0]
-    rows = _checked_rows(space, rows.reshape(B * N, n), B * N).reshape(B, N, n)
+    rows = _valid_rows(space, rows.reshape(B * N, n), B * N).reshape(B, N, n)
     edges = np.cumsum((1 << (rows != space.digits()).sum(axis=2)).sum(axis=1))
     limit = min(resolve_budget(budget), _INDEX_MAX)
     convergent = np.empty(B, dtype=bool)

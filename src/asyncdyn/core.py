@@ -29,11 +29,8 @@ ActivationSet = frozenset[int]
 DEFAULT_STATE_BUDGET = 2 ** 20
 BUDGET_ENV_VAR = "ASYNCDYN_BUDGET"
 _CELLS_PER_STATE = 64  # cells of a state-sized array per budgeted state: N·n <= 64·budget
-# The most bytes that one array built for a shape, not for a call, may take
-# and still be kept for the life of the process: a space's digits, a machine
-# shape's frame, the per-shape constants of the uncoupled checkers.  Beyond
-# it each call builds its own, so a call leaves nothing state-sized behind.
-KEPT_BYTES = 1 << 18
+KEPT_BYTES = 1 << 18  # the most bytes one entry of shape_constant may take and still be kept
+_KEPT: dict = {}  # (key, sizes) -> read-only arrays of one shape; see shape_constant
 
 
 def resolve_budget(budget: int | None = None) -> int:
@@ -70,6 +67,28 @@ def _check_rows(count: int, n: int, what: str, budget: int | None) -> int:
 def _fits(count: int, n: int, limit: int) -> bool:
     """Whether ``_check_rows`` passes ``count`` rows of n cells at the budget ``limit``."""
     return count <= limit and count * n <= _CELLS_PER_STATE * limit
+
+
+def shape_constant(key, space: ActionSpace, build, nbytes: int | None = None):
+    """The one store of arrays that depend only on a shape: the tuple of
+    arrays ``build()`` returns for ``space``, kept read-only for the life of
+    the process under ``(key, space.sizes)`` when together they take at most
+    ``KEPT_BYTES``, so every equal space shares them.  A larger entry is
+    built at every call and kept nowhere, so a call leaves nothing
+    state-sized behind.  ``nbytes``, when given, is the entry's size, known
+    before anything is built: beyond the bound this returns None and builds
+    nothing, for a caller that has a way around the whole array."""
+    kept = _KEPT.get((key, space.sizes))
+    if kept is not None:
+        return kept
+    if nbytes is not None and nbytes > KEPT_BYTES:
+        return None
+    arrays = build()
+    if sum(a.nbytes for a in arrays) <= KEPT_BYTES:
+        for a in arrays:
+            a.flags.writeable = False
+        _KEPT[key, space.sizes] = arrays
+    return arrays
 
 
 def _as_int(value, what: str = "action") -> int:
@@ -116,31 +135,25 @@ class ActionSpace:
             idx //= k
         return tuple(reversed(out))
 
-    @cached_property
+    @property
     def weights(self) -> np.ndarray:
-        """Mixed-radix place values, read-only: ``encode(s) == s @ weights``."""
-        weights = np.cumprod((1,) + self.sizes[:0:-1], dtype=np.int64)[::-1]
-        weights.flags.writeable = False
-        return weights
+        """Mixed-radix place values: ``encode(s) == s @ weights``.  Kept by
+        ``shape_constant``, read-only and shared by every equal space."""
+        return shape_constant("weights", self, self._weights)[0]
 
     def digits(self) -> np.ndarray:
         """(N, n) int64 array whose row i is ``decode(i)``.  Within
-        ``KEPT_BYTES`` it is built on first use and kept, read-only, like
-        ``weights``; a larger space builds it afresh at every call and keeps
-        nothing alive."""
-        if 8 * self.num_states * self.n <= KEPT_BYTES:
-            return self._kept_digits
-        return self._digits()
+        ``KEPT_BYTES`` it is kept by ``shape_constant``, read-only and shared
+        by every equal space; a larger space builds it afresh, writable, at
+        every call and keeps nothing alive."""
+        return shape_constant("digits", self, self._digits)[0]
 
-    @cached_property
-    def _kept_digits(self) -> np.ndarray:
-        digits = self._digits()
-        digits.flags.writeable = False
-        return digits
+    def _weights(self) -> tuple[np.ndarray]:
+        return (np.cumprod((1,) + self.sizes[:0:-1], dtype=np.int64)[::-1],)
 
-    def _digits(self) -> np.ndarray:
+    def _digits(self) -> tuple[np.ndarray]:
         idx = np.arange(self.num_states, dtype=np.int64)
-        return idx[:, None] // self.weights % np.array(self.sizes, dtype=np.int64)
+        return (idx[:, None] // self.weights % np.array(self.sizes, dtype=np.int64),)
 
     @cached_property
     def _bounds(self) -> np.ndarray:
@@ -203,6 +216,12 @@ def _checked_rows(space: ActionSpace, rows, count: int, given: np.ndarray | None
             rows = np.array(rows)
         except (TypeError, ValueError) as exc:
             raise InvalidInput(f"reaction produced a malformed state: {exc}") from exc
+    return _valid_rows(space, rows, count)
+
+
+def _valid_rows(space: ActionSpace, rows: np.ndarray, count: int) -> np.ndarray:
+    """``_checked_rows`` of an array that is read and never kept: checked
+    where it lies, and copied only to turn another integer dtype into int64."""
     if rows.dtype.kind not in "biu":
         raise InvalidInput(f"reaction produced an action that is not an integer (type {rows.dtype})")
     if rows.shape != (count, space.n):

@@ -3,8 +3,8 @@ games and historyless self-independent systems (best-response dynamics in one
 direction, indicator utilities in the other).
 
 Every game of one shape shares that shape's constants, built on first use and
-kept by ``shape_constant``; each ``Game`` builds its best-response table once,
-``Game.br_table``, which PNE enumeration, best-response dynamics and the
+kept by ``core.shape_constant``; each ``Game`` builds its best-response table
+once, ``Game.br_table``, which PNE enumeration, best-response dynamics and the
 uncoupled checkers all read."""
 
 from __future__ import annotations
@@ -15,32 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KEPT_BYTES, ActionSpace, HistorylessSystem, State
+from .core import ActionSpace, HistorylessSystem, State, shape_constant
 from .errors import InvalidInput, NonUniqueBestResponse
-
-_KEPT: dict = {}  # (name, space) -> read-only arrays of one shape; see shape_constant
-
-
-def shape_constant(name: str, space: ActionSpace, build):
-    """The arrays ``build()`` returns for ``space``, which depend only on its
-    shape.  They are built on first use and kept, read-only, keyed by
-    (name, space) (a space hashes by its sizes, so every equal space shares
-    them), when together they take at most ``KEPT_BYTES``; a larger shape
-    builds them at every call and keeps nothing."""
-    kept = _KEPT.get((name, space))
-    if kept is not None:
-        return kept
-    arrays = build()
-    if sum(a.nbytes for a in arrays) <= KEPT_BYTES:
-        for a in arrays:
-            a.flags.writeable = False
-        _KEPT[name, space] = arrays
-    return arrays
-
-
-def radix(space: ActionSpace) -> tuple[np.ndarray, np.ndarray]:
-    """The space's (N, n) digits and its (n,) weights, shared by its shape."""
-    return shape_constant("radix", space, lambda: (space.digits(), space.weights))
 
 
 @dataclass(frozen=True)
@@ -112,22 +88,24 @@ def _own_action_axes(space: ActionSpace):
         outer *= k
 
 
-def _own_action_index(space: ActionSpace) -> np.ndarray:
+def _own_action_index(space: ActionSpace) -> np.ndarray | None:
     """(n, N, K) index into a game's n·N utilities, K the most actions of a
     node: entry [i, s, a] is node i+1's utility at state s with its own
     action replaced by a, and by its last action for a beyond it, which
-    changes neither the maximum nor the first place of it.  Kept per shape."""
+    changes neither the maximum nor the first place of it.  Kept per shape,
+    or None, with nothing built, beyond the store's bound."""
+    n, count, most = space.n, space.num_states, max(space.sizes)
 
     def build():
-        digits, weights = radix(space)
-        n, count, most = space.n, space.num_states, max(space.sizes)
+        digits, weights = space.digits(), space.weights
         index = np.empty((n, count, most), dtype=np.int64)
         for i, k in enumerate(space.sizes):
             first = np.arange(i * count, (i + 1) * count) - digits[:, i] * weights[i]  # own action 0
             index[i] = first[:, None] + np.minimum(np.arange(most), k - 1) * weights[i]
         return (index,)
 
-    return shape_constant("own-actions", space, build)[0]
+    kept = shape_constant("own-actions", space, build, 8 * n * count * most)
+    return None if kept is None else kept[0]
 
 
 def best_response_table(space: ActionSpace, utilities) -> tuple[np.ndarray, np.ndarray]:
@@ -155,8 +133,9 @@ def best_response_table(space: ActionSpace, utilities) -> tuple[np.ndarray, np.n
     games = len(u)
     # a shape whose own-action index is kept takes every node in one gather;
     # a larger one goes node by node through reshaped views, with no index
-    if 8 * space.n * space.num_states * max(space.sizes) <= KEPT_BYTES:
-        values = u.reshape(games, -1)[:, _own_action_index(space)]  # (B, n, N, most actions)
+    index = _own_action_index(space)
+    if index is not None:
+        values = u.reshape(games, -1)[:, index]  # (B, n, N, most actions)
         return (u == values.max(-1)).transpose(0, 2, 1), values.argmax(-1).transpose(0, 2, 1)
     is_br = np.empty((games, space.n, space.num_states), dtype=bool)
     least = np.empty(is_br.shape, dtype=np.int64)

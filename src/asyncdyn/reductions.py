@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import KEPT_BYTES, ActionSpace, HistorylessSystem, _as_int, _check_rows
+from .core import ActionSpace, HistorylessSystem, _as_int, _check_rows, shape_constant
 from .errors import BudgetExceeded, InvalidInput
 from .uncoupled import fixture_game_2x2x2
 
@@ -311,11 +311,12 @@ def build_tm(tm: TMDescription) -> HistorylessSystem:
 
     The reaction is a frame of the machine's shape plus the machine's code
     vector (see ``_tm_frame``): a row's head action is its frame value plus
-    ``code[entry]``.  Machines of one shape share one ``ActionSpace``, and the
-    last frame of at most ``KEPT_BYTES`` is kept, keyed by shape: cells,
-    symbols, machine states and the indices of the halting states.  The frame
-    holds 8 * (cells + 2) bytes a state; the sweep's 144-state shape takes
-    4.6 KB.  It is built on the first tabulation, so building a system
+    ``code[entry]``.  Machines of one shape share one ``ActionSpace``, and
+    the frame of each shape is kept by ``core.shape_constant`` if it takes
+    at most ``KEPT_BYTES``, under the indices of the halting states on that
+    space (whose sizes give the cells, symbols and machine states).  The
+    frame holds 8 * (cells + 2) bytes a state; the sweep's 144-state shape
+    takes 4.6 KB.  It is built on the first tabulation, so building a system
     allocates nothing state-sized.  Beyond the bound, and for fewer rows than
     the whole space, the frame of the rows asked for is built afresh."""
     shape, code = _tm_shape(tm), _tm_code(tm)
@@ -402,25 +403,18 @@ def _tm_frame(cells: int, symbols: int, n_states: int, halting: tuple[int, ...],
     return rows, entry
 
 
-@functools.lru_cache(maxsize=1)
-def _tm_shape_frame(shape: tuple[int, int, int, tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only frame of a shape at every state of its space, the last
-    one asked for kept."""
-    frame = _tm_frame(*shape, _tm_space(*shape[:3]).digits())
-    for a in frame:
-        a.flags.writeable = False
-    return frame
-
-
 def _tm_frame_at(shape, space: ActionSpace, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A fresh copy of the frame rows, and the code entries, at the states of
     ``d``: gathered from the kept frame when ``d`` is every state of a space
     whose frame (rows and entries) fits ``KEPT_BYTES``, else built for ``d``
     alone (as for the one row of a reaction that its budget leaves
     untabulated)."""
-    if len(d) != space.num_states or 8 * space.num_states * (space.n + 1) > KEPT_BYTES:
+    kept = len(d) == space.num_states and shape_constant(
+        ("tm-frame", shape[3]), space, lambda: _tm_frame(*shape, space.digits()), 8 * space.num_states * (space.n + 1)
+    )
+    if not kept:
         return _tm_frame(*shape, d)
-    frame, entry = _tm_shape_frame(shape)
+    frame, entry = kept
     at = d @ space.weights
     return np.take(frame, at, axis=0), entry[at]
 

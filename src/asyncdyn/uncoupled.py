@@ -17,8 +17,8 @@ per-window view.  The per-node steps are test oracles.
 
 A check pays for its game, not for its shape.  Each ``Game`` builds its
 best-response table once, ``Game.br_table``, which both checkers read.  What
-every game of a shape shares is built once per shape by
-``games.shape_constant`` and kept if it fits ``core.KEPT_BYTES``: the digits
+every game of a shape shares is built once per shape and kept by
+``core.shape_constant`` if it fits ``core.KEPT_BYTES``: the space's digits
 and weights, each window's successor less the game's answer and its newest
 state (``_windows``), and the mask bits of stay-or-roll.  A larger shape
 builds them at every call and keeps nothing.
@@ -36,9 +36,9 @@ from typing import Union
 
 import numpy as np
 
-from .core import ActionSpace, KRecallSystem, _check_rows, resolve_budget, window_space
+from .core import ActionSpace, KRecallSystem, _check_rows, resolve_budget, shape_constant, window_space
 from .errors import InvalidInput, Unsupported
-from .games import Game, best_response_table, radix, shape_constant
+from .games import Game, best_response_table
 from .games import enumerate_pne  # unused: perfbench hooks it here
 
 PROTOCOLS = ("three-recall", "two-recall")
@@ -119,7 +119,7 @@ def _window_parts(protocol: str, space: ActionSpace, w: np.ndarray) -> tuple[np.
         plain = np.where(a == b, (a + 1) % n_states, c)
     else:
         a, b = states
-        digits = radix(space)[0]
+        digits = space.digits()
         sizes = np.array(space.sizes, dtype=np.int64)
         move_on = (a != b) & ((digits[a] - digits[b]) % sizes <= 1).all(-1)
         asked, src = ~move_on & ((digits[b] - digits[a]) % sizes <= 2).all(-1), b
@@ -141,7 +141,7 @@ def _window_successors(protocol: str, space: ActionSpace, is_br, least, parts) -
     ``_window_parts``); ``is_br`` and ``least`` are B games' best-response
     tables, (B, N, n) as ``best_response_table`` gives them."""
     plain, src, _ = parts
-    digits, weights = radix(space)
+    digits, weights = space.digits(), space.weights
     if protocol == "two-recall":  # a node that does not best-respond steps back, whatever its least response
         least = (digits - 1) % np.array(space.sizes, dtype=np.int64)
     answer = np.zeros((len(is_br), space.num_states + 1), dtype=np.int64)
@@ -248,7 +248,7 @@ def check_self_stabilization_randomized(
     reach = is_br.all(-1)
     if not reach.any():
         return NoPNE()
-    digits, weights = radix(space)
+    digits, weights = space.digits(), space.weights
     bits = shape_constant("stay-or-roll", space, lambda: (_live_bits(space),))[0]
     codes = is_br @ bits  # each state's mask, as a code over the nodes with more than one action
     seen = np.zeros(bits.sum() + 1, dtype=bool)

@@ -8,16 +8,29 @@ instead of product graphs.  Tests compare library answers against these.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 import string
 from collections import deque
 from dataclasses import dataclass
 
+from asyncdyn import core
 from asyncdyn.analyze import transition_graph
 from asyncdyn.core import ActionSpace, HistorylessSystem, KRecallSystem, LiftedSystem, lift_k_recall
 from asyncdyn.errors import InvalidInput, NonUniqueBestResponse, Unsupported
 from asyncdyn.simulate import format_active
+
+
+@contextlib.contextmanager
+def empty_store():
+    """Swap ``core.shape_constant``'s store of per-shape arrays for an empty
+    one, yielded, for the block; the old store is back after it."""
+    saved, core._KEPT = core._KEPT, {}
+    try:
+        yield core._KEPT
+    finally:
+        core._KEPT = saved
 
 
 def all_subsets(n):

@@ -47,11 +47,14 @@ from asyncdyn.errors import BudgetExceeded, InvalidInput
 from asyncdyn.reductions import (
     FIXTURES,
     SocialGraph,
+    TMDescription,
     build_disjointness,
     build_majority,
     build_snake_system,
+    build_tm,
     fixture,
     snake_for_system,
+    tm_family_rows,
 )
 from asyncdyn.simulate import Cycling, replay_witness
 
@@ -745,6 +748,51 @@ class TestDecideConvergenceMany:
             decide_convergence_many(space, np.full((1, 4, 2), 2))
         with pytest.raises(InvalidInput):
             decide_convergence_many(space, np.full((1, 4, 2), 0.5))
+
+    def test_rows_it_does_not_own_are_checked_where_they_lie(self):
+        """A strided slice of a larger array is read in place: decided as
+        its copy is, in any integer dtype, and refused when an action is
+        out of range or not an integer."""
+        space = ActionSpace((2, 2))
+        rows = np.stack([space.digits(), space.digits()[:, ::-1], 1 - space.digits()])
+        expected = decide_convergence_many(space, rows.copy()).tolist()
+        assert expected == [True, False, False]
+        for dtype, bads in ((np.int64, (2, -1, np.iinfo(np.int64).min)), (np.int32, (2, -1)), (np.uint8, (2, 255))):
+            wide = rows.repeat(2, axis=2).astype(dtype)
+            assert decide_convergence_many(space, wide[:, :, ::2]).tolist() == expected
+            for bad in bads:
+                wide[2, 3, 2] = bad
+                with pytest.raises(InvalidInput, match="out of range"):
+                    decide_convergence_many(space, wide[:, :, ::2])
+        with pytest.raises(InvalidInput, match="not an integer"):
+            decide_convergence_many(space, rows.repeat(2, axis=2).astype(float)[:, :, ::2])
+
+    def test_a_machine_batch_is_decided_without_a_copy(self):
+        """The first batch of ``scripts/tm_equivalence.py``: 4,096 two-state
+        machines, whose (4,096, 144, 3) int64 rows take 13.5 MiB.  The rows
+        are read and never kept, so they are checked where they lie: the call
+        peaks 13.5 MiB below the 75.4 MiB it took when it copied them, leaves
+        them unchanged and decides each machine as ``decide_convergence``
+        does on it alone."""
+        states = ("q0", "q1", "h")
+        targets = [(q, s, m) for q in states for s in range(2) for m in (-1, 0, 1)]
+        keys = [(q, s) for q in states[:2] for s in range(2)]
+        machines = [
+            TMDescription(states, frozenset({"h"}), 2, 2, dict(zip(keys, combo)))
+            for combo in itertools.islice(itertools.product(targets, repeat=len(keys)), 4096)
+        ]
+        space, rows = tm_family_rows(machines)
+        before = rows.copy()
+        decide_convergence_many(space, rows[:1])  # whatever the first call builds and keeps
+        tracemalloc.start()
+        try:
+            verdicts = decide_convergence_many(space, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (75.4 - 13) * (1 << 20)
+        assert np.array_equal(rows, before)
+        assert verdicts.tolist() == [isinstance(decide_convergence(build_tm(tm)), Convergent) for tm in machines]
 
     def test_a_system_over_the_budget_is_refused(self):
         space = ActionSpace((2,) * 4)

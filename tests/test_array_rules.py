@@ -2,6 +2,7 @@
 batched machine-family tabulation against the one-machine builder, and the
 per-state views of an array rule: ``reaction`` and ``rule``."""
 
+import contextlib
 import dataclasses
 import gc
 import itertools
@@ -38,6 +39,7 @@ from _helpers import (
     bgp_rule,
     circuit_rule,
     disjointness_rule,
+    empty_store,
     enumerate_tms,
     fixture_rule,
     majority_rule,
@@ -195,26 +197,43 @@ def random_shape(rng):
     return rng.randrange(1, 4), rng.randrange(1, 4), count, halting
 
 
+@contextlib.contextmanager
+def whole_frames_built():
+    """The shapes whose frame at every state ``reductions._tm_frame`` builds
+    in the block, once a build; a frame of fewer rows is not listed."""
+    built, build = [], reductions._tm_frame
+
+    def counted(cells, symbols, n_states, halting, d):
+        if len(d) == reductions._tm_space(cells, symbols, n_states).num_states:
+            built.append((cells, symbols, n_states, halting))
+        return build(cells, symbols, n_states, halting, d)
+
+    reductions._tm_frame = counted
+    try:
+        yield built
+    finally:
+        reductions._tm_frame = build
+
+
 @given(SEEDS)
 @settings(max_examples=30, deadline=None)
 def test_tm_frames_of_interleaved_shapes_match_the_oracle(seed):
-    """Machines of three random shapes, tabulated in random order: the one
-    kept frame is evicted and rebuilt at every change of shape, and every
+    """Machines of three random shapes, tabulated in random order: each
+    shape's frame is built once and kept beside the others, and every
     machine's rows are still its per-state rule's, also where the array rule
     is given a few states in any order rather than the whole space."""
     rng = random.Random(seed)
     shapes = [random_shape(rng) for _ in range(3)]
     order = [rng.choice(shapes) for _ in range(8)]
-    reductions._tm_shape_frame.cache_clear()
-    for shape in order:
-        tm = shaped_tm(rng, *shape)
-        assert reductions._tm_shape(tm) == shape
-        system = build_tm(tm)
-        assert_rows_match(system, tm_rule(tm))
-        some = [system.space.decode(rng.randrange(system.num_states)) for _ in range(5)]
-        assert system.array_rule(np.array(some)).tolist() == [list(tm_rule(tm)(s)) for s in some]
-    changes = 1 + sum(a != b for a, b in zip(order, order[1:]))
-    assert reductions._tm_shape_frame.cache_info()[1:] == (changes, 1, 1)  # misses, maxsize, currsize
+    with empty_store(), whole_frames_built() as built:
+        for shape in order:
+            tm = shaped_tm(rng, *shape)
+            assert reductions._tm_shape(tm) == shape
+            system = build_tm(tm)
+            assert_rows_match(system, tm_rule(tm))
+            some = [system.space.decode(rng.randrange(system.num_states)) for _ in range(5)]
+            assert system.array_rule(np.array(some)).tolist() == [list(tm_rule(tm)(s)) for s in some]
+    assert sorted(built) == sorted(set(order))
 
 
 @given(SEEDS)
@@ -225,18 +244,22 @@ def test_tm_frame_reads_no_state_names(seed):
     shape = random_shape(random.Random(seed))
     one, other = (shaped_tm(random.Random(seed), *shape, names=names) for names in ("s", "renamed-"))
     assert one.states != other.states
-    assert build_tm(one).reaction_rows().tolist() == build_tm(other).reaction_rows().tolist()
-    assert reductions._tm_shape_frame.cache_info().hits >= 1
+    with empty_store(), whole_frames_built() as built:
+        assert build_tm(one).reaction_rows().tolist() == build_tm(other).reaction_rows().tolist()
+    assert built == [shape]
 
 
 def test_tm_frame_is_read_only_and_no_machine_rows_alias_it():
+    """The kept frame, like every array the store keeps, is read-only, and
+    each machine's rows are a copy of it, not a view."""
     rng = random.Random(7)
     machines = [shaped_tm(rng, 2, 2, 3, (2,)) for _ in range(3)]
-    systems = [build_tm(tm) for tm in machines]
-    tabulated = [system.reaction_rows() for system in systems]
-    frame = reductions._tm_shape_frame(reductions._tm_shape(machines[0]))
-    _, family = tm_family_rows(machines)
-    for a in frame:
+    with empty_store() as store:
+        systems = [build_tm(tm) for tm in machines]
+        tabulated = [system.reaction_rows() for system in systems]
+        _, family = tm_family_rows(machines)
+    assert (("tm-frame", (2,)), systems[0].space.sizes) in store
+    for a in (a for arrays in store.values() for a in arrays):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 0
@@ -257,22 +280,22 @@ def test_tm_family_rows_of_two_alternating_shapes_stack_the_builder_rows():
 def test_tm_reaction_beyond_the_default_budget_evaluates_one_row_and_keeps_no_frame():
     """14 cells, 2 symbols and 3 machine states make 4,128,768 states, beyond
     the default budget: building the system and one ``reaction`` allocate
-    nothing state-sized, and no frame is kept."""
+    nothing state-sized, and the store keeps no frame and no digits."""
     rng = random.Random(14)
     tm = shaped_tm(rng, 14, 2, 3, (2,))
     states = [tuple(rng.randrange(2) for _ in range(14)) + (rng.randrange(252),) for _ in range(20)]
-    reductions._tm_shape_frame.cache_clear()
-    tracemalloc.start()
-    try:
-        system = build_tm(tm)
-        reactions = [system.reaction(s) for s in states]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with empty_store() as store:
+        tracemalloc.start()
+        try:
+            system = build_tm(tm)
+            reactions = [system.reaction(s) for s in states]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert system.num_states == 4_128_768 > DEFAULT_STATE_BUDGET
     assert reactions == [tm_rule(tm)(s) for s in states]
     assert peak < 1 << 20
-    assert reductions._tm_shape_frame.cache_info().currsize == 0
+    assert all(a.size <= system.n for arrays in store.values() for a in arrays)  # no digits, no frame
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])

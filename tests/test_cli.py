@@ -24,14 +24,12 @@ from asyncdyn.reductions import (
     SocialGraph,
     build_disjointness,
     build_majority,
-    _tm_shape_frame,
-    _tm_space,
     build_snake_system,
     fixture,
 )
 from asyncdyn.simulate import Cycling, Witness, replay_witness
 
-from _helpers import oracle_dot, random_lifted_system, random_table_system
+from _helpers import empty_store, oracle_dot, random_lifted_system, random_table_system
 
 
 def write_scenario(tmp_path, doc, name="scenario.json"):
@@ -554,21 +552,21 @@ class TestCellBudget:
     def test_a_tabulated_simulate_keeps_nothing_state_sized(self, tmp_path):
         """The same machine without ``--budget`` tabulates its 3,600 x 601
         rows (17.3 MB) once: its digits (as large) are neither kept by the
-        space nor copied again with the rows, and its frame is not kept, so
+        store nor copied again with the rows, and its frame is not kept, so
         the call peaks under 49.9 MiB and leaves less than 1 MiB behind."""
         system = dict(wide_tm(600), delta=[{"state": "q", "read": 0, "next": "q", "write": 0, "move": 1}])
         simulation = {"initial": [0] * 601, "schedule": {"kind": "synchronous"}, "max_steps": 10}
         path = write_scenario(tmp_path, {"version": 1, "system": system, "simulation": simulation})
-        _tm_space.cache_clear()  # a fresh space and frame, whatever ran before
-        _tm_shape_frame.cache_clear()
-        tracemalloc.start()
-        try:
-            code, text = invoke(["simulate", "--scenario", path])
-            del text
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        with empty_store() as store:
+            tracemalloc.start()
+            try:
+                code, text = invoke(["simulate", "--scenario", path])
+                del text
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
         assert code == 0
+        assert store and all(a.size <= 601 for arrays in store.values() for a in arrays)  # no digits, no frame
         assert peak <= 49.9 * (1 << 20)
         assert kept < 1 << 20
 

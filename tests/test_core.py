@@ -1,13 +1,20 @@
 """Core model: spaces, reactions, schedules, single-step semantics."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import asyncdyn
+from asyncdyn import core
+from asyncdyn.analyze import NonConvergent, decide_convergence, decide_convergence_many
 from asyncdyn.core import (
     DEFAULT_STATE_BUDGET,
     KEPT_BYTES,
@@ -32,11 +39,19 @@ from asyncdyn.core import (
     window_space,
 )
 from asyncdyn.errors import InsufficientHistory, InvalidInput, Unsupported
-from asyncdyn.reductions import _tm_space, fixture
+from asyncdyn.reductions import SocialGraph, TMDescription, _tm_space, build_majority, build_tm, fixture, tm_family_rows
 from asyncdyn.simulate import Converged, run
+from asyncdyn.uncoupled import (
+    Fails,
+    check_self_stabilization,
+    check_self_stabilization_many,
+    check_self_stabilization_randomized,
+)
 
 from _helpers import (
     all_subsets,
+    empty_store,
+    random_game,
     random_lifted_system,
     random_self_independent_system,
     random_table_system,
@@ -91,13 +106,18 @@ class TestActionSpace:
 
     def test_digits_are_kept_read_only_within_the_default_budget(self):
         """Like ``weights``: built on first use, then the same read-only
-        array at every call; equality and hashing still read only the sizes."""
+        array at every call.  The store keys them by the sizes, so an equal
+        fresh space gets the very same digits and weights."""
         space, fresh = ActionSpace((2, 3, 4)), ActionSpace((2, 3, 4))
-        digits = space.digits()
+        digits, weights = space.digits(), space.weights
         assert space.digits() is digits and not digits.flags.writeable
-        assert fresh.digits() is not digits and space == fresh and hash(space) == hash(fresh)
+        assert space.weights is weights and not weights.flags.writeable
+        assert fresh is not space and space == fresh and hash(space) == hash(fresh)
+        assert fresh.digits() is digits and fresh.weights is weights
         with pytest.raises(ValueError):
             digits[0, 0] = 1
+        with pytest.raises(ValueError):
+            weights[0] = 1
 
     def test_digits_beyond_the_default_budget_are_fresh_and_kept_nowhere(self):
         """One node with one action more than the default budget allows: each
@@ -163,6 +183,59 @@ class TestActionSpace:
             space.validate_active({0})
         with pytest.raises(InvalidInput):
             space.validate_active({3})
+
+
+def two_state_machines(rng, count):
+    """Random two-cell, two-symbol machines of one state and a halting one."""
+    targets = [(q, s, m) for q in ("q", "h") for s in (0, 1) for m in (-1, 0, 1)]
+    return [
+        TMDescription(("q", "h"), frozenset({"h"}), 2, 2, {("q", 0): rng.choice(targets), ("q", 1): rng.choice(targets)})
+        for _ in range(count)
+    ]
+
+
+class TestShapeStore:
+    def test_importing_the_package_keeps_nothing(self):
+        """No import-time work: a fresh interpreter that imports every module
+        of the package finds the store empty."""
+        code = "import asyncdyn, asyncdyn.cli, asyncdyn.reductions, asyncdyn.uncoupled\nprint(len(asyncdyn.core._KEPT))"
+        env = dict(os.environ, PYTHONPATH=str(Path(asyncdyn.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0\n"
+
+    def test_a_bound_of_zero_keeps_nothing_and_changes_no_answer(self, monkeypatch):
+        """With ``KEPT_BYTES`` at 0 every per-shape array is built for its
+        call: the store stays empty, and the reaction rows, the verdicts and
+        their witnesses are those read from the kept arrays."""
+        machines = two_state_machines(random.Random(4), 40)
+        protocols = (("three-recall", (2, 3)), ("three-recall", (2, 2, 2)), ("two-recall", (4, 4)))
+
+        def answers():
+            rng = random.Random(9)
+            systems = [fixture(name) for name in ("fig1", "ex-three-stable", "ex-unbounded-latched", "ring", "futile")]
+            systems += [build_tm(tm) for tm in machines[:8]] + [build_majority(SocialGraph(5, ((1, 2), (2, 3), (4, 5))))]
+            space, family = tm_family_rows(machines)
+            games = {shape: [random_game(rng, shape[1], hi=3) for _ in range(10)] for shape in protocols}
+            games["three-recall", (2, 2, 2)].append(fixture("m1m2"))
+            return (
+                [system.reaction_rows().tolist() for system in systems],
+                [decide_convergence(system) for system in systems],
+                family.tolist(),
+                decide_convergence_many(space, family).tolist(),
+                [(check_self_stabilization(p, g), check_self_stabilization_randomized(g)) for (p, _), b in games.items() for g in b],
+                [check_self_stabilization_many(p, ActionSpace(sizes), [g.utilities for g in b]) for (p, sizes), b in games.items()],
+            )
+
+        with empty_store() as store:
+            kept = answers()
+            assert store
+        monkeypatch.setattr(core, "KEPT_BYTES", 0)
+        with empty_store() as store:
+            assert answers() == kept
+            assert not store
+        assert any(isinstance(v, NonConvergent) for v in kept[1]) and not all(kept[3])
+        assert any(isinstance(v, Fails) for pair in kept[4] for v in pair)
 
 
 def four_pass_checked_rows(space, rows, count):

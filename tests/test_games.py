@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asyncdyn.analyze import Convergent, NonConvergent, decide_convergence, stable_states
-from asyncdyn import games
+from asyncdyn import core, games
 from asyncdyn.core import ActionSpace, HistorylessSystem, check_self_independent
 from asyncdyn.errors import InvalidInput, NonUniqueBestResponse
 from asyncdyn.games import (
@@ -164,10 +164,12 @@ class TestUtilityTypes:
         utilities = [random_game(rng, sizes, lo=-h, hi=h).utilities for h in (1, 2, 9, 10 ** 30)]
         space = ActionSpace(sizes)
         gathered = [best_response_table(space, [u]) for u in utilities]
-        monkeypatch.setattr(games, "KEPT_BYTES", 0)
+        monkeypatch.setattr(core, "KEPT_BYTES", 0)
+        monkeypatch.setattr(core, "_KEPT", {})
         for u, expected in zip(utilities, gathered):
             got = best_response_table(space, [u])
             assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, expected))
+        assert not core._KEPT
 
 
 class TestOneTablePerGame:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from asyncdyn.core import ActionSpace, Synchronous, lift_k_recall
 from asyncdyn.errors import BudgetExceeded, InvalidInput, Unsupported
 from asyncdyn.games import Game, best_response_table, enumerate_pne
-from asyncdyn import games as games_module, uncoupled
+from asyncdyn import core, uncoupled
 from asyncdyn.simulate import run, Converged
 from asyncdyn.uncoupled import (
     Fails,
@@ -637,9 +637,9 @@ class TestPerShapeConstants:
             )
 
         kept = verdicts()
-        monkeypatch.setattr(games_module, "KEPT_BYTES", 0)
-        monkeypatch.setattr(games_module, "_KEPT", {})
-        assert verdicts() == kept and not games_module._KEPT
+        monkeypatch.setattr(core, "KEPT_BYTES", 0)
+        monkeypatch.setattr(core, "_KEPT", {})
+        assert verdicts() == kept and not core._KEPT
         assert any(isinstance(v, Fails) for v in kept[1]) == (sizes == (2, 2, 2))
 
     def test_m1m2_still_fails_at_its_least_state(self, m1m2):
