@@ -7,13 +7,17 @@ product is built over its reached states only, and the budget counts the
 product transitions examined.  A cell that exceeds the enumeration budget
 reads "budget".
 
-Usage: python scripts/r_thresholds.py [--max-ring N] [--snake-nodes N]
+With --progress, the rows done out of the total and the time elapsed are
+printed to stderr after each row; stdout is unchanged.
+
+Usage: python scripts/r_thresholds.py [--max-ring N] [--snake-nodes N] [--progress]
 
 The n=7 row (|S|=14) examines about 8.0M product transitions at r=14:
     ASYNCDYN_BUDGET=10000000 python scripts/r_thresholds.py --snake-nodes 7
 """
 
 import argparse
+import sys
 import time
 
 from asyncdyn.analyze import Convergent, decide_r_convergence
@@ -49,11 +53,16 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-ring", type=int, default=6)
     parser.add_argument("--snake-nodes", type=int, default=6, choices=range(5, 8))
+    parser.add_argument(
+        "--progress", action="store_true", help="print the rows done and the time elapsed to stderr"
+    )
     args = parser.parse_args()
-    for n in range(3, args.max_ring + 1):
-        print(ring_row(n))
-    for n in range(5, args.snake_nodes + 1):
-        print(snake_row(n))
+    rows = [(ring_row, n) for n in range(3, args.max_ring + 1)] + [(snake_row, n) for n in range(5, args.snake_nodes + 1)]
+    t0 = time.time()
+    for done, (row, n) in enumerate(rows, 1):
+        print(row(n), flush=True)
+        if args.progress:
+            print(f"{done}/{len(rows)} rows, {time.time() - t0:.1f}s elapsed", file=sys.stderr, flush=True)
 
 
 if __name__ == "__main__":

@@ -135,7 +135,7 @@ def best_response_table(space: ActionSpace, utilities) -> tuple[np.ndarray, np.n
     # a larger one goes node by node through reshaped views, with no index
     index = _own_action_index(space)
     if index is not None:
-        values = u.reshape(games, -1)[:, index]  # (B, n, N, most actions)
+        values = u.reshape(games, space.n * space.num_states)[:, index]  # (B, n, N, most actions)
         return (u == values.max(-1)).transpose(0, 2, 1), values.argmax(-1).transpose(0, 2, 1)
     is_br = np.empty((games, space.n, space.num_states), dtype=bool)
     least = np.empty(is_br.shape, dtype=np.int64)

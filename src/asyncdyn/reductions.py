@@ -404,19 +404,19 @@ def _tm_frame(cells: int, symbols: int, n_states: int, halting: tuple[int, ...],
 
 
 def _tm_frame_at(shape, space: ActionSpace, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A fresh copy of the frame rows, and the code entries, at the states of
-    ``d``: gathered from the kept frame when ``d`` is every state of a space
-    whose frame (rows and entries) fits ``KEPT_BYTES``, else built for ``d``
-    alone (as for the one row of a reaction that its budget leaves
-    untabulated)."""
+    """The frame rows, a fresh copy, and the code entries, which the caller
+    only reads, at the states of ``d``: read from the kept frame when ``d`` is the space's own
+    digits, as in every tabulation, and the frame (rows and entries) fits
+    ``KEPT_BYTES``; else built for ``d`` alone (as for the one row of a
+    reaction that its budget leaves untabulated).  The length is compared
+    first, so a one-row call never asks for the digits of a large space."""
     kept = len(d) == space.num_states and shape_constant(
         ("tm-frame", shape[3]), space, lambda: _tm_frame(*shape, space.digits()), 8 * space.num_states * (space.n + 1)
     )
-    if not kept:
+    if not kept or d is not space.digits():
         return _tm_frame(*shape, d)
     frame, entry = kept
-    at = d @ space.weights
-    return np.take(frame, at, axis=0), entry[at]
+    return frame.copy(), entry
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,20 @@ checkers run pointer doubling over it, and ``protocol_system`` is its
 per-window view.  The per-node steps are test oracles.
 
 A check pays for its game, not for its shape.  Each ``Game`` builds its
-best-response table once, ``Game.br_table``, which both checkers read.  What
+best-response table once, ``Game.br_table``, which every checker reads.  What
 every game of a shape shares is built once per shape and kept by
 ``core.shape_constant`` if it fits ``core.KEPT_BYTES``: the space's digits
 and weights, each window's successor less the game's answer and its newest
-state (``_windows``), and the mask bits of stay-or-roll.  A larger shape
-builds them at every call and keeps nothing.
+state (``_windows``), and stay-or-roll's key table, the keys of every state
+under every best-response mask code.  A larger shape builds them at every
+call and keeps nothing; stay-or-roll then builds the keys of the masks that
+occur only.
+
+Every protocol here reads a game only through its best-response mask
+``is_br``, so two games with one mask get one verdict and one witness.
+Stay-or-roll is one batched checker, and the one-game call is its case B=1.
+``check_self_stabilization_many`` groups its games by mask and decides each
+distinct mask once, for every protocol; the one-game calls do not group.
 
 Action arithmetic here follows the protocols' 1-based formulas; the module
 converts to the library's 0-based encoding at the boundary, which leaves both
@@ -170,16 +178,31 @@ def _failing_windows(nxt: np.ndarray, pne_newest: np.ndarray) -> np.ndarray:
 def check_self_stabilization_many(
     protocol: str, space: ActionSpace, utilities, budget: int | None = None
 ) -> list[StabilizationVerdict]:
-    """``check_self_stabilization`` for B games on one space at once;
-    ``utilities`` has shape (B, n, N) as in ``games.best_response_table``.
+    """``check_self_stabilization``, or for ``"stay-or-roll"``
+    ``check_self_stabilization_randomized``, for B games on one space at
+    once; ``utilities`` has shape (B, n, N) as in ``games.best_response_table``.
 
-    Returns one verdict per game, equal to the single-game verdict.  The N^k
-    windows of one game and their N^k·n cells are counted against the budget
-    once some game has a PNE, before any window array exists; games are then
-    processed in chunks whose windows together fit the budget.
+    Returns one verdict per game, equal to the single-game verdict.  Every
+    protocol reads a game only through its best-response mask ``is_br`` (the
+    least best response is a function of it), so the games are grouped by
+    mask and each distinct mask is decided once.  A deterministic protocol
+    counts the N^k windows of one game and their N^k·n cells against the
+    budget once some game has a PNE, before any window array exists; the
+    masks are then processed in chunks whose windows together fit the budget.
+    Stay-or-roll counts as in ``check_self_stabilization_randomized``.
     """
-    _recall(protocol, space)
-    return _check_windows(protocol, space, *best_response_table(space, utilities), budget)
+    if protocol not in (*PROTOCOLS, "stay-or-roll"):
+        raise InvalidInput(f"unknown protocol {protocol!r}; expected one of {(*PROTOCOLS, 'stay-or-roll')}")
+    if protocol != "stay-or-roll":
+        _recall(protocol, space)
+    is_br, least = best_response_table(space, utilities)
+    packed = np.packbits(is_br.reshape(len(is_br), space.num_states * space.n), axis=1)
+    _, first, inverse = np.unique(packed, axis=0, return_index=True, return_inverse=True)
+    if protocol == "stay-or-roll":
+        decided = _stay_or_roll(space, is_br[first], budget)
+    else:
+        decided = _check_windows(protocol, space, is_br[first], least[first], budget)
+    return [decided[i] for i in inverse.reshape(-1).tolist()]
 
 
 def _check_windows(
@@ -200,12 +223,9 @@ def _check_windows(
         chunk = todo[start:start + step]
         nxt = _window_successors(protocol, space, is_br[chunk], least[chunk], parts)
         fails = _failing_windows(nxt, pne[chunk[:, None], parts[2]])
-        for g, row in zip(chunk.tolist(), fails):
-            if row.any():  # the least failing window in encoded order
-                window = windows.decode(int(row.argmax()))
-                verdicts[g] = Fails(witness=tuple(map(space.decode, window)))
-            else:
-                verdicts[g] = SelfStabilizing()
+        for g, bad, w in zip(chunk.tolist(), fails.any(-1).tolist(), fails.argmax(-1).tolist()):
+            # the witness is the least failing window in encoded order
+            verdicts[g] = Fails(witness=tuple(map(space.decode, windows.decode(w)))) if bad else SelfStabilizing()
     return verdicts
 
 
@@ -229,55 +249,96 @@ def check_self_stabilization_randomized(
 ) -> StabilizationVerdict:
     """Support-reachability check of the stay-or-roll protocol under the
     synchronous schedule: self-stabilizing iff every PNE is absorbing and some
-    PNE is reachable in the support graph from every state.
+    PNE is reachable in the support graph from every state.  The witness of
+    a failure is the least state, in encoded order, that reaches no PNE.
+
+    The one-game case of the batched checker (``_stay_or_roll``), on the
+    game's own best-response table: the N states are counted against the
+    budget, then the M·N entries of the game's hit table (M mask rows), whose
+    rows go in chunks of at most budget entries when they do not fit."""
+    return _stay_or_roll(game.space, game.br_table[0][None], budget)[0]
+
+
+def _stay_or_roll(space: ActionSpace, is_br, budget: int | None) -> list[StabilizationVerdict]:
+    """Stay-or-roll verdicts of B games from their (B, N, n) masks ``is_br``.
 
     A state t is a one-step successor of s iff t agrees with s on the nodes
     that best-respond at s.  So s reaches a set R iff R meets the subcube
-    keyed by (best-response mask at s, s's actions on that mask); the set of
-    states that reach a PNE is grown from the PNEs by that test, with one
-    row of keys per mask that occurs.  The N states are counted against the
-    budget, and the (masks, N) key rows are built in chunks of at most
-    budget entries, each once per visit: the chunks are visited in turn,
-    each grown to its own fixpoint, until a whole round of them adds no
-    state.
+    keyed by (best-response mask at s, s's actions on that mask); each
+    game's set of states that reach a PNE is grown from its PNEs by that
+    test, in a (B, M, N) hit table: M mask rows, each with one entry per key.
+    The rows are those of every mask code, read from a key table kept per
+    shape; beyond ``KEPT_BYTES`` they are those of the masks that occur,
+    built at every call (``_key_rows``).  The N states are counted against
+    the budget, and then the B·M·N entries of the hit table: the games go in
+    chunks whose entries fit it, and a game whose M·N do not goes alone, its
+    mask rows in chunks of at most budget entries, each grown to its own
+    fixpoint in turn until a whole round of them adds no state.
     """
-    space = game.space
     limit = resolve_budget(budget)
+    count = space.num_states
     space.check_budget(limit)
-    is_br = game.br_table[0]
-    reach = is_br.all(-1)
-    if not reach.any():
-        return NoPNE()
-    digits, weights = space.digits(), space.weights
-    bits = shape_constant("stay-or-roll", space, lambda: (_live_bits(space),))[0]
-    codes = is_br @ bits  # each state's mask, as a code over the nodes with more than one action
-    seen = np.zeros(bits.sum() + 1, dtype=bool)
-    seen[codes] = True
-    masks = seen.nonzero()[0]
-    group = (np.cumsum(seen) - 1)[codes]  # each state's row in masks
-    place = (masks[:, None] & bits != 0) * weights  # (G, n): the place values of each mask's nodes
-    own = (is_br * digits) @ weights  # each state's key under its own mask; a PNE's is itself
-    step = limit // space.num_states
-    starts = range(0, len(masks), step)
-    quiet = 0  # chunks visited in a row, up to this one, that have nothing left to add
-    for lo in itertools.cycle(starts):
-        keys = place[lo:lo + step] @ digits.T  # (masks in chunk, N)
-        # a state whose mask is in another chunk reads the extra row, never hit
-        row = np.where((group >= lo) & (group < lo + len(keys)), group - lo, len(keys))
-        hit = np.zeros((len(keys) + 1, space.num_states), dtype=bool)
-        new = reach.nonzero()[0]
-        grew = False
-        while new.size:
-            hit[:-1][np.arange(len(keys))[:, None], keys[:, new]] = True
-            new = (hit[row, own] & ~reach).nonzero()[0]
-            reach[new] = True
-            grew |= bool(new.size)
-        quiet = 1 if grew else quiet + 1
-        if quiet >= len(starts):
-            break
-    if reach.all():
-        return SelfStabilizing()
-    return Fails(witness=space.decode(int(reach.argmin())))  # least in encoded order
+    codes = 1 << sum(k > 1 for k in space.sizes)  # one bit per node with more than one action
+    place = shape_constant("stay-or-roll places", space, lambda: (_mask_places(space),))[0]
+    at = (is_br * place).sum(-1)  # (B, N): each state's mask code times N plus its key under that mask
+    reach = at >= (codes - 1) * count  # the PNEs, grown to the states that reach one
+    verdicts: list[StabilizationVerdict] = [NoPNE()] * len(reach)
+    todo = reach.any(-1).nonzero()[0]
+    if not todo.size:
+        return verdicts
+    if todo.size < len(reach):
+        at, reach = at[todo], reach[todo]
+    table = shape_constant(
+        "stay-or-roll keys", space, lambda: (_key_rows(space, range(codes)),), 8 * count * codes
+    )
+    if table is None:  # the rows of the masks that occur only
+        masks, group = np.unique(at // count, return_inverse=True)
+        at = group.reshape(at.shape) * count + at % count
+    else:
+        masks, table = range(codes), table[0]
+    step = min(len(masks), limit // count)  # mask rows of one game visited at once
+    if step == len(masks):  # whole hit tables, of as many games at once as fit the budget
+        games = min(len(reach), limit // (step * count))
+        keys = _key_rows(space, masks) if table is None else table
+        # each game reads and writes a part of the hit table of its own; one
+        # game, as in every one-game call, skips the shift, 4 of its 22 µs on 2x3
+        if games > 1:
+            shift = np.arange(len(reach)) % games * (step * count)
+            keys = (keys + shift[:games, None, None]).reshape(-1, step)
+            at = at + shift[:, None]
+        for g0 in range(0, len(reach), games):
+            done = reach[g0:g0 + games]  # a view: reach grows in place
+            _grow(done, keys[:done.size], at[g0:g0 + games])
+    else:  # one game at a time, its mask rows in chunks, each grown in turn until a whole round of them adds no state
+        starts = range(0, len(masks), step)
+        for done, state_at in zip(reach, at):
+            quiet = 0  # chunks visited in a row, up to this one, that have nothing left to add
+            for lo in itertools.cycle(starts):
+                keys = _key_rows(space, masks[lo:lo + step]) if table is None else table[:, lo:lo + step] - lo * count
+                here = state_at - lo * count  # a state whose mask is in another chunk reads the last entry, never hit
+                here = np.where((here >= 0) & (here < keys.size), here, keys.size)
+                quiet = 1 if _grow(done, keys, here) > 1 else quiet + 1
+                if quiet >= len(starts):
+                    break
+    for g, ok, first in zip(todo.tolist(), reach.all(-1).tolist(), reach.argmin(-1).tolist()):
+        verdicts[g] = SelfStabilizing() if ok else Fails(witness=space.decode(first))  # least in encoded order
+    return verdicts
+
+
+def _grow(done: np.ndarray, keys: np.ndarray, here: np.ndarray) -> int:
+    """Grow ``done`` in place to its fixpoint under the subcube-key test: a
+    state joins once its entry ``here`` of the hit table is hit, and each
+    state in ``done`` hits its row of ``keys``.  The table has one more
+    entry than ``keys``, its last, which no key hits.  Returns the rounds."""
+    hit = np.zeros(keys.size + 1, dtype=bool)
+    new, rounds = done.ravel().nonzero()[0], 0
+    while new.size:
+        hit[keys[new]] = True
+        now = hit[here] > done
+        new = now.ravel().nonzero()[0]
+        done |= now
+        rounds += 1
+    return rounds
 
 
 def _live_bits(space: ActionSpace) -> np.ndarray:
@@ -285,6 +346,21 @@ def _live_bits(space: ActionSpace) -> np.ndarray:
     always stays, so it gets none, and the others get 1, 2, 4, ... in order."""
     live = np.array(space.sizes) > 1
     return live << (np.cumsum(live) - live)
+
+
+def _mask_places(space: ActionSpace) -> np.ndarray:
+    """(N, n): what node i adds at state s, when it best-responds there, to
+    s's mask code times N plus s's key under that mask."""
+    return space.digits() * space.weights + _live_bits(space) * space.num_states
+
+
+def _key_rows(space: ActionSpace, masks: np.ndarray) -> np.ndarray:
+    """(N, len(masks)) keys of every state under the mask codes ``masks``:
+    entry [t, j] is j·N plus the index of t with the actions of the nodes
+    outside masks[j] set to 0, t's place in row j of a hit table."""
+    masks = np.asarray(masks)
+    place = (masks[:, None] & _live_bits(space) != 0) * space.weights  # (masks, n): each mask's place values
+    return space.digits() @ place.T + np.arange(len(masks)) * space.num_states
 
 
 def to_one_based(state) -> tuple[int, ...]:

@@ -249,6 +249,29 @@ def test_tm_frame_reads_no_state_names(seed):
     assert built == [shape]
 
 
+@given(SEEDS)
+@settings(max_examples=20, deadline=None)
+def test_tm_frame_at_its_own_digits_is_a_copy_and_other_rows_are_built(seed):
+    """At the space's own kept digits the frame is read as a fresh copy with
+    the kept, read-only entries; any other N rows, a permutation of the
+    states or an equal copy of the digits, get the rows and entries of their
+    own states in their order."""
+    rng = random.Random(seed)
+    shape = random_shape(rng)
+    space = reductions._tm_space(*shape[:3])
+    with empty_store():
+        digits = space.digits()
+        rows, entry = reductions._tm_frame_at(shape, space, digits)
+        expected = reductions._tm_frame(*shape, digits)
+        assert rows.tolist() == expected[0].tolist() and entry.tolist() == expected[1].tolist()
+        assert rows.flags.writeable and not entry.flags.writeable
+        perm = np.array(rng.sample(range(space.num_states), space.num_states))
+        for d, order in ((digits[perm], perm), (digits.copy(), np.arange(space.num_states))):
+            moved = reductions._tm_frame_at(shape, space, d)
+            assert moved[0].tolist() == rows[order].tolist() == reductions._tm_frame(*shape, d)[0].tolist()
+            assert moved[1].tolist() == entry[order].tolist() == reductions._tm_frame(*shape, d)[1].tolist()
+
+
 def test_tm_frame_is_read_only_and_no_machine_rows_alias_it():
     """The kept frame, like every array the store keeps, is read-only, and
     each machine's rows are a copy of it, not a view."""

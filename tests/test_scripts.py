@@ -59,6 +59,21 @@ def test_r_thresholds_refuses_snake_rows_beyond_7():
     assert "Traceback" not in proc.stdout + proc.stderr
 
 
+def test_r_thresholds_progress_goes_to_stderr_only():
+    """``--progress`` prints the rows done and the time elapsed to stderr
+    after each row and leaves stdout as it was, apart from the run times."""
+    args = ("--max-ring", "4", "--snake-nodes", "5")
+    plain = run_script("r_thresholds.py", *args)
+    shown = run_script("r_thresholds.py", *args, "--progress")
+    assert shown.returncode == 0, shown.stderr
+    untimed = [re.sub(r"\(\d+\.\ds\)$", "", p.stdout, flags=re.M) for p in (plain, shown)]
+    assert untimed[0] == untimed[1] and "snake n=5" in untimed[0]
+    assert plain.stderr == ""
+    lines = shown.stderr.splitlines()
+    assert [line.split(",")[0] for line in lines] == ["1/3 rows", "2/3 rows", "3/3 rows"]
+    assert all(re.fullmatch(r"\d/3 rows, \d+\.\ds elapsed", line) for line in lines)
+
+
 def test_tm_equivalence_single_state_machines():
     proc = run_script("tm_equivalence.py", "--max-states", "1")
     assert proc.returncode == 0, proc.stderr
@@ -103,3 +118,36 @@ def test_stabilization_grid_default_run():
     sweeps = re.findall(r"^(two-recall|stay-or-roll) on \d+ random .*: (\d+) failures", proc.stdout, re.M)
     assert len(sweeps) == 5 and all(fails == "0" for _, fails in sweeps)
     assert "stay-or-roll on the 2x2x2 fixture game: Fails, witness (1, 1, 2)" in proc.stdout
+
+
+def test_stabilization_grid_all_masks_2x2():
+    """The 81 realizable 2x2 masks: two have no PNE, and every other one
+    self-stabilizes under 3-recall and under stay-or-roll."""
+    proc = run_script("stabilization_grid.py", "--all-masks", "2x2")
+    assert proc.returncode == 0, proc.stderr
+    for protocol in ("three-recall", "stay-or-roll"):
+        assert re.search(
+            rf"^{protocol} on all 81 2x2 masks: \{{'self-stabilizing': 79, 'fails': 0, 'no-pne': 2\}}; "
+            r"least failing mask: none \(\d+\.\ds\)$",
+            proc.stdout, re.M,
+        )
+    assert "two-recall on all" not in proc.stdout
+
+
+def test_stabilization_grid_all_masks_of_one_node():
+    """A one-node game is at a PNE wherever its node best-responds, so each
+    of the 7 masks of a three-action node self-stabilizes."""
+    proc = run_script("stabilization_grid.py", "--all-masks", "3")
+    assert proc.returncode == 0, proc.stderr
+    for protocol in ("three-recall", "stay-or-roll"):
+        assert re.search(
+            rf"^{protocol} on all 7 3 masks: \{{'self-stabilizing': 7, 'fails': 0, 'no-pne': 0\}}; ",
+            proc.stdout, re.M,
+        )
+
+
+def test_stabilization_grid_refuses_a_shape_with_too_many_masks():
+    proc = run_script("stabilization_grid.py", "--all-masks", "2x2x2x2")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage:") and "--all-masks" in proc.stderr
+    assert proc.stdout == ""

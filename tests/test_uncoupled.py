@@ -28,6 +28,7 @@ from asyncdyn.uncoupled import (
 
 from _helpers import (
     cyclic_successor,
+    empty_store,
     naive_check_self_stabilization,
     naive_failing_windows,
     naive_stay_or_roll,
@@ -51,6 +52,19 @@ def m1m2():
 def coordination():
     space = ActionSpace((2, 2))
     return Game(space, ((1, 0, 0, 1), (1, 0, 0, 1)))
+
+
+def trapped(game, rng):
+    """``game`` with a stay-or-roll trap like m1m2's: node 3's last action is
+    always a best response, and nodes 1 and 2 play matching pennies while
+    node 3 plays it."""
+    last = game.space.sizes[2] - 1
+    tables = [list(t) for t in game.utilities]
+    for idx, (a, b, c) in enumerate(game.space.states()):
+        tables[2][idx] = 1 if c == last else rng.randrange(2)
+        if c == last:
+            tables[0][idx], tables[1][idx] = int(a == b), int(a != b)
+    return Game(game.space, tuple(map(tuple, tables)))
 
 
 def matching_pennies():
@@ -406,7 +420,7 @@ class TestArrayProtocols:
         utilities = [(u1, u2) for u1 in tables for u2 in tables]
         singles = [check_self_stabilization("three-recall", Game(space, u)) for u in utilities]
         assert check_self_stabilization_many("three-recall", space, utilities) == singles
-        # 64 windows a game: chunks of 10 games
+        # 64 windows a game: the 81 distinct masks go in chunks of 10
         assert check_self_stabilization_many("three-recall", space, utilities, budget=640) == singles
 
     @given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([(2, 2, 2), (2, 3)]))
@@ -521,15 +535,7 @@ class TestRandomizedChecker:
             rng = random.Random(seed)
             game = random_game(rng, sizes, hi=rng.choice([1, 2, 4]))
             if trap and len(sizes) == 3:
-                # like m1m2: node 3's last action is always a best response,
-                # and nodes 1 and 2 play matching pennies while node 3 plays it
-                last = sizes[2] - 1
-                tables = [list(t) for t in game.utilities]
-                for idx, (a, b, c) in enumerate(game.space.states()):
-                    tables[2][idx] = 1 if c == last else rng.randrange(2)
-                    if c == last:
-                        tables[0][idx], tables[1][idx] = int(a == b), int(a != b)
-                game = Game(game.space, tuple(map(tuple, tables)))
+                game = trapped(game, rng)
             verdict = check_self_stabilization_randomized(game)
             assert verdict == naive_stay_or_roll(game)
             # a budget of N states builds the key rows one mask at a time
@@ -578,13 +584,7 @@ class TestPerShapeConstants:
         for j in range(12):
             game = random_game(rng, sizes, hi=(1, 2, 4)[j % 3])
             if len(sizes) == 3 and j % 2:
-                last = sizes[2] - 1
-                tables = [list(t) for t in game.utilities]
-                for idx, (a, b, c) in enumerate(game.space.states()):
-                    tables[2][idx] = 1 if c == last else rng.randrange(2)
-                    if c == last:
-                        tables[0][idx], tables[1][idx] = int(a == b), int(a != b)
-                game = Game(game.space, tuple(map(tuple, tables)))
+                game = trapped(game, rng)
             three = check_self_stabilization("three-recall", game)
             assert three == naive_check_self_stabilization("three-recall", game)
             verdict = check_self_stabilization_randomized(game)
@@ -634,6 +634,7 @@ class TestPerShapeConstants:
                 [check_self_stabilization(protocol, g) for g in games],
                 [check_self_stabilization_randomized(g) for g in games],
                 check_self_stabilization_many(protocol, batch[0].space, [g.utilities for g in games]),
+                check_self_stabilization_many("stay-or-roll", batch[0].space, [g.utilities for g in games]),
             )
 
         kept = verdicts()
@@ -641,6 +642,7 @@ class TestPerShapeConstants:
         monkeypatch.setattr(core, "_KEPT", {})
         assert verdicts() == kept and not core._KEPT
         assert any(isinstance(v, Fails) for v in kept[1]) == (sizes == (2, 2, 2))
+        assert kept[3] == kept[1]
 
     def test_m1m2_still_fails_at_its_least_state(self, m1m2):
         assert check_self_stabilization_randomized(m1m2) == Fails(witness=(0, 0, 1))
@@ -660,6 +662,97 @@ class TestPerShapeConstants:
         assert verdict == SelfStabilizing()
         assert kept < 1 << 20
         assert peak < 33.5 * (1 << 20)
+
+
+class TestBatchedStayOrRoll:
+    """Stay-or-roll is one batched checker: ``check_self_stabilization_many``
+    decides each distinct mask of a batch once, and the one-game call is its
+    case B=1.  Every verdict and witness is the naive fixpoint's."""
+
+    def test_all_2x2_games_equal_the_naive_and_the_one_game_check(self):
+        space = ActionSpace((2, 2))
+        tables = list(itertools.product(range(3), repeat=4))
+        games = [Game(space, (u1, u2)) for u1 in tables for u2 in tables]
+        batched = check_self_stabilization_many("stay-or-roll", space, [g.utilities for g in games])
+        assert batched == [naive_stay_or_roll(g) for g in games]
+        assert batched == [check_self_stabilization_randomized(g) for g in games]
+
+    def test_sampled_2x2x2_masks_equal_the_naive_check_at_every_budget(self, monkeypatch):
+        """0/1 games (random masks) and games with m1m2's trap, in one batch
+        at the default budget, at N states (the mask rows of one game one at
+        a time), and at budgets that cut the batch into chunks of games; the
+        same with ``KEPT_BYTES`` at 0, where the rows are those of the masks
+        that occur, built at every call and, at small budgets, per chunk."""
+        rng = random.Random(2023)
+        space = ActionSpace((2, 2, 2))
+        games = [random_game(rng, space.sizes, hi=1) for _ in range(200)]
+        games += [trapped(random_game(rng, space.sizes, hi=2), rng) for _ in range(100)] + [fixture_game_2x2x2()]
+        expected = [naive_stay_or_roll(g) for g in games]
+        assert sum(isinstance(v, Fails) for v in expected) >= 30
+        assert sum(isinstance(v, NoPNE) for v in expected) >= 5
+        utilities = [g.utilities for g in games]
+        for budget in (None, 8, 3 * 8, 64, 5 * 64 + 7):
+            assert check_self_stabilization_many("stay-or-roll", space, utilities, budget) == expected
+        for budget in (None, 8, 20):
+            assert [check_self_stabilization_randomized(g, budget) for g in games] == expected
+        monkeypatch.setattr(core, "KEPT_BYTES", 0)
+        monkeypatch.setattr(core, "_KEPT", {})
+        for budget in (None, 8, 3 * 8, 64):
+            assert check_self_stabilization_many("stay-or-roll", space, utilities, budget) == expected
+
+    def test_each_distinct_mask_is_decided_once(self, monkeypatch):
+        """The 6,561 2x2 games with utilities in {0, 1, 2} have 81 distinct
+        masks: each protocol decides 81 rows.  That the verdicts scattered
+        back equal the one-game ones is checked above and in
+        ``TestArrayProtocols``."""
+        space = ActionSpace((2, 2))
+        tables = list(itertools.product(range(3), repeat=4))
+        utilities = [(u1, u2) for u1 in tables for u2 in tables]
+        decided = []
+        for name, at in (("_stay_or_roll", 1), ("_check_windows", 2)):
+            real = getattr(uncoupled, name)
+
+            def counted(*args, real=real, at=at):
+                decided.append(len(args[at]))
+                return real(*args)
+
+            monkeypatch.setattr(uncoupled, name, counted)
+        grouped = [check_self_stabilization_many(p, space, utilities) for p in ("three-recall", "stay-or-roll")]
+        assert decided == [81, 81]
+        assert [len(verdicts) for verdicts in grouped] == [6561, 6561]
+        assert all(sum(isinstance(v, NoPNE) for v in verdicts) == 162 for verdicts in grouped)
+
+    def test_an_empty_batch_has_no_verdicts(self):
+        space = ActionSpace((2, 3))
+        for protocol in ("three-recall", "stay-or-roll"):
+            assert check_self_stabilization_many(protocol, space, np.zeros((0, 2, 6), dtype=np.int64)) == []
+
+    def test_an_unknown_protocol_is_refused_with_every_name(self):
+        space = ActionSpace((2, 2))
+        with pytest.raises(InvalidInput) as info:
+            check_self_stabilization_many("foo", space, np.zeros((0, 2, 4), dtype=np.int64))
+        assert all(name in str(info.value) for name in ("three-recall", "two-recall", "stay-or-roll"))
+
+    def test_m1m2_fails_at_its_least_state_in_a_batch(self, m1m2):
+        for budget in (None, m1m2.space.num_states):
+            got = check_self_stabilization_many("stay-or-roll", m1m2.space, [m1m2.utilities] * 3, budget)
+            assert got == [Fails(witness=(0, 0, 1))] * 3
+
+    def test_the_key_table_is_kept_per_shape(self):
+        """The keys of every mask code, (N, 2^L) for L nodes with more than
+        one action, are built once per shape and shared by equal spaces."""
+        space = ActionSpace((1, 2, 3))
+        with empty_store() as store:
+            check_self_stabilization_randomized(random_game(random.Random(1), space.sizes, hi=2))
+            keys = store["stay-or-roll keys", space.sizes][0]
+            assert keys.shape == (6, 4) and not keys.flags.writeable
+            check_self_stabilization_many("stay-or-roll", ActionSpace((1, 2, 3)), [((0,) * 6,) * 3])
+            assert store["stay-or-roll keys", space.sizes][0] is keys
+        # row j holds j·N plus each state's index with the nodes outside mask j at action 0
+        digits = space.digits()
+        for j in range(4):
+            kept = (digits * [0, j & 1, j >> 1 & 1]) @ space.weights
+            assert keys[:, j].tolist() == (kept + 6 * j).tolist()
 
 
 class TestFixtureGame:
