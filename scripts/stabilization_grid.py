@@ -5,9 +5,9 @@ Sweeps, per protocol, a family of games and reports how many self-stabilize.
 The default run covers the exhaustive 2x2 family with utilities in {0,1,2},
 seeded random 4x4 games for the 2-recall protocol, seeded 2xk games for
 stay-or-roll, and the 2x2x2 fixture game on which stay-or-roll fails (about
-0.9 s for the whole run).  With --exhaustive-2x3 it additionally sweeps all
+0.5 s for the whole run).  With --exhaustive-2x3 it additionally sweeps all
 531441 2x3 games with utilities in {0,1,2} through the 3-recall protocol, in
-batches of 729 games (about 0.8 s for the sweep, 1.3 s for the whole run).
+batches of 729 games (about 0.6 s for the sweep, 1.1 s for the whole run).
 Each batch goes through ``check_self_stabilization_many``, which groups its
 games by best-response mask and decides each distinct mask once: the 531441
 games have 1323 masks.
@@ -20,7 +20,7 @@ get the same verdict from every protocol here, so this covers every game of
 the shape.  Each protocol that applies (3-recall; 2-recall with four or more
 actions per node; stay-or-roll) prints its counts and the least failing
 mask, in lexicographic order of the indicator tables, with its witness.  The
-531441 masks of 2x2x2 take about 9.5 s through 3-recall and 1.6 s through
+531441 masks of 2x2x2 take about 6 s through 3-recall and 1.6 s through
 stay-or-roll, which fails on 11820 of the 517663 masks that have a PNE.
 
 Times are from a shared 2-core VM with Python 3.11.7 and numpy 2.4.6.
@@ -45,16 +45,17 @@ from asyncdyn.games import Game
 from asyncdyn.uncoupled import (
     Fails,
     NoPNE,
+    PROTOCOLS,
     SelfStabilizing,
     check_self_stabilization,
     check_self_stabilization_many,
-    check_self_stabilization_randomized,
     fixture_game_2x2x2,
     to_one_based,
 )
 
 
 MAX_MASKS = 1 << 20  # the most masks --all-masks sweeps in one shape
+VERDICTS = {SelfStabilizing: "self-stabilizing", Fails: "fails", NoPNE: "no-pne"}  # a verdict's count key
 
 
 def sweep(protocol: str, space: ActionSpace, tables, progress: bool = False):
@@ -73,14 +74,9 @@ def sweep(protocol: str, space: ActionSpace, tables, progress: bool = False):
     for head in itertools.product(*map(range, map(len, tables[:-1]))):
         batch[:, :-1] = np.reshape([t[h] for t, h in zip(tables, head)], (space.n - 1, space.num_states))
         for j, verdict in enumerate(check_self_stabilization_many(protocol, space, batch)):
-            if isinstance(verdict, SelfStabilizing):
-                counts["self-stabilizing"] += 1
-            elif isinstance(verdict, NoPNE):
-                counts["no-pne"] += 1
-            else:
-                counts["fails"] += 1
-                if first is None:
-                    first = (tuple(map(tuple, batch[j].tolist())), verdict)
+            counts[VERDICTS[type(verdict)]] += 1
+            if first is None and isinstance(verdict, Fails):
+                first = (tuple(map(tuple, batch[j].tolist())), verdict)
         if progress:
             done = sum(counts.values())
             rate = done / max(time.time() - t0, 1e-9)
@@ -126,8 +122,7 @@ def sweep_masks(sizes, progress: bool = False):
     every protocol that applies to it."""
     space = ActionSpace(sizes)
     tables = [mask_tables(space, i) for i in range(space.n)]
-    protocols = ["three-recall"] + ["two-recall"] * (min(sizes) >= 4) + ["stay-or-roll"]
-    for protocol in protocols:
+    for protocol in [p for p in PROTOCOLS if p != "two-recall" or min(sizes) >= 4]:
         t0 = time.time()
         counts, first = sweep(protocol, space, tables, progress)
         if first is None:
@@ -156,10 +151,7 @@ def sweep_random(protocol: str, sizes, count: int, seed: int, hi: int = 9):
                 for _ in range(space.n)
             ),
         )
-        if protocol == "stay-or-roll":
-            verdict = check_self_stabilization_randomized(game)
-        else:
-            verdict = check_self_stabilization(protocol, game)
+        verdict = check_self_stabilization(protocol, game)
         if isinstance(verdict, NoPNE):
             continue
         checked += 1
@@ -194,7 +186,7 @@ def main():
     for k in (2, 3, 4, 5):
         sweep_random("stay-or-roll", (2, k), count=50, seed=500 + k, hi=5)
 
-    verdict = check_self_stabilization_randomized(fixture_game_2x2x2())
+    verdict = check_self_stabilization("stay-or-roll", fixture_game_2x2x2())
     witness = to_one_based(verdict.witness) if isinstance(verdict, Fails) else None
     print(f"stay-or-roll on the 2x2x2 fixture game: {verdict.__class__.__name__}, witness {witness}")
 

@@ -180,7 +180,7 @@ ANALYSES = {
     "spectrum": {"state": [_ACTION]},
     "committed": {},
     "pne": {},
-    "uncoupled-check": {"protocol": _one_of(("three-recall", "two-recall", "stay-or-roll"))},
+    "uncoupled-check": {"protocol": _one_of(uncoupled.PROTOCOLS)},
 }
 SCHEDULES = {
     "synchronous": {},
@@ -533,10 +533,7 @@ def _cmd_uncoupled_check(doc: dict, args, result: dict) -> int:
         raise SchemaError("game", "uncoupled-check needs a game source")
     game = _game_from_spec(doc["game"])
     protocol = doc["analysis"]["protocol"]
-    if protocol == "stay-or-roll":
-        verdict = uncoupled.check_self_stabilization_randomized(game, args.budget)
-    else:
-        verdict = uncoupled.check_self_stabilization(protocol, game, args.budget)
+    verdict = uncoupled.check_self_stabilization(protocol, game, args.budget)
     payload, code = _verdict_json(verdict)
     result.update(payload)
     result["protocol"] = protocol

@@ -128,7 +128,9 @@ class SocialGraph:
 def build_majority(graph: SocialGraph) -> HistorylessSystem:
     """Each user adopts technology X (action 0) when at least half of their
     friends use it, else Y (action 1); ties favour X, and friendless users
-    stick with X."""
+    stick with X.  The users × users cells of the adjacency matrix are
+    counted against the budget before it exists."""
+    _check_rows(graph.n, graph.n, "users", None)
     adjacency = np.zeros((graph.n, graph.n), dtype=np.int64)
     for u, v in graph.edges:
         adjacency[u - 1, v - 1] = adjacency[v - 1, u - 1] = 1

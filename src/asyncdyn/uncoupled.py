@@ -12,18 +12,18 @@ probability 1 in a finite chain whose moves have uniformly positive
 probability.
 
 Each deterministic protocol is written once, as ``_window_successors``: the
-checkers run pointer doubling over it, and ``protocol_system`` is its
-per-window view.  The per-node steps are test oracles.
+checkers jump along it to a constant PNE window (``_failing_windows``), and
+``protocol_system`` is its per-window view.  The per-node steps are test
+oracles.
 
 A check pays for its game, not for its shape.  Each ``Game`` builds its
 best-response table once, ``Game.br_table``, which every checker reads.  What
 every game of a shape shares is built once per shape and kept by
 ``core.shape_constant`` if it fits ``core.KEPT_BYTES``: the space's digits
-and weights, each window's successor less the game's answer and its newest
-state (``_windows``), and stay-or-roll's key table, the keys of every state
-under every best-response mask code.  A larger shape builds them at every
-call and keeps nothing; stay-or-roll then builds the keys of the masks that
-occur only.
+and weights, each window's successor less the game's answer (``_windows``),
+and stay-or-roll's key table, the keys of every state under every
+best-response mask code.  A larger shape builds them at every call and keeps
+nothing; stay-or-roll then builds the keys of the masks that occur only.
 
 Every protocol here reads a game only through its best-response mask
 ``is_br``, so two games with one mask get one verdict and one witness.
@@ -49,13 +49,15 @@ from .errors import InvalidInput, Unsupported
 from .games import Game, best_response_table
 from .games import enumerate_pne  # unused: perfbench hooks it here
 
-PROTOCOLS = ("three-recall", "two-recall")
+PROTOCOLS = ("three-recall", "two-recall", "stay-or-roll")
 
 
 def _recall(protocol: str, space: ActionSpace) -> int:
     """Recall depth k of a deterministic protocol, once it is known to apply."""
     if protocol not in PROTOCOLS:
         raise InvalidInput(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
+    if protocol == "stay-or-roll":
+        raise Unsupported("stay-or-roll is randomized: it has no window successor")
     if protocol == "three-recall":
         return 3
     if any(s < 4 for s in space.sizes):
@@ -104,10 +106,9 @@ StabilizationVerdict = Union[SelfStabilizing, Fails, NoPNE]
 
 def _window_parts(protocol: str, space: ActionSpace, w: np.ndarray) -> tuple[np.ndarray, ...]:
     """What the successors of the windows ``w`` share across games:
-    ``(plain, src, newest)``.  In a game whose answer at each state is
-    ``answer`` (N,), the successor of w[j] is ``plain[j]`` plus
-    ``answer[src[j]]``, where ``src[j] == N`` stands for an answer of 0;
-    ``newest[j]`` is w[j]'s newest state.
+    ``(plain, src)``.  In a game whose answer at each state is ``answer``
+    (N,), the successor of w[j] is ``plain[j]`` plus ``answer[src[j]]``,
+    where ``src[j] == N`` stands for an answer of 0.
 
     A window is indexed by its point in ``window_space(space, k)``, the
     oldest state most significant, and its successor drops the oldest state
@@ -134,7 +135,7 @@ def _window_parts(protocol: str, space: ActionSpace, w: np.ndarray) -> tuple[np.
         plain = np.where(move_on, (a + 1) % n_states, b)
     plain[asked] = 0
     plain += w % windows.weights[0] * n_states
-    return plain, np.where(asked, src, n_states), w % n_states
+    return plain, np.where(asked, src, n_states)
 
 
 def _windows(protocol: str, space: ActionSpace) -> tuple[np.ndarray, ...]:
@@ -148,7 +149,7 @@ def _window_successors(protocol: str, space: ActionSpace, is_br, least, parts) -
     under the synchronous schedule, for the M windows of ``parts`` (those of
     ``_window_parts``); ``is_br`` and ``least`` are B games' best-response
     tables, (B, N, n) as ``best_response_table`` gives them."""
-    plain, src, _ = parts
+    plain, src = parts
     digits, weights = space.digits(), space.weights
     if protocol == "two-recall":  # a node that does not best-respond steps back, whatever its least response
         least = (digits - 1) % np.array(space.sizes, dtype=np.int64)
@@ -157,30 +158,36 @@ def _window_successors(protocol: str, space: ActionSpace, is_br, least, parts) -
     return plain + answer[:, src]
 
 
-def _failing_windows(nxt: np.ndarray, pne_newest: np.ndarray) -> np.ndarray:
-    """(B, M) mask of the windows whose trajectory under ``nxt`` (B, M) ends
-    in a cycle through a window whose newest state is not a PNE.
+def _failing_windows(nxt: np.ndarray, pne: np.ndarray) -> np.ndarray:
+    """(B, M) mask of the windows whose trajectory under ``nxt`` (B, M), a
+    deterministic protocol's window successors, never reaches the constant
+    window (c, ..., c) of a PNE c; ``pne`` (B, N) marks each game's PNEs.
 
-    Pointer doubling (Wyllie's list ranking with OR accumulation): after t
-    rounds ``h`` is the 2^t-th successor and ``bad[w]`` tells whether one of
-    w's next 2^t windows ends at a non-PNE.  After ceil(log2 M) rounds h[w]
-    lies on w's cycle and bad[h[w]] covers that whole cycle.
+    That window is fixed, as the answer at a PNE is the PNE, and it is the
+    only kind of cycle whose newest states, and so all its states, are PNEs:
+    by the cases of ``_window_parts``, 3-recall takes (a, b, c) to (c, c, c)
+    if b == c, else to (b, c, c) if a != b, else to (a, c, a + 1), one of
+    the first two cases; 2-recall never moves on twice in a row, as (a, b)
+    and then (b, a + 1) would change the last node, of s >= 4 actions, by
+    s - 1 >= 3 (mod s), not by at most 2, and its other steps take (a, c) to
+    (c, c).  So h = h[h] for ceil(log2 M) rounds puts h[w] on w's cycle,
+    which is fixed iff w does not fail.  The constant windows are every D-th
+    one, D = 1 + N + ... + N^(k-1) = (M - 1) / (N - 1); window 0 if N = 1.
     """
     games, m = nxt.shape
     h = (nxt + np.arange(games, dtype=np.int64)[:, None] * m).ravel()
-    bad = ~pne_newest.ravel()[h]
     for _ in range((m - 1).bit_length()):
-        bad |= bad[h]
         h = h[h]
-    return bad[h].reshape(games, m)
+    fixed = np.zeros((games, m), dtype=bool)
+    fixed[:, :: (m - 1) // (pne.shape[1] - 1) if m > 1 else 1] = pne
+    return ~fixed.ravel()[h].reshape(games, m)
 
 
 def check_self_stabilization_many(
     protocol: str, space: ActionSpace, utilities, budget: int | None = None
 ) -> list[StabilizationVerdict]:
-    """``check_self_stabilization``, or for ``"stay-or-roll"``
-    ``check_self_stabilization_randomized``, for B games on one space at
-    once; ``utilities`` has shape (B, n, N) as in ``games.best_response_table``.
+    """``check_self_stabilization`` for B games on one space at once;
+    ``utilities`` has shape (B, n, N) as in ``games.best_response_table``.
 
     Returns one verdict per game, equal to the single-game verdict.  Every
     protocol reads a game only through its best-response mask ``is_br`` (the
@@ -191,18 +198,18 @@ def check_self_stabilization_many(
     masks are then processed in chunks whose windows together fit the budget.
     Stay-or-roll counts as in ``check_self_stabilization_randomized``.
     """
-    if protocol not in (*PROTOCOLS, "stay-or-roll"):
-        raise InvalidInput(f"unknown protocol {protocol!r}; expected one of {(*PROTOCOLS, 'stay-or-roll')}")
-    if protocol != "stay-or-roll":
-        _recall(protocol, space)
     is_br, least = best_response_table(space, utilities)
     packed = np.packbits(is_br.reshape(len(is_br), space.num_states * space.n), axis=1)
     _, first, inverse = np.unique(packed, axis=0, return_index=True, return_inverse=True)
-    if protocol == "stay-or-roll":
-        decided = _stay_or_roll(space, is_br[first], budget)
-    else:
-        decided = _check_windows(protocol, space, is_br[first], least[first], budget)
+    decided = _decide(protocol, space, is_br[first], least[first], budget)
     return [decided[i] for i in inverse.reshape(-1).tolist()]
+
+
+def _decide(protocol: str, space: ActionSpace, is_br, least, budget: int | None) -> list[StabilizationVerdict]:
+    """Verdicts of B games under ``protocol`` from their best-response tables."""
+    if protocol == "stay-or-roll":
+        return _stay_or_roll(space, is_br, budget)
+    return _check_windows(protocol, space, is_br, least, budget)
 
 
 def _check_windows(
@@ -222,7 +229,7 @@ def _check_windows(
     for start in range(0, todo.size, step):
         chunk = todo[start:start + step]
         nxt = _window_successors(protocol, space, is_br[chunk], least[chunk], parts)
-        fails = _failing_windows(nxt, pne[chunk[:, None], parts[2]])
+        fails = _failing_windows(nxt, pne[chunk])
         for g, bad, w in zip(chunk.tolist(), fails.any(-1).tolist(), fails.argmax(-1).tolist()):
             # the witness is the least failing window in encoded order
             verdicts[g] = Fails(witness=tuple(map(space.decode, windows.decode(w)))) if bad else SelfStabilizing()
@@ -238,10 +245,11 @@ def check_self_stabilization(
     The synchronous successor is a function on windows, so each trajectory ends
     in a cycle; the system self-stabilizes iff every reachable cycle visits
     only PNE states.  The one-game case of ``check_self_stabilization_many``,
-    on the game's own best-response table.
+    on the game's own best-response table; ``"stay-or-roll"`` gives
+    ``check_self_stabilization_randomized``'s verdict.
     """
     is_br, least = game.br_table
-    return _check_windows(protocol, game.space, is_br[None], least[None], budget)[0]
+    return _decide(protocol, game.space, is_br[None], least[None], budget)[0]
 
 
 def check_self_stabilization_randomized(

@@ -111,6 +111,37 @@ def test_criterion_02_multiple_equilibria_never_converge():
     assert elapsed < 60.0
 
 
+def test_criterion_02b_multiple_equilibria_are_not_n_minus_1_convergent():
+    """The sharp form of criterion 2 (Jaggard, Schapira and Wright, ICS
+    2011): on the same 1000 systems, two stable states already rule out
+    convergence under every (n-1)-fair schedule.  Each witness schedule,
+    prefix plus three copies of its cycle, is checked to be (n-1)-fair, and
+    every tenth witness is replayed in criterion 11."""
+    t0 = time.perf_counter()
+    rng = random.Random(20260808)
+    produced = 0
+    exceptions = 0
+    while produced < 1000:
+        system = random_self_independent_system(rng, max_nodes=4, max_actions=3)
+        if len(stable_states(system)) < 2:
+            continue
+        produced += 1
+        r = system.space.n - 1
+        verdict = decide_r_convergence(system, r)
+        if not isinstance(verdict, NonConvergent):
+            exceptions += 1
+            continue
+        sched = list(verdict.witness.prefix) + list(verdict.witness.cycle) * 3
+        exceptions += not check_r_fair(sched, r, system.space.n)
+        if produced % 10 == 0:
+            register_oscillation_witness(f"criterion-2b #{produced} r={r}", system, verdict.witness)
+    elapsed = time.perf_counter() - t0
+    ok = exceptions == 0 and elapsed < 60.0
+    report("2b", ok, f"1000 self-independent multi-equilibrium systems at r = n-1, {exceptions} exceptions", elapsed)
+    assert exceptions == 0
+    assert elapsed < 60.0
+
+
 def test_criterion_03_counterexample_fixtures():
     t0 = time.perf_counter()
     three = fixture("ex-three-stable")

@@ -196,6 +196,20 @@ class TestAnalyzeCommand:
         assert doc["error_kind"] == "budget-exceeded"
         assert f"{2 ** 30} distinct transitions" in doc["error"]
 
+    def test_majority_users_budget_exceeded_exit_3(self, tmp_path):
+        """The users of a majority graph are counted before its users ×
+        users adjacency matrix is built: 10^9 users exit 3, not with a
+        MemoryError."""
+        scenario = {
+            "version": 1,
+            "system": {"kind": "majority", "users": 10 ** 9, "edges": []},
+            "analysis": {"kind": "convergence"},
+        }
+        code, doc = invoke_json(["analyze", "--scenario", write_scenario(tmp_path, scenario)])
+        assert code == 3
+        assert doc["error_kind"] == "budget-exceeded"
+        assert doc["error"].startswith(f"{10 ** 9} users exceed")
+
     def test_missing_file_exit_2(self):
         code, doc = invoke_json(["analyze", "--scenario", "/nonexistent.json"])
         assert code == 2

@@ -144,6 +144,11 @@ class TestMajority:
         with pytest.raises(InvalidInput):
             SocialGraph(n=2, edges=((1, 1),))
 
+    def test_users_are_counted_before_the_adjacency_matrix_exists(self):
+        """10^9 users would ask for a dense 10^9 × 10^9 matrix."""
+        with pytest.raises(BudgetExceeded, match="1000000000 users exceed"):
+            build_majority(SocialGraph(n=10 ** 9, edges=()))
+
 
 def disagree_instance():
     """Two ASes that each prefer the route through the other over their direct

@@ -67,6 +67,42 @@ def trapped(game, rng):
     return Game(game.space, tuple(map(tuple, tables)))
 
 
+def protocol_graphs(every=1):
+    """(protocol, space, nxt, pne): window successor graphs of both
+    deterministic protocols, batched per shape, for arbitrary bool
+    best-response masks (mostly dense, so that many games have PNEs) and
+    random least responses; ``every`` > 1 keeps that share of the games."""
+    rng = np.random.default_rng(24)
+    cases = [("three-recall", sizes, 650) for sizes in [(1, 2), (3,), (2, 3), (2, 2, 2), (4,)]]
+    cases += [("three-recall", (4, 4), 60), ("three-recall", (5, 4), 30)]
+    cases += [("two-recall", sizes, 300) for sizes in [(4,), (4, 4), (5, 4)]]
+    for protocol, sizes, games in cases:
+        space = ActionSpace(sizes)
+        games //= every
+        density = rng.random(games) ** 0.25
+        is_br = rng.random((games, space.num_states, space.n)) < density[:, None, None]
+        least = rng.integers(0, sizes, size=is_br.shape)
+        nxt = uncoupled._window_successors(protocol, space, is_br, least, uncoupled._windows(protocol, space))
+        yield protocol, space, nxt, is_br.all(-1)
+
+
+def cycles_of(nxt):
+    """The cycles of the functional graph ``nxt``, each as a list of points
+    in the order the graph visits them."""
+    seen = [False] * len(nxt)
+    cycles = []
+    for start in range(len(nxt)):
+        path, on_path, node = [], {}, start
+        while not seen[node]:
+            seen[node] = True
+            on_path[node] = len(path)
+            path.append(node)
+            node = nxt[node]
+        if node in on_path:
+            cycles.append(path[on_path[node]:])
+    return cycles
+
+
 def matching_pennies():
     space = ActionSpace((2, 2))
     match = (1, 0, 0, 1)
@@ -372,47 +408,63 @@ class TestArrayProtocols:
             assert row.tolist() == [lifted.encode(w[1:] + (lifted.base.rule(w),)) for w in windows]
 
     def test_doubling_classifier_matches_the_chain_walk(self):
-        """On random functions over at most 300 points, batched, with random
-        PNE masks, pointer doubling marks the same failing windows as the
-        chain walk; many of the draws have failing windows, some have none."""
+        """On the window successor graphs of both deterministic protocols,
+        for arbitrary best-response masks (realizable or not) and random
+        least responses, jumping to a constant PNE window marks the same
+        failing windows as the chain walk; many of the games have failing
+        windows, some have none."""
         outcomes = []
+        for protocol, space, nxt, pne in protocol_graphs():
+            fails = uncoupled._failing_windows(nxt, pne)
+            newest = pne[:, np.arange(nxt.shape[1]) % space.num_states]
+            for row, f, p in zip(fails, nxt.tolist(), newest.tolist()):
+                expected = naive_failing_windows(f, p)
+                assert row.tolist() == expected, (protocol, space.sizes)
+                outcomes.append(any(expected))
+        assert len(outcomes) > 4000
+        assert sum(outcomes) >= len(outcomes) // 4
+        assert not all(outcomes)
 
-        def rho(rnd, m):
-            """One path through all m points in random order, closed into a
-            cycle at a random point of it: tail plus cycle span every point."""
+    def test_jumping_reaches_the_end_of_long_paths(self):
+        """Protocol graphs have short tails, so the rounds are pinned here:
+        on one random path through all M = N^k points, closed into a cycle
+        at a random point, with each PNE's constant window made a fixed
+        point, a window fails iff its path misses those fixed points."""
+        rnd = random.Random(24)
+        outcomes = []
+        for _ in range(300):
+            n, k = rnd.randrange(1, 8), rnd.choice([2, 3])
+            m = n ** k
             order = rnd.sample(range(m), m)
             nxt = [0] * m
             for j, p in enumerate(order):
                 nxt[p] = order[j + 1] if j + 1 < m else order[rnd.randrange(m)]
-            return nxt
+            pne = [rnd.random() < 0.2 for _ in range(n)]
+            fixed = [False] * m
+            for c in range(n):
+                if pne[c]:
+                    w = c * sum(n ** i for i in range(k))
+                    nxt[w], fixed[w] = w, True
+            got = uncoupled._failing_windows(np.array([nxt]), np.array([pne]))[0]
+            expected = naive_failing_windows(nxt, fixed)
+            assert got.tolist() == expected
+            outcomes.append(sum(expected))
+        assert 0 < sum(map(bool, outcomes)) < len(outcomes)
 
-        @given(
-            st.integers(min_value=1, max_value=300),
-            st.integers(1, 3),
-            st.integers(0, 10 ** 6),
-            st.booleans(),
-        )
-        @settings(max_examples=200, deadline=None)
-        def classify(m, batch, seed, long_paths):
-            rnd = random.Random(seed)
-            sizes = range(batch)
-            if long_paths:
-                nxt = [rho(rnd, m) for _ in sizes]
-            else:
-                nxt = [[rnd.randrange(m) for _ in range(m)] for _ in sizes]
-            density = rnd.random() ** 0.25  # mostly few non-PNE windows
-            pne_newest = [[rnd.random() < density for _ in range(m)] for _ in sizes]
-            fails = uncoupled._failing_windows(np.array(nxt), np.array(pne_newest))
-            for row, f, p in zip(fails, nxt, pne_newest):
-                expected = naive_failing_windows(f, p)
-                assert row.tolist() == expected
-                least = int(row.argmax()) if row.any() else None
-                assert least == (expected.index(True) if any(expected) else None)
-                outcomes.append(any(expected))
-
-        classify()
-        assert sum(outcomes) >= len(outcomes) // 4
-        assert not all(outcomes)
+    def test_every_pne_cycle_is_one_constant_window(self):
+        """The lemma behind the classifier: on those graphs, every cycle of
+        windows whose newest states are all PNEs is a single window
+        (c, ..., c), and c is a PNE."""
+        checked = 0
+        for protocol, space, nxt, pne in protocol_graphs(every=3):
+            windows = core.window_space(space, uncoupled._recall(protocol, space))
+            for row, p in zip(nxt.tolist(), pne.tolist()):
+                for cycle in cycles_of(row):
+                    if all(p[w % space.num_states] for w in cycle):
+                        assert len(cycle) == 1, (protocol, space.sizes, cycle)
+                        assert len(set(windows.decode(cycle[0]))) == 1
+                        checked += 1
+        assert checked > 1000
 
     def test_many_equals_one_by_one_on_all_2x2_games(self):
         space = ActionSpace((2, 2))
@@ -727,11 +779,31 @@ class TestBatchedStayOrRoll:
         for protocol in ("three-recall", "stay-or-roll"):
             assert check_self_stabilization_many(protocol, space, np.zeros((0, 2, 6), dtype=np.int64)) == []
 
-    def test_an_unknown_protocol_is_refused_with_every_name(self):
+    def test_an_unknown_protocol_is_refused_with_every_name(self, coordination):
         space = ActionSpace((2, 2))
-        with pytest.raises(InvalidInput) as info:
-            check_self_stabilization_many("foo", space, np.zeros((0, 2, 4), dtype=np.int64))
-        assert all(name in str(info.value) for name in ("three-recall", "two-recall", "stay-or-roll"))
+        assert uncoupled.PROTOCOLS == ("three-recall", "two-recall", "stay-or-roll")
+        calls = [
+            lambda: check_self_stabilization_many("foo", space, np.zeros((0, 2, 4), dtype=np.int64)),
+            lambda: check_self_stabilization("foo", coordination),
+            lambda: protocol_system("foo", coordination),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidInput) as info:
+                call()
+            assert all(name in str(info.value) for name in uncoupled.PROTOCOLS)
+
+    def test_stay_or_roll_by_name_is_the_randomized_check(self, m1m2):
+        rng = random.Random(24)
+        games = [random_game(rng, sizes, hi=2) for sizes in [(2, 2), (2, 3), (2, 2, 2)] * 10] + [m1m2]
+        for game in games:
+            for budget in (None, game.space.num_states):
+                got = check_self_stabilization("stay-or-roll", game, budget)
+                assert got == check_self_stabilization_randomized(game, budget)
+        assert got == Fails(witness=(0, 0, 1))
+
+    def test_stay_or_roll_has_no_protocol_system(self, m1m2):
+        with pytest.raises(Unsupported):
+            protocol_system("stay-or-roll", m1m2)
 
     def test_m1m2_fails_at_its_least_state_in_a_batch(self, m1m2):
         for budget in (None, m1m2.space.num_states):
