@@ -4,8 +4,9 @@ systems: the ring flips from convergent to non-convergent at r = n-1, the
 snake systems at r = |S| for the snake length |S| of the underlying hypercube,
 one snake row for each n from 5 to --snake-nodes (5, 6 or 7).  The r-counter
 product is built over its reached states only, and the budget counts the
-product transitions examined.  A cell that exceeds the enumeration budget
-reads "budget".
+product transitions examined.  Each row compiles its system once for all its
+cells.  A cell that exceeds the enumeration budget reads "budget", and so does
+every cell of a row whose compile exceeds it.
 
 With --progress, the rows done out of the total and the time elapsed are
 printed to stderr after each row; stdout is unchanged.
@@ -20,32 +21,41 @@ import argparse
 import sys
 import time
 
-from asyncdyn.analyze import Convergent, decide_r_convergence
+from asyncdyn.analyze import Convergent, decide_r_convergence, transition_graph
 from asyncdyn.errors import BudgetExceeded
 from asyncdyn.reductions import build_snake_system, fixture, snake_for_system
 
 
-def verdict_cell(system, r: int) -> str:
+def verdict_cell(graph, r: int) -> str:
     """conv or osc, or budget where the r-counter product exceeds the budget."""
     try:
-        verdict = decide_r_convergence(system, r)
+        verdict = decide_r_convergence(graph, r)
     except BudgetExceeded:
         return "budget"
     return "conv" if isinstance(verdict, Convergent) else "osc"
 
 
+def verdict_cells(system, rs) -> list[str]:
+    """The cell of each r, all on one compile of the system; every cell
+    reads budget where the compile exceeds the budget."""
+    try:
+        graph = transition_graph(system)
+    except BudgetExceeded:
+        return ["budget"] * len(rs)
+    return [verdict_cell(graph, r) for r in rs]
+
+
 def ring_row(n: int) -> str:
-    ring = fixture("ring", n=n)
-    cells = [f"r={r}:{verdict_cell(ring, r):<4}" for r in range(1, n + 1)]
-    return f"ring n={n}:  " + "  ".join(cells)
+    rs = range(1, n + 1)
+    cells = verdict_cells(fixture("ring", n=n), rs)
+    return f"ring n={n}:  " + "  ".join(f"r={r}:{cell:<4}" for r, cell in zip(rs, cells))
 
 
 def snake_row(n: int) -> str:
     system = build_snake_system(n)
     q = len(snake_for_system(n))
     t0 = time.time()
-    low = verdict_cell(system, q - 1)
-    high = verdict_cell(system, q)
+    low, high = verdict_cells(system, (q - 1, q))
     return f"snake n={n} (|S|={q}):  r={q-1}:{low}  r={q}:{high}  ({time.time() - t0:.1f}s)"
 
 

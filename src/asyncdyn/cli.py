@@ -140,8 +140,10 @@ def _game(value, path):
 
 
 def _initial(value, path):
+    """A nonempty state, or a nonempty window of nonempty states."""
     window = isinstance(value, list) and value and isinstance(value[0], list)
     _check(value, [[_ACTION]] if window else [_ACTION], path)
+    _expect(value and (not window or all(value)), path, "expected a nonempty state or window of nonempty states")
 
 
 _INT, _ACTION, _NODE, _BIT = _int(), _int(0), _int(1), _int(0, 1)

@@ -364,7 +364,10 @@ def _tm_shape(tm: TMDescription) -> tuple[int, int, int, tuple[int, ...]]:
 
 @functools.cache
 def _tm_space(cells: int, symbols: int, n_states: int) -> ActionSpace:
-    """The one action space of a machine shape: a node per cell, then the head."""
+    """The one action space of a machine shape: a node per cell, then the
+    head.  Its nodes are counted as one state against the cell budget first,
+    so no tuple of a size per cell exists beyond it."""
+    _check_rows(1, cells + 1, "joint state", None)
     return ActionSpace((symbols,) * cells + (n_states * symbols * cells * 3,))
 
 
@@ -461,85 +464,43 @@ def is_snake(z: int, vertices) -> bool:
     return True
 
 
-DEFAULT_SNAKE_BUDGET = 20_000_000
+@functools.cache
+def longest_snake(z: int) -> Snake:
+    """The lexicographically least of the longest chordless simple cycles in
+    Q_z, found once per dimension by a depth-first search over chordless
+    paths from the prefix (0, 1, 3); any snake maps onto one with that prefix
+    by a hypercube automorphism, so the prefix loses no length.  Only Q_2 ..
+    Q_5 are searched: the snake and disjointness systems need no more, and
+    the search space grows too fast beyond them.
 
-
-def longest_snake(z: int, budget: int | None = None) -> Snake:
-    """Exhaustive backtracking search for a maximum chordless simple cycle in
-    Q_z, returning the lexicographically least one among the maxima.
-
-    The search fixes the prefix (0, 1, 3, ...) which is reachable from any
-    snake by hypercube automorphisms, so the restriction loses no length and
-    the least representative starts with it.
-    """
+    ``near[v]`` is the bitmask of v's cube neighbours.  A vertex v off the
+    path extends it when its only neighbour on the path is the last vertex,
+    and closes the cycle when its neighbours on the path are the last vertex
+    and 0.  Neighbours are tried in increasing order, so paths are visited in
+    lexicographic order and the first longest cycle found is the least."""
     if z < 2:
         raise InvalidInput(f"snakes need dimension >= 2, got {z}")
-    if z > 7:
-        raise BudgetExceeded("exhaustive snake search is supported up to dimension 7")
-    limit = budget if budget is not None else DEFAULT_SNAKE_BUDGET
-    size = 1 << z
-    neighbors = [[v ^ (1 << b) for b in range(z)] for v in range(size)]
-    for row in neighbors:
-        row.sort()
+    if z > 5:
+        raise BudgetExceeded(f"the snake search covers Q_2 .. Q_5, not Q_{z}")
+    neighbours = [sorted(v ^ 1 << b for b in range(z)) for v in range(1 << z)]
+    near = [sum(1 << w for w in ws) for ws in neighbours]
+    best: tuple[int, ...] = ()
 
-    # adjcount[v] counts path vertices other than the start 0 adjacent to v, so
-    # an extension must have adjcount 1 (its predecessor), and a chordless
-    # closure needs adjcount[0] == 2 (the second and the final vertex).
-    on_path = [False] * size
-    adjcount = [0] * size
-    path = [0]
-    on_path[0] = True
-    best: tuple[int, tuple[int, ...]] | None = None
-    expansions = 0
-
-    def push(v: int):
-        on_path[v] = True
-        path.append(v)
-        for w in neighbors[v]:
-            adjcount[w] += 1
-
-    def pop():
-        v = path.pop()
-        on_path[v] = False
-        for w in neighbors[v]:
-            adjcount[w] -= 1
-
-    def record():
+    def grow(path: tuple[int, ...], on_path: int):
         nonlocal best
-        candidate = tuple(path)
-        if (
-            best is None
-            or len(candidate) > best[0]
-            or (len(candidate) == best[0] and candidate < best[1])
-        ):
-            best = (len(candidate), candidate)
-
-    def dfs():
-        nonlocal expansions
-        expansions += 1
-        if expansions > limit:
-            raise BudgetExceeded(f"snake search exceeded {limit} expansions in Q_{z}")
         last = path[-1]
-        for v in neighbors[last]:
-            if v == 0:
-                if len(path) >= 4 and adjcount[0] == 2:
-                    record()
+        for v in neighbours[last]:
+            if on_path >> v & 1:
                 continue
-            if on_path[v] or adjcount[v] != 1:
-                continue
-            push(v)
-            dfs()
-            pop()
+            touching = near[v] & on_path
+            if touching == 1 << last | 1:
+                if len(path) >= len(best):
+                    best = path + (v,)
+            elif touching == 1 << last:
+                grow(path + (v,), on_path | 1 << v)
 
-    # canonical prefix 0 -> 1 -> 3, reachable from any snake by automorphisms
-    push(1)
-    push(3)
-    dfs()
-    pop()
-    pop()
-    if best is None:
-        raise AssertionError("every hypercube of dimension >= 2 contains a 4-cycle")
-    return Snake(dimension=z, vertices=best[1])
+    grow((0, 1, 3), 0b1011)
+    return Snake(dimension=z, vertices=best)
 
 
 def _orientation_bits(z: int, vertices: tuple[int, ...]) -> list[list[int]]:
@@ -583,9 +544,10 @@ def _cube_vertex(d: np.ndarray) -> np.ndarray:
 
 
 def snake_for_system(n: int) -> Snake:
-    """The snake used by build_snake_system for n nodes (in Q_{n-2})."""
+    """The snake used by build_snake_system for n nodes (in Q_{n-2}).  It
+    holds the one check of n for the snake and disjointness systems."""
     if not 5 <= n <= 7:
-        raise InvalidInput(f"snake systems support 5 <= n <= 7, got {n}")
+        raise InvalidInput(f"snake and disjointness systems support 5 <= n <= 7, got {n}")
     return longest_snake(n - 2)
 
 
@@ -609,14 +571,13 @@ def build_snake_system(n: int) -> HistorylessSystem:
     return HistorylessSystem.from_array_rule(space, array_rule, name="snake")
 
 
+@functools.cache
 def disjointness_snake(n: int) -> Snake:
     """The snake indexing the disjointness instance universe [q]: the maximal
     snake of Q_{n-2}, translated (if needed) so the all-ones vertex is not on
-    it; the translation keeps length and chordlessness."""
-    if not 5 <= n <= 7:
-        raise InvalidInput(f"disjointness systems support 5 <= n <= 7, got {n}")
+    it; the translation keeps length and chordlessness.  Found once per n."""
+    snake = snake_for_system(n)
     z = n - 2
-    snake = longest_snake(z)
     all_ones = (1 << z) - 1
     members = set(snake.vertices)
     if all_ones not in members:
@@ -760,4 +721,5 @@ def fixture(name: str, **params):
         params["n"] = _as_int(params["n"], "fixture size n")
         if params["n"] < min_n:
             raise InvalidInput(f"fixture {name!r} needs n >= {min_n}, got {params['n']}")
+        _check_rows(1, params["n"], "joint state", None)  # before the fixture builds a tuple of n sizes
     return build(**params)

@@ -528,6 +528,25 @@ class TestCellBudget:
         assert doc["error"] == "601 nodes do not fit the 31-bit activation labels of a sparse graph"
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize(
+        "system, nodes",
+        [
+            (wide_tm(10 ** 11), 10 ** 11 + 1),
+            ({"kind": "fixture", "name": "ring", "params": {"n": 10 ** 9}}, 10 ** 9),
+            ({"kind": "fixture", "name": "futile", "params": {"n": 10 ** 9}}, 10 ** 9),
+        ],
+        ids=["tm-cells", "ring-n", "futile-n"],
+    )
+    def test_nodes_are_counted_before_a_tuple_of_them_exists(self, tmp_path, system, nodes):
+        """A tape of 10^11 cells, or a fixture of 10^9 nodes, is refused as
+        one row of that many cells before a tuple of one size per node (GBs
+        of them) exists."""
+        scenario = {"version": 1, "system": system, "analysis": {"kind": "convergence"}}
+        code, doc, peak = traced_invoke(["analyze", "--scenario", write_scenario(tmp_path, scenario)])
+        assert (code, doc["error_kind"]) == (3, "budget-exceeded")
+        assert doc["error"] == f"1 joint state of {nodes} nodes exceed the {64 << 20}-cell budget"
+        assert peak < 1 << 20
+
     def test_a_space_too_wide_to_tabulate_simulates_one_row_at_a_time(self, tmp_path):
         system = wide_tm(6000)
         simulation = {"initial": [0] * 6001, "schedule": {"kind": "synchronous"}, "max_steps": 10}
@@ -716,6 +735,9 @@ class TestMalformedInputExit2:
             ("simulate", {"schedule": {"kind": "periodic", "cycle": [["a"]]}}, "simulation.schedule.cycle[0][0]"),
             ("simulate", {"initial": 5, "schedule": {"kind": "synchronous"}}, "simulation.initial"),
             ("simulate", {"initial": [[0, 1], 5], "schedule": {"kind": "synchronous"}}, "simulation.initial[1]"),
+            ("simulate", {"initial": [], "schedule": {"kind": "synchronous"}}, "simulation.initial"),
+            ("simulate", {"initial": [[]], "schedule": {"kind": "synchronous"}}, "simulation.initial"),
+            ("simulate", {"initial": [[0, 1], []], "schedule": {"kind": "synchronous"}}, "simulation.initial"),
             ("simulate", {"schedule": {"kind": "r-fair", "r": 2, "seed": [["a"]]}}, "simulation.schedule.seed"),
             # values a builder would coerce with int() or bool into a verdict
             ("analyze", {"system": {"kind": "fixture", "name": "ring", "params": {"n": 3.7}}}, "system.params.n"),
@@ -756,7 +778,8 @@ class TestMalformedInputExit2:
             "majority-edge", "bgp-edge", "bgp-routes", "tm-read", "circuit-gate-inputs", "fixture-n",
             "fixture-params", "disjointness-A", "game-utilities", "game-utility-fraction", "game-utility-bool",
             "table-bool", "table-string", "table-float", "table-out-of-range", "periodic-int", "periodic-letter",
-            "simulation-initial", "simulation-window-row", "schedule-seed",
+            "simulation-initial", "simulation-window-row", "simulation-initial-empty",
+            "simulation-window-empty", "simulation-window-empty-row", "schedule-seed",
             "fixture-n-float", "fixture-unknown-param", "majority-edge-bool", "tm-read-bool", "tm-write-bool",
             "tm-move-bool", "circuit-input-bool", "circuit-table-float", "bgp-edge-bool", "disjointness-B-float",
             "version-bool", "spectrum-state-bool", "periodic-bool", "simulation-initial-bool", "random-p-bool",

@@ -1,5 +1,6 @@
 """Core model: spaces, reactions, schedules, single-step semantics."""
 
+import json
 import os
 import random
 import re
@@ -197,12 +198,31 @@ def two_state_machines(rng, count):
 class TestShapeStore:
     def test_importing_the_package_keeps_nothing(self):
         """No import-time work: a fresh interpreter that imports every module
-        of the package finds the store empty."""
-        code = "import asyncdyn, asyncdyn.cli, asyncdyn.reductions, asyncdyn.uncoupled\nprint(len(asyncdyn.core._KEPT))"
+        of the package finds the store empty and every ``functools.cache``
+        of the package (module functions and methods alike) unfilled."""
+        code = """if True:
+            import json, sys
+            import asyncdyn, asyncdyn.cli, asyncdyn.reductions, asyncdyn.uncoupled
+            sizes = {}
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "asyncdyn":
+                    found = list(vars(module).values())
+                    found += [m for c in found if isinstance(c, type) for m in vars(c).values()]
+                    for f in found:
+                        if hasattr(f, "cache_info") and f.__module__.startswith("asyncdyn"):
+                            sizes[f"{f.__module__}.{f.__qualname__}"] = f.cache_info().currsize
+            print(json.dumps([len(asyncdyn.core._KEPT), sizes]))
+        """
         env = dict(os.environ, PYTHONPATH=str(Path(asyncdyn.__file__).parents[1]))
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "0\n"
+        kept, sizes = json.loads(done.stdout)
+        assert kept == 0
+        assert {
+            "asyncdyn.core.window_space", "asyncdyn.analyze._ruler", "asyncdyn.reductions._tm_space",
+            "asyncdyn.cli.build_parser", "asyncdyn.reductions.longest_snake", "asyncdyn.reductions.disjointness_snake",
+        } <= set(sizes)
+        assert set(sizes.values()) == {0}, sizes
 
     def test_a_bound_of_zero_keeps_nothing_and_changes_no_answer(self, monkeypatch):
         """With ``KEPT_BYTES`` at 0 every per-shape array is built for its

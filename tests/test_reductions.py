@@ -3,6 +3,7 @@ disjointness, and the named fixtures."""
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -304,13 +305,35 @@ class TestSnakeSearch:
     def test_deterministic(self):
         assert longest_snake(3).vertices == longest_snake(3).vertices == (0, 1, 3, 7, 6, 4)
 
+    @pytest.mark.parametrize(
+        "z, vertices",
+        [
+            (2, (0, 1, 3, 2)),
+            (3, (0, 1, 3, 7, 6, 4)),
+            (4, (0, 1, 3, 7, 6, 14, 10, 8)),
+            (5, (0, 1, 3, 7, 6, 14, 10, 26, 27, 25, 29, 21, 20, 16)),
+        ],
+    )
+    def test_representative_is_the_least_longest_cycle(self, z, vertices):
+        assert longest_snake(z).vertices == vertices
+
+    def test_each_dimension_is_searched_once(self):
+        longest_snake.cache_clear()
+        disjointness_snake.cache_clear()
+        snake = longest_snake(5)
+        build_snake_system(7)
+        build_disjointness(7, {1}, {2})
+        assert snake_for_system(7) is disjointness_snake(7) is snake  # Q_5's snake avoids all-ones
+        assert (longest_snake.cache_info().misses, disjointness_snake.cache_info().misses) == (1, 1)
+
     def test_range_checks(self):
         with pytest.raises(InvalidInput):
             longest_snake(1)
-        with pytest.raises(BudgetExceeded):
-            longest_snake(8)
-        with pytest.raises(BudgetExceeded):
-            longest_snake(5, budget=10)
+        for z in (6, 7, 8):
+            t0 = time.perf_counter()
+            with pytest.raises(BudgetExceeded):
+                longest_snake(z)
+            assert time.perf_counter() - t0 < 1
 
     def test_snake_validation(self):
         with pytest.raises(InvalidInput):
@@ -353,8 +376,8 @@ class TestSnakeSystem:
             build_snake_system(4)
         with pytest.raises(InvalidInput):
             build_snake_system(10)
-        # longest_snake(6) exceeds its search budget: n = 8 and 9 are refused
-        # before any search
+        # the snake search covers Q_2 .. Q_5: n = 8 and 9 are refused before
+        # any search
         for build in (snake_for_system, disjointness_snake, build_snake_system):
             for n in (8, 9):
                 with pytest.raises(InvalidInput, match="5 <= n <= 7"):
@@ -366,6 +389,11 @@ class TestDisjointness:
         snake = disjointness_snake(5)
         assert is_snake(3, snake.vertices)
         assert (1 << 3) - 1 not in set(snake.vertices)
+
+    def test_universe_is_the_searched_snake_moved_off_all_ones(self):
+        assert disjointness_snake(5).vertices == (2, 3, 1, 5, 4, 6)
+        for n in (6, 7):
+            assert disjointness_snake(n).vertices == longest_snake(n - 2).vertices
 
     def test_disjoint_converges_overlapping_oscillates(self):
         q = len(disjointness_snake(5))

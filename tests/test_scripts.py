@@ -1,5 +1,7 @@
-"""Smoke tests of the experiment scripts, each run as a subprocess."""
+"""Smoke tests of the experiment scripts, each run as a subprocess, and
+in-process checks of how r_thresholds.py builds its rows."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -48,9 +50,29 @@ def test_r_thresholds_reports_budget_cells():
     assert re.search(r"r=6:budget", proc.stdout)
 
 
+def test_r_thresholds_compiles_each_row_once(monkeypatch):
+    """Each row compiles its system once and decides every r on that graph;
+    where the compile exceeds the budget, every cell of the row reads
+    budget."""
+    spec = importlib.util.spec_from_file_location("r_thresholds", ROOT / "scripts" / "r_thresholds.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    compiled = []
+    compile_once = script.transition_graph
+    monkeypatch.setattr(script, "transition_graph", lambda system: compiled.append(system) or compile_once(system))
+    monkeypatch.delenv("ASYNCDYN_BUDGET", raising=False)
+    assert script.ring_row(5) == "ring n=5:  r=1:conv  r=2:conv  r=3:conv  r=4:osc   r=5:osc "
+    assert re.match(r"snake n=5 \(\|S\|=6\):  r=5:conv  r=6:osc  \(", script.snake_row(5))
+    assert len(compiled) == 2
+    monkeypatch.setenv("ASYNCDYN_BUDGET", "10")
+    assert script.ring_row(4) == "ring n=4:  r=1:budget  r=2:budget  r=3:budget  r=4:budget"
+    assert len(compiled) == 3
+
+
 def test_r_thresholds_refuses_snake_rows_beyond_7():
-    """A snake n=8 row would search Q_6 past the snake budget: the script
-    refuses the size at once, with a usage message."""
+    """A snake n=8 row would need a snake of Q_6, past the Q_2 .. Q_5 that
+    the snake search covers: the script refuses the size at once, with a
+    usage message."""
     t0 = time.perf_counter()
     proc = run_script("r_thresholds.py", "--snake-nodes", "8")
     assert time.perf_counter() - t0 < 5
