@@ -34,8 +34,8 @@ int32 CSR, and every search is a scipy.sparse.csgraph call on the one scipy
 matrix that wraps it: the SCCs, the spectrum (one breadth-first search), each
 leg of a witness walk (a breadth-first search to the first goal node) and the
 commitment map (two multi-source searches on the reversed graph).  The
-r-fair witness walk needs no detours to cover nodes, because every cycle of
-the r-counter product activates every node.
+r-counter product is built on the oscillating components' own edges, and its
+witness starts on its cycle with no detours (see ``decide_r_convergence``).
 """
 
 from __future__ import annotations
@@ -154,14 +154,14 @@ class TransitionGraph:
         """The state (or window, for a lifted system) with encoded index idx."""
         return self._codec.decode(idx)
 
-    def witness(self, idx: int, cycle: tuple, prefix: tuple = ()) -> Witness:
+    def witness(self, idx: int, cycle: tuple) -> Witness:
         """A witness whose run starts at node idx.  A replay spends the first
         k-1 activation sets of the schedule on the history inside a k-window,
         so those come first, as sets that activate every node."""
         node = self.node(idx)
         window = (node,) if isinstance(self.system, HistorylessSystem) else node
         everyone = frozenset(range(1, self.n + 1))
-        return Witness(initial=window, cycle=cycle, prefix=(everyone,) * (len(window) - 1) + prefix)
+        return Witness(initial=window, cycle=cycle, prefix=(everyone,) * (len(window) - 1))
 
     def index(self, state) -> int:
         return self._codec.encode(self._codec.validate_state(state))
@@ -545,35 +545,42 @@ def decide_r_convergence(system, r: int, budget: int | None = None) -> Convergen
     """Does every r-fair trajectory converge?
 
     Each state is augmented with per-node steps-since-activation counters in
-    0..r-1 (initially 0); an edge with label L resets the counters in L and
-    adds one to the others, and edges that would push a counter to r are
-    forbidden, so every infinite path of the product graph is exactly an r-fair
-    run of the larger labels.  A node never activated on a cycle would have a
-    counter that only rises, so every product cycle activates every node: the
-    system is r-convergent iff no product SCC reachable from a zero-counter
-    state has an internal edge that changes the underlying state.  That is
-    the test of ``decide_convergence`` with no nodes to cover, so the witness
-    walk goes from its first state-changing edge straight back to its start.
+    0..r-1; an edge with label L resets the counters in L and adds one to
+    the others, and edges that would push a counter to r are forbidden, so
+    every infinite product path is exactly an r-fair run of the larger
+    labels.  Every product cycle activates every node (else a counter only
+    rises), so one that changes the state lies in an oscillating component.
+    From its first state with zero counters the same cycle is allowed, since
+    smaller counters only allow more.  So (a) the system is r-convergent iff
+    the product on the oscillating components' edges (``_oscillating_edges``)
+    rooted at every zero-counter state has no SCC with an internal changing
+    edge, ``decide_convergence``'s test with no nodes to cover; and (b) the
+    witness starts on its cycle, with no prefix.
     """
     if r < 1:
         raise InvalidInput(f"r must be >= 1, got {r}")
     graph = _compiled(system, budget)
-    n = graph.n
-    product, state, parent, plabel = _counter_product(graph.succ, n, r, budget)
-    found = _oscillation(product, _strong_components(product), n, 0, product.by_source(state) != state[product.dst])
-    if found is None:
-        return Convergent()
-    u, cycle = found
-    prefix = []
-    while parent[u] >= 0:
-        prefix.append(subset_to_nodes(int(plabel[u]), n))
-        u = int(parent[u])
-    return NonConvergent(graph.witness(int(state[u]), cycle, tuple(reversed(prefix))))
+    product, state = _counter_product(_oscillating_edges(graph), graph.n, r, budget)
+    changing = product.by_source(state) != state[product.dst]
+    found = _oscillation(product, _strong_components(product), graph.n, 0, changing)
+    return Convergent() if found is None else NonConvergent(graph.witness(int(state[found[0]]), found[1]))
+
+
+def _oscillating_edges(graph: TransitionGraph) -> SuccessorGraph:
+    """The oscillating components' internal edges and every row's last edge,
+    which activates every node: in the product it leads to a zero-counter
+    root, so it adds no state and leaves no row empty, as the scan needs."""
+    succ, labels = graph.succ, graph.components[1]
+    osc, internal = _oscillating_components(succ, graph.components, (1 << graph.n) - 1, _changing(succ))[:2]
+    keep = internal & osc[labels][succ.dst]
+    keep[succ.indptr[1:] - 1] = True
+    indptr = np.append(0, np.cumsum(keep)[succ.indptr[1:] - 1]).astype(np.int32)
+    return SuccessorGraph(indptr, succ.dst[keep], succ.label[keep])
 
 
 def _counter_product(succ: SuccessorGraph, n: int, r: int, budget: int | None):
     """The r-counter product over the states reachable from the zero-counter
-    ones: (graph, underlying state, BFS parent, label from the parent) by id.
+    ones: (graph, underlying state by id).
 
     Ids follow the BFS: the roots (state a has id a), then each layer's new
     states in order of key = state * r^n + counters.  Each layer's candidate
@@ -588,38 +595,33 @@ def _counter_product(succ: SuccessorGraph, n: int, r: int, budget: int | None):
     degree = np.diff(succ.indptr)
     seen_ids = np.arange(count, dtype=np.int32)
     seen_keys = frontier = np.arange(count, dtype=np.int64) * M
-    layers = [(frontier, np.full(count, -1, dtype=np.int32), np.zeros(count, dtype=np.int32))]
-    pieces = []  # per layer: kept edges per source, target ids, labels
-    examined = first_id = 0
+    keys, pieces = [frontier], []  # per layer: kept edges per source, target ids, labels
+    examined = 0
     while frontier.size:
         examined += int(degree[frontier // M].sum())
         _check_count(examined, "product transitions", budget)
         _check_index(count + examined, "product states and transitions")
-        kept, owner, tgt, lab = _product_layer(succ, frontier, M, r, weights)
+        kept, tgt, lab = _product_layer(succ, frontier, M, r, weights)
         at = np.minimum(np.searchsorted(seen_keys, tgt), seen_keys.size - 1)
         fresh = seen_keys[at] != tgt
-        frontier, first, inverse = np.unique(tgt[fresh], return_index=True, return_inverse=True)
+        frontier, inverse = np.unique(tgt[fresh], return_inverse=True)
         dst = seen_ids[at]
         dst[fresh] = seen_ids.size + inverse
-        new = np.flatnonzero(fresh)[first]
         pieces.append((kept, dst, lab))
-        layers.append((frontier, (first_id + owner[new]).astype(np.int32), lab[new]))
-        first_id = seen_ids.size
+        keys.append(frontier)
         at = np.searchsorted(seen_keys, frontier)
         seen_keys = np.insert(seen_keys, at, frontier)
-        seen_ids = np.insert(seen_ids, at, np.arange(first_id, first_id + frontier.size))
+        seen_ids = np.insert(seen_ids, at, np.arange(seen_ids.size, seen_ids.size + frontier.size))
 
-    key, parent, plabel = (np.concatenate(column) for column in zip(*layers))
     kept, dst, lab = (np.concatenate(column) for column in zip(*pieces))
-    indptr = np.zeros(key.size + 1, dtype=np.int32)
+    indptr = np.zeros(kept.size + 1, dtype=np.int32)
     np.cumsum(kept, out=indptr[1:])
-    return SuccessorGraph(indptr, dst, lab), (key // M).astype(np.int32), parent, plabel
+    return SuccessorGraph(indptr, dst, lab), (np.concatenate(keys) // M).astype(np.int32)
 
 
 def _product_layer(succ: SuccessorGraph, frontier: np.ndarray, M: int, r: int, weights: list):
-    """The product edges out of one layer's states (keys in ``frontier``)
-    that push no counter to r: (count per state, position of the source in
-    the frontier, target key, label), by source."""
+    """The product edges out of one layer's states (keys in ``frontier``) that
+    push no counter to r: (count per state, target key, label), by source."""
     e, owner = _row_edges(succ.indptr, frontier // M)
     lab = succ.label[e]
     counters = frontier[owner] % M
@@ -630,5 +632,4 @@ def _product_layer(succ: SuccessorGraph, frontier: np.ndarray, M: int, r: int, w
         new = np.where(lab >> i & 1 == 1, 0, counters // w % r + 1)
         ok &= new < r
         tgt += new * w
-    owner = owner[ok]
-    return np.bincount(owner, minlength=frontier.size), owner, tgt[ok], lab[ok]
+    return np.bincount(owner[ok], minlength=frontier.size), tgt[ok], lab[ok]

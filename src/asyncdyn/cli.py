@@ -258,7 +258,9 @@ def _builds(block: str):
 
 
 @_builds("system")
-def _system_from_spec(spec: dict) -> HistorylessSystem:
+def _system_from_spec(spec: dict, budget: int | None) -> HistorylessSystem:
+    """The scenario's system; the request's budget bounds the node checks
+    that the builders make before they allocate."""
     kind = spec["kind"]
     if kind == "table":
         space = ActionSpace(tuple(spec["sizes"]))
@@ -274,7 +276,7 @@ def _system_from_spec(spec: dict) -> HistorylessSystem:
         return reductions.build_circuit(circuit)
     if kind == "majority":
         graph = reductions.SocialGraph(n=spec["users"], edges=tuple(tuple(e) for e in spec["edges"]))
-        return reductions.build_majority(graph)
+        return reductions.build_majority(graph, budget)
     if kind == "bgp":
         instance = reductions.BgpInstance(
             dest=spec["dest"],
@@ -298,12 +300,12 @@ def _system_from_spec(spec: dict) -> HistorylessSystem:
                 for d in spec["delta"]
             },
         )
-        return reductions.build_tm(tm)
+        return reductions.build_tm(tm, budget)
     if kind == "snake":
         return reductions.build_snake_system(spec["n"])
     if kind == "disjointness":
         return reductions.build_disjointness(spec["n"], spec["A"], spec["B"])
-    return reductions.fixture(spec["name"], **spec.get("params", {}))
+    return reductions.fixture(spec["name"], budget, **spec.get("params", {}))
 
 
 @_builds("game")
@@ -440,10 +442,10 @@ def _emit(out, document: dict) -> None:
     out.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
-def _dynamics(doc: dict):
+def _dynamics(doc: dict, budget: int | None):
     """The scenario's system, or the best-response dynamics of its game."""
     if "system" in doc:
-        return _system_from_spec(doc["system"])
+        return _system_from_spec(doc["system"], budget)
     return games.br_system(_game_from_spec(doc["game"]), tie_break="min")
 
 
@@ -453,8 +455,8 @@ def _cmd_analyze(doc: dict, args, result: dict) -> int:
     kind = doc["analysis"]["kind"]
     if kind in ("pne", "uncoupled-check"):
         raise SchemaError("analysis.kind", f"use the {kind} command for {kind!r} requests")
-    system = _dynamics(doc)
     budget = args.budget
+    system = _dynamics(doc, budget)
     t0 = time.perf_counter()
     graph = analyze.transition_graph(system, budget)
     stable = sorted(analyze.stable_states(graph))
@@ -491,7 +493,7 @@ def _cmd_analyze(doc: dict, args, result: dict) -> int:
 def _cmd_simulate(doc: dict, args, result: dict) -> int:
     if "simulation" not in doc:
         raise SchemaError("simulation", "the simulate command needs a simulation request")
-    system = _dynamics(doc)
+    system = _dynamics(doc, args.budget)
     spec = doc["simulation"]
     seed = args.seed if args.seed is not None else spec.get("seed")
     schedule = _schedule_from_spec(spec["schedule"], seed)
@@ -520,7 +522,7 @@ def _cmd_pne(doc: dict, args, result: dict) -> int:
     if "game" in doc:
         game = _game_from_spec(doc["game"])
     else:
-        game = games.induced_game(_system_from_spec(doc["system"]), args.budget)
+        game = games.induced_game(_system_from_spec(doc["system"], args.budget), args.budget)
     pne = sorted(games.enumerate_pne(game, args.budget))
     result["verdict"] = "ok"
     result["pne"] = [_state_json(s) for s in pne]
@@ -545,7 +547,7 @@ def _cmd_uncoupled_check(doc: dict, args, result: dict) -> int:
 def _cmd_build(doc: dict, args, result: dict) -> int:
     if "system" not in doc:
         raise SchemaError("system", "the build command needs a system source")
-    system = _system_from_spec(doc["system"])
+    system = _system_from_spec(doc["system"], args.budget)
     rows = system.reaction_rows(args.budget)
     result["verdict"] = "ok"
     result["system"] = {"kind": "table", "sizes": list(system.space.sizes), "table": rows.tolist()}
@@ -556,7 +558,7 @@ def _cmd_build(doc: dict, args, result: dict) -> int:
 def _cmd_export_dot(doc: dict, args, out) -> int:
     if "system" not in doc:
         raise SchemaError("system", "export-dot needs a system source")
-    export_dot(_system_from_spec(doc["system"]), out, args.budget)
+    export_dot(_system_from_spec(doc["system"], args.budget), out, args.budget)
     return EXIT_OK
 
 

@@ -125,12 +125,12 @@ class SocialGraph:
         object.__setattr__(self, "edges", tuple(cleaned))
 
 
-def build_majority(graph: SocialGraph) -> HistorylessSystem:
+def build_majority(graph: SocialGraph, budget: int | None = None) -> HistorylessSystem:
     """Each user adopts technology X (action 0) when at least half of their
     friends use it, else Y (action 1); ties favour X, and friendless users
     stick with X.  The users × users cells of the adjacency matrix are
     counted against the budget before it exists."""
-    _check_rows(graph.n, graph.n, "users", None)
+    _check_rows(graph.n, graph.n, "users", budget)
     adjacency = np.zeros((graph.n, graph.n), dtype=np.int64)
     for u, v in graph.edges:
         adjacency[u - 1, v - 1] = adjacency[v - 1, u - 1] = 1
@@ -303,7 +303,7 @@ class TMDescription:
         object.__setattr__(self, "delta", delta)
 
 
-def build_tm(tm: TMDescription) -> HistorylessSystem:
+def build_tm(tm: TMDescription, budget: int | None = None) -> HistorylessSystem:
     """One node per tape cell (actions = symbols) plus a head node whose action
     is (machine state, pending symbol, position, pending move).  A cell copies
     the head's pending symbol when addressed; the head waits until the
@@ -320,9 +320,10 @@ def build_tm(tm: TMDescription) -> HistorylessSystem:
     frame holds 8 * (cells + 2) bytes a state; the sweep's 144-state shape
     takes 4.6 KB.  It is built on the first tabulation, so building a system
     allocates nothing state-sized.  Beyond the bound, and for fewer rows than
-    the whole space, the frame of the rows asked for is built afresh."""
+    the whole space, the frame of the rows asked for is built afresh.  The
+    tape's cells count against the budget before the space is built."""
     shape, code = _tm_shape(tm), _tm_code(tm)
-    space = _tm_space(*shape[:3])
+    space = _tm_space(*shape[:3], budget)
     cells = tm.tape_cells
 
     def array_rule(d: np.ndarray) -> np.ndarray:
@@ -347,7 +348,7 @@ def tm_family_rows(tms: Sequence[TMDescription], budget: int | None = None) -> t
     if any((t.states, t.halting, t.n_symbols, t.tape_cells) != same for t in tms):
         raise InvalidInput("the machines of a family must share states, halting states, symbols and cells")
     shape = _tm_shape(tm)
-    space = _tm_space(*shape[:3])
+    space = _tm_space(*shape[:3], budget)
     _check_rows(len(tms) * space.num_states, space.n, "machine-system states", budget)
     frame, entry = _tm_frame_at(shape, space, space.digits())
     rows = np.repeat(frame[None], len(tms), axis=0)
@@ -363,11 +364,11 @@ def _tm_shape(tm: TMDescription) -> tuple[int, int, int, tuple[int, ...]]:
 
 
 @functools.cache
-def _tm_space(cells: int, symbols: int, n_states: int) -> ActionSpace:
+def _tm_space(cells: int, symbols: int, n_states: int, budget: int | None = None) -> ActionSpace:
     """The one action space of a machine shape: a node per cell, then the
     head.  Its nodes are counted as one state against the cell budget first,
     so no tuple of a size per cell exists beyond it."""
-    _check_rows(1, cells + 1, "joint state", None)
+    _check_rows(1, cells + 1, "joint state", budget)
     return ActionSpace((symbols,) * cells + (n_states * symbols * cells * 3,))
 
 
@@ -708,9 +709,10 @@ FIXTURES = {
 }
 
 
-def fixture(name: str, **params):
+def fixture(name: str, budget: int | None = None, **params):
     """The named example instance of ``FIXTURES``; only a fixture with an n
-    bound takes a parameter, its size n."""
+    bound takes a parameter, its size n, counted against the budget as the
+    nodes of one state before the fixture is built."""
     if name not in FIXTURES:
         raise InvalidInput(f"unknown fixture {name!r}")
     build, _, min_n = FIXTURES[name]
@@ -721,5 +723,5 @@ def fixture(name: str, **params):
         params["n"] = _as_int(params["n"], "fixture size n")
         if params["n"] < min_n:
             raise InvalidInput(f"fixture {name!r} needs n >= {min_n}, got {params['n']}")
-        _check_rows(1, params["n"], "joint state", None)  # before the fixture builds a tuple of n sizes
+        _check_rows(1, params["n"], "joint state", budget)  # before the fixture builds a tuple of n sizes
     return build(**params)

@@ -323,6 +323,19 @@ def naive_r_convergent(system, r: int) -> bool:
     return True
 
 
+def whole_graph_r_convergent(graph, r: int, budget: int | None = None) -> bool:
+    """The r-convergence verdict read off the r-counter product of the whole
+    graph, rooted at every state with zero counters: True iff no product SCC
+    has an internal state-changing edge.  Unlike the oracles above it reuses
+    the library's product builder and scan; it is the reference for
+    ``decide_r_convergence``'s restriction to the oscillating components."""
+    from asyncdyn.analyze import _counter_product, _oscillating_components, _strong_components
+
+    product, state = _counter_product(graph.succ, graph.n, r, budget)
+    changing = product.by_source(state) != state[product.dst]
+    return not _oscillating_components(product, _strong_components(product), 0, changing)[0].any()
+
+
 # ---------------------------------------------------------------------------
 # Games and uncoupled self-stabilization
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from asyncdyn.analyze import (
     _changing,
     _counter_product,
     _oscillating_components,
+    _oscillating_edges,
     _strong_components,
     _successor_blocks,
 )
@@ -73,6 +74,7 @@ from _helpers import (
     random_lifted_system,
     random_self_independent_system,
     random_table_system,
+    whole_graph_r_convergent,
 )
 
 
@@ -90,6 +92,17 @@ def assert_witness_replays(system, verdict):
     replayed = replay_witness(replay_on, witness)
     assert isinstance(replayed, Cycling)
     assert len(set(replayed.segment)) >= 2  # the oscillation really moves
+
+
+def assert_r_witness(system, verdict, r):
+    """An r-witness starts on its cycle: its prefix is only the k-1 sets of
+    every node that fill a k-window's history (none for a historyless
+    system).  It replays as cycling, and prefix plus three cycles is r-fair."""
+    assert_witness_replays(system, verdict)
+    witness = verdict.witness
+    n = len(witness.initial[0])
+    assert witness.prefix == (frozenset(range(1, n + 1)),) * (len(witness.initial) - 1)
+    assert check_r_fair(list(witness.prefix) + list(witness.cycle) * 3, r, n)
 
 
 class TestTransitionGraph:
@@ -504,29 +517,21 @@ class TestDecideRConvergence:
                 verdict = decide_r_convergence(ring, r)
                 assert isinstance(verdict, Convergent) == (r < n - 1)
                 if isinstance(verdict, NonConvergent):
-                    witness = verdict.witness
-                    assert isinstance(replay_witness(ring, witness), Cycling)
-                    sched = list(witness.prefix) + list(witness.cycle) * 3
-                    assert check_r_fair(sched, r, n)
+                    assert_r_witness(ring, verdict, r)
 
     def test_ring_5_witness_takes_no_cover_detour(self):
         """Every product cycle activates every node, so the walk returns to
         its first state-changing edge by the shortest path."""
         ring = fixture("ring", n=5)
-        witness = decide_r_convergence(ring, 5).witness
-        assert len(witness.cycle) == 6
-        assert isinstance(replay_witness(ring, witness), Cycling)
-        assert check_r_fair(list(witness.prefix) + list(witness.cycle) * 3, 5, 5)
+        verdict = decide_r_convergence(ring, 5)
+        assert len(verdict.witness.cycle) == 6
+        assert_r_witness(ring, verdict, 5)
 
     def test_product_keys_beyond_int32(self):
         """One always-flipping node and nine single-action nodes at r=10: the
         product keys state * 10^10 + counters exceed 2^31."""
         system = HistorylessSystem.from_rule(ActionSpace((2,) + (1,) * 9), lambda s: (1 - s[0],) + s[1:])
-        verdict = decide_r_convergence(system, 10)
-        assert isinstance(verdict, NonConvergent)
-        witness = verdict.witness
-        assert isinstance(replay_witness(system, witness), Cycling)
-        assert check_r_fair(list(witness.prefix) + list(witness.cycle) * 3, 10, 10)
+        assert_r_witness(system, decide_r_convergence(system, 10), 10)
 
     def test_r_must_be_positive(self, fig1):
         with pytest.raises(InvalidInput):
@@ -555,18 +560,51 @@ class TestDecideRConvergence:
         for r in (2, 3):
             verdict = decide_r_convergence(system, r)
             if isinstance(verdict, NonConvergent):
-                witness = verdict.witness
-                assert isinstance(replay_witness(system, witness), Cycling)
-                sched = list(witness.prefix) + list(witness.cycle) * 3
-                assert check_r_fair(sched, r, system.space.n)
+                assert_r_witness(system, verdict, r)
 
     def test_budget(self, fig1):
-        """The budget counts the product transitions examined: 94 for fig1 at
+        """The budget counts the product transitions examined: 34 for fig1 at
         r=8, though its graph has only 10 edges over 4 states."""
         assert successor_matrix(fig1).size == 10
-        assert isinstance(decide_r_convergence(fig1, 8, budget=94), NonConvergent)
-        with pytest.raises(BudgetExceeded, match="product transitions"):
-            decide_r_convergence(fig1, 8, budget=50)
+        assert isinstance(decide_r_convergence(fig1, 8, budget=34), NonConvergent)
+        with pytest.raises(BudgetExceeded, match="34 product transitions"):
+            decide_r_convergence(fig1, 8, budget=33)
+
+    @pytest.mark.parametrize(
+        "kind, n, rs",
+        [("ring", n, range(1, n + 1)) for n in (3, 4, 5, 6)]
+        + [("snake", 5, range(1, 7)), ("snake", 6, range(1, 9)), ("futile", 3, range(1, 5)), ("fig1", 2, range(1, 9))],
+    )
+    def test_fixtures_match_the_whole_graph_product(self, kind, n, rs):
+        """The product of the oscillating components' edges gives the
+        verdict of the product of the whole graph, and its witnesses start on
+        their cycle."""
+        system = build_snake_system(n) if kind == "snake" else fixture(kind, **({"n": n} if kind != "fig1" else {}))
+        graph = transition_graph(system)
+        for r in rs:
+            verdict = decide_r_convergence(graph, r)
+            assert isinstance(verdict, Convergent) == whole_graph_r_convergent(graph, r, budget=2 ** 22)
+            if isinstance(verdict, NonConvergent):
+                assert_r_witness(system, verdict, r)
+
+    def test_snake_7_threshold_at_the_default_budget(self):
+        """|S| = 14 for n = 7: both sides of the threshold are decided at the
+        default budget, the product examining 33,075 and 41,128 transitions
+        where the whole graph's examined about 6.1M and 8.0M."""
+        system = build_snake_system(7)
+        graph = transition_graph(system)
+        graph.components
+        assert isinstance(decide_r_convergence(graph, 13), Convergent)
+        tracemalloc.start()
+        try:
+            verdict = decide_r_convergence(graph, 14)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
+        assert_r_witness(system, verdict, 14)
+        with pytest.raises(BudgetExceeded, match="41128 product transitions"):
+            decide_r_convergence(graph, 14, budget=41_127)
 
     def test_snake_6_threshold_at_the_default_budget(self):
         """|S| = 8 for n = 6: only the reached product states are built, so
@@ -581,9 +619,7 @@ class TestDecideRConvergence:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
-        assert_witness_replays(system, verdict)
-        witness = verdict.witness
-        assert check_r_fair(list(witness.prefix) + list(witness.cycle) * 3, 8, system.n)
+        assert_r_witness(system, verdict, 8)
 
     def test_product_keys_beyond_int64_are_refused_before_allocation(self):
         """16 single-action nodes at r=16 have 16^16 = 2^64 product keys."""
@@ -683,6 +719,19 @@ class TestSparseGraphAgainstOracles:
             assert spectrum(system, state) == naive_spectrum(system, state)
 
     @system_cases
+    @settings(max_examples=100, deadline=None)
+    def test_decide_r_convergence_matches_the_whole_graph_product(self, kind, seed):
+        """Restricting the product to the oscillating components' edges
+        keeps every verdict, and every witness starts on its cycle."""
+        system = random_system(kind, random.Random(seed))
+        graph = transition_graph(system)
+        for r in (1, 2, 3, 4):
+            verdict = decide_r_convergence(graph, r)
+            assert isinstance(verdict, Convergent) == whole_graph_r_convergent(graph, r)
+            if isinstance(verdict, NonConvergent):
+                assert_r_witness(system, verdict, r)
+
+    @system_cases
     @settings(max_examples=80, deadline=None)
     def test_decide_r_convergence_matches_oracle(self, kind, seed):
         system = random_system(kind, random.Random(seed), max_actions=2)
@@ -691,10 +740,7 @@ class TestSparseGraphAgainstOracles:
             verdict = decide_r_convergence(graph, r)
             assert isinstance(verdict, Convergent) == naive_r_convergent(system, r)
             if isinstance(verdict, NonConvergent):
-                assert_witness_replays(system, verdict)
-                witness = verdict.witness
-                sched = list(witness.prefix) + list(witness.cycle) * 3
-                assert check_r_fair(sched, r, graph.n)
+                assert_r_witness(system, verdict, r)
 
 
 def random_family(seed, self_independent):
@@ -821,10 +867,11 @@ def scan_graph(kind, seed):
 
 
 def product_graph(kind, n, r):
-    """(r-counter product, underlying state of every product node)."""
+    """(r-counter product, underlying state of every product node): the
+    product that ``decide_r_convergence`` scans."""
     system = fixture("ring", n=n) if kind == "ring" else build_snake_system(n)
     graph = transition_graph(system)
-    product, state, _, _ = _counter_product(graph.succ, n, r, None)
+    product, state = _counter_product(_oscillating_edges(graph), n, r, None)
     return product, state.tolist()
 
 
@@ -884,6 +931,38 @@ class TestOscillationScan:
         for r in (1, 2, 3):
             product = _counter_product(succ, n, r, None)[0]
             assert np.diff(product.indptr).min() >= 1
+
+    @given(st.sampled_from(SCAN_KINDS), st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=120, deadline=None)
+    def test_the_last_edge_of_every_row_activates_every_node(self, kind, seed):
+        """Row a's last edge activates all of D(a), so it is labelled with
+        every node: the r-counter product keeps it in every row."""
+        succ, n = scan_graph(kind, seed)
+        assert (succ.label[succ.indptr[1:] - 1] == (1 << n) - 1).all()
+
+    @system_cases
+    @settings(max_examples=100, deadline=None)
+    def test_the_product_reads_the_oscillating_edges_and_each_last_edge(self, kind, seed):
+        """The sub-graph that the r-counter product is built on keeps, in
+        CSR order, exactly the internal edges of the oscillating components
+        and the last edge of every row, so no row of it, or of its product,
+        is empty."""
+        graph = transition_graph(random_system(kind, random.Random(seed)))
+        succ, n = graph.succ, graph.n
+        labels = graph.components[1].tolist()
+        oscillating = oracle_oscillating_components(succ, graph.components, (1 << n) - 1, [u != v for u, v in plain_edges(succ)])
+        indptr = succ.indptr.tolist()
+        kept = [
+            (u, v, s)
+            for (u, v), s, e in zip(plain_edges(succ), succ.label.tolist(), range(succ.size))
+            if e == indptr[u + 1] - 1 or (labels[u] == labels[v] and oscillating[labels[u]])
+        ]
+        sub = _oscillating_edges(graph)
+        assert sub.rows == succ.rows
+        assert [(u, v, s) for (u, v), s in zip(plain_edges(sub), sub.label.tolist())] == kept
+        assert np.diff(sub.indptr).min() >= 1
+        for r in (1, 2, 3):
+            assert np.diff(_counter_product(sub, n, r, None)[0].indptr).min() >= 1
 
     @pytest.mark.parametrize("kind, n, r", PRODUCT_CASES)
     def test_every_row_of_a_fixture_product_has_an_edge(self, kind, n, r):

@@ -547,6 +547,29 @@ class TestCellBudget:
         assert doc["error"] == f"1 joint state of {nodes} nodes exceed the {64 << 20}-cell budget"
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize(
+        "system, error",
+        [
+            ({"kind": "fixture", "name": "ring", "params": {"n": 10 ** 7}}, "1 joint state of 10000000 nodes"),
+            ({"kind": "fixture", "name": "futile", "params": {"n": 10 ** 7}}, "1 joint state of 10000000 nodes"),
+            (wide_tm(6000), "1 joint state of 6001 nodes"),
+            ({"kind": "majority", "users": 2000, "edges": []}, "2000 users"),
+        ],
+        ids=["ring-n", "futile-n", "tm-cells", "majority-users"],
+    )
+    def test_the_request_budget_reaches_the_node_checks(self, tmp_path, system, error):
+        """Under ``--budget 10`` a system's nodes are counted against that
+        budget, not the default one, before anything of their size exists.
+        At the default budget a ring of 10^7 nodes passes the node check and
+        is refused only at the 31-bit label limit, after a 153 MiB peak; a
+        majority graph of 2,000 users allocates its 32 MB adjacency matrix."""
+        scenario = {"version": 1, "system": system, "analysis": {"kind": "convergence"}}
+        path = write_scenario(tmp_path, scenario)
+        code, doc, peak = traced_invoke(["analyze", "--scenario", path, "--budget", "10"])
+        assert (code, doc["error_kind"]) == (3, "budget-exceeded")
+        assert doc["error"].startswith(error)
+        assert peak < 1 << 20
+
     def test_a_space_too_wide_to_tabulate_simulates_one_row_at_a_time(self, tmp_path):
         system = wide_tm(6000)
         simulation = {"initial": [0] * 6001, "schedule": {"kind": "synchronous"}, "max_steps": 10}

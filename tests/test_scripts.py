@@ -43,11 +43,22 @@ def test_r_thresholds_ring_flips_at_n_minus_1():
 
 
 def test_r_thresholds_reports_budget_cells():
-    proc = run_script("r_thresholds.py", "--max-ring", "4", budget="1000")
+    """At a budget of 900 the ring n=4 product at r=4, which examines 932
+    transitions, reads budget, and so do the snake rows, whose graphs do not
+    fit."""
+    proc = run_script("r_thresholds.py", "--max-ring", "4", budget="900")
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
     assert ring_cells(proc.stdout)[4][4] == "budget"
     assert re.search(r"r=6:budget", proc.stdout)
+
+
+def test_r_thresholds_snake_7_at_the_default_budget():
+    """The snake n=7 row (|S| = 14) is decided at the default budget: its
+    products examine about 33K and 41K transitions."""
+    proc = run_script("r_thresholds.py", "--max-ring", "3", "--snake-nodes", "7")
+    assert proc.returncode == 0, proc.stderr
+    assert re.search(r"snake n=7 \(\|S\|=14\):\s+r=13:conv\s+r=14:osc", proc.stdout)
 
 
 def test_r_thresholds_compiles_each_row_once(monkeypatch):
