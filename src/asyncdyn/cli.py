@@ -259,40 +259,33 @@ def _builds(block: str):
 
 @_builds("system")
 def _system_from_spec(spec: dict, budget: int | None) -> HistorylessSystem:
-    """The scenario's system; the request's budget bounds the node checks
-    that the builders make before they allocate."""
+    """The scenario's system.  The checked JSON goes to the constructors as
+    it is: each of them turns its lists into the tuples and frozensets it
+    keeps.  The request's budget bounds the node checks that the builders
+    make before they allocate."""
     kind = spec["kind"]
     if kind == "table":
-        space = ActionSpace(tuple(spec["sizes"]))
-        return HistorylessSystem.from_table(space, [tuple(r) for r in spec["table"]], name="table")
+        return HistorylessSystem.from_table(ActionSpace(spec["sizes"]), spec["table"], name="table")
     if kind == "circuit":
         circuit = reductions.CircuitDescription(
-            inputs=tuple((i["name"], i["value"]) for i in spec["inputs"]),
-            gates=tuple(
-                reductions.GateSpec(name=g["name"], inputs=tuple(g["inputs"]), table=tuple(g["table"]))
-                for g in spec["gates"]
-            ),
+            inputs=[(i["name"], i["value"]) for i in spec["inputs"]],
+            gates=[reductions.GateSpec(**g) for g in spec["gates"]],
         )
         return reductions.build_circuit(circuit)
     if kind == "majority":
-        graph = reductions.SocialGraph(n=spec["users"], edges=tuple(tuple(e) for e in spec["edges"]))
-        return reductions.build_majority(graph, budget)
+        return reductions.build_majority(reductions.SocialGraph(spec["users"], spec["edges"]), budget)
     if kind == "bgp":
         instance = reductions.BgpInstance(
             dest=spec["dest"],
-            edges=tuple(tuple(e) for e in spec["edges"]),
-            rankings=tuple(
-                (r["as"], tuple(tuple(route) for route in r["routes"])) for r in spec["rankings"]
-            ),
-            export_deny=tuple(
-                (d["as"], tuple(d["route"]), d["to"]) for d in spec.get("export_deny", [])
-            ),
+            edges=spec["edges"],
+            rankings=[(r["as"], r["routes"]) for r in spec["rankings"]],
+            export_deny=[(d["as"], d["route"], d["to"]) for d in spec.get("export_deny", [])],
         )
         return reductions.build_bgp(instance)
     if kind == "tm":
         tm = reductions.TMDescription(
-            states=tuple(spec["states"]),
-            halting=frozenset(spec["halting"]),
+            states=spec["states"],
+            halting=spec["halting"],
             n_symbols=spec["symbols"],
             tape_cells=spec["cells"],
             delta={
@@ -312,30 +305,27 @@ def _system_from_spec(spec: dict, budget: int | None) -> HistorylessSystem:
 def _game_from_spec(spec: dict) -> games.Game:
     if "fixture" in spec:
         return reductions.fixture(spec["fixture"])
-    space = ActionSpace(tuple(spec["sizes"]))
-    return games.Game(space=space, utilities=tuple(tuple(t) for t in spec["utilities"]))
+    return games.Game(ActionSpace(spec["sizes"]), spec["utilities"])
 
 
 @_builds("simulation.schedule")
 def _schedule_from_spec(spec: dict, seed: int | None) -> Schedule:
+    """The scenario's schedule; a seeded one draws from ``seed``, the seed
+    that the simulate command settled on."""
     kind = spec["kind"]
     if kind == "synchronous":
         return Synchronous()
     if kind == "round-robin":
         return RoundRobin()
     if kind == "periodic":
-        return Periodic(
-            cycle=tuple(frozenset(s) for s in spec["cycle"]),
-            prefix=tuple(frozenset(s) for s in spec.get("prefix", [])),
-        )
+        return Periodic(spec["cycle"], spec.get("prefix", ()))
     if kind == "explicit":
-        return ExplicitList(sets=tuple(frozenset(s) for s in spec["sets"]))
-    effective_seed = spec.get("seed", seed)
-    if effective_seed is None:
+        return ExplicitList(spec["sets"])
+    if seed is None:
         raise SchemaError("simulation.schedule.seed", "seeded schedules need a seed")
     if kind == "random":
-        return SeededRandom(seed=effective_seed, p=spec.get("p", 0.5))
-    return SeededRFair(seed=effective_seed, r=spec["r"])
+        return SeededRandom(seed=seed, p=spec.get("p", 0.5))
+    return SeededRFair(seed=seed, r=spec["r"])
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +456,7 @@ def _cmd_analyze(doc: dict, args, result: dict) -> int:
         "sccs": analyze.scc_count(graph),
     }
     if kind == "spectrum":
-        reachable = sorted(analyze.spectrum(graph, tuple(doc["analysis"]["state"])))
+        reachable = sorted(analyze.spectrum(graph, doc["analysis"]["state"]))
         result.update(verdict="ok", spectrum=[_state_json(s) for s in reachable])
         code = EXIT_OK
     elif kind == "committed":
@@ -495,16 +485,14 @@ def _cmd_simulate(doc: dict, args, result: dict) -> int:
         raise SchemaError("simulation", "the simulate command needs a simulation request")
     system = _dynamics(doc, args.budget)
     spec = doc["simulation"]
-    seed = args.seed if args.seed is not None else spec.get("seed")
+    # --seed first, then the schedule's own seed, then the request's
+    seed = next((s for s in (args.seed, spec["schedule"].get("seed"), spec.get("seed")) if s is not None), None)
     schedule = _schedule_from_spec(spec["schedule"], seed)
-    initial = spec["initial"]
-    if initial and isinstance(initial[0], list):
-        initial = tuple(tuple(s) for s in initial)
-    else:
-        initial = tuple(initial)
+    if isinstance(schedule, (SeededRandom, SeededRFair)):
+        result["provenance"]["seed"] = seed
     max_steps = args.max_steps if args.max_steps is not None else spec.get("max_steps", simulate.DEFAULT_MAX_STEPS)
     t0 = time.perf_counter()
-    trajectory, verdict = simulate.run(system, initial, schedule, max_steps=max_steps, budget=args.budget)
+    trajectory, verdict = simulate.run(system, spec["initial"], schedule, max_steps=max_steps, budget=args.budget)
     payload, code = _verdict_json(verdict)
     result.update(payload)
     result["statistics"] = {
@@ -562,10 +550,19 @@ def _cmd_export_dot(doc: dict, args, out) -> int:
     return EXIT_OK
 
 
+COMMANDS = {  # the commands that write a result document
+    "analyze": _cmd_analyze,
+    "simulate": _cmd_simulate,
+    "pne": _cmd_pne,
+    "uncoupled-check": _cmd_uncoupled_check,
+    "build": _cmd_build,
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="asyncdyn")
-    parser.add_argument("command", choices=["analyze", "simulate", "pne", "uncoupled-check", "build", "export-dot"])
+    parser.add_argument("command", choices=[*COMMANDS, "export-dot"])
     parser.add_argument("--scenario", required=True, help="path to a JSON scenario document")
     parser.add_argument("--seed", type=int, default=None, help="seed override for seeded schedules")
     parser.add_argument("--max-steps", type=int, default=None, help="simulation step budget")
@@ -590,19 +587,10 @@ def run_command(argv, out=None) -> int:
             doc = parse_scenario(scenario_bytes.decode("utf-8"))
         except UnicodeDecodeError as exc:
             raise ParseError(f"the scenario is not UTF-8: {exc}") from None
-        result = {"provenance": _provenance(scenario_bytes, args.seed)}
-        if args.command == "analyze":
-            code = _cmd_analyze(doc, args, result)
-        elif args.command == "simulate":
-            code = _cmd_simulate(doc, args, result)
-        elif args.command == "pne":
-            code = _cmd_pne(doc, args, result)
-        elif args.command == "uncoupled-check":
-            code = _cmd_uncoupled_check(doc, args, result)
-        elif args.command == "build":
-            code = _cmd_build(doc, args, result)
-        else:
+        if args.command == "export-dot":  # DOT text, not a result document
             return _cmd_export_dot(doc, args, out)
+        result = {"provenance": _provenance(scenario_bytes, args.seed)}
+        code = COMMANDS[args.command](doc, args, result)
         _emit(out, result)
         return code
     except BudgetExceeded as exc:

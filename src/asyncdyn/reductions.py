@@ -504,38 +504,24 @@ def longest_snake(z: int) -> Snake:
     return Snake(dimension=z, vertices=best)
 
 
-def _orientation_bits(z: int, vertices: tuple[int, ...]) -> list[list[int]]:
-    """Per cube vertex and dimension, the action bit assigned by the oriented
-    dimension edge: snake edges follow the cycle, edges with one endpoint on
-    the snake point at it, and the remaining edges point at their
-    lexicographically least endpoint.  Both endpoints of an edge get the same
-    bit, which is what makes the induced reactions self-independent."""
-    on = set(vertices)
-    succ = {vertices[i]: vertices[(i + 1) % len(vertices)] for i in range(len(vertices))}
-    bits = [[0] * z for _ in range(1 << z)]
-    for v0 in range(1 << z):
-        for b in range(z):
-            if (v0 >> b) & 1:
-                continue
-            v1 = v0 | (1 << b)
-            if v0 in on and v1 in on:
-                head = v1 if succ[v0] == v1 else v0
-            elif v1 in on:
-                head = v1
-            elif v0 in on:
-                head = v0
-            else:
-                head = v0
-            bit = (head >> b) & 1
-            bits[v0][b] = bit
-            bits[v1][b] = bit
-    return bits
-
-
 def _cube_columns(z: int, vertices: tuple[int, ...]) -> np.ndarray:
     """(2^z, z) array: at cube vertex v, the actions of the cube nodes 3..n
-    along the snake orientation; node j reads dimension n - j."""
-    return np.array(_orientation_bits(z, vertices), dtype=np.int64)[:, ::-1]
+    along the snake orientation; node j reads dimension n - j.
+
+    The dimension-b edge between v0 and v1 = v0 | 2^b points at v1 iff v1 is
+    on the snake and either v0 is off it or the snake runs from v0 to v1:
+    snake edges follow the cycle, edges with one end on the snake point at
+    it, and the others point at their lesser end.  Both ends read bit b of
+    the end it points at, which is what makes the induced reactions
+    self-independent."""
+    on = np.zeros(1 << z, dtype=bool)
+    on[list(vertices)] = True
+    after = np.full(1 << z, -1, dtype=np.int64)
+    after[list(vertices)] = vertices[1:] + vertices[:1]
+    dims = 1 << np.arange(z - 1, -1, -1, dtype=np.int64)  # node 3 reads the top dimension
+    v = np.arange(1 << z, dtype=np.int64)[:, None]
+    v0, v1 = v & ~dims, v | dims
+    return (on[v1] & (~on[v0] | (after[v0] == v1))).astype(np.int64)
 
 
 def _cube_vertex(d: np.ndarray) -> np.ndarray:

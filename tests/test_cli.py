@@ -11,20 +11,38 @@ import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import asyncdyn
 from asyncdyn import cli
 from asyncdyn.cli import ANALYSES, SCHEDULES, SYSTEMS, build_parser, export_dot, parse_scenario, run_command
-from asyncdyn.core import ActionSpace, HistorylessSystem
+from asyncdyn.core import (
+    ActionSpace,
+    ExplicitList,
+    HistorylessSystem,
+    Periodic,
+    RoundRobin,
+    SeededRandom,
+    SeededRFair,
+    Synchronous,
+)
 from asyncdyn.errors import ParseError, SchemaError, Unsupported
+from asyncdyn.games import Game
 from asyncdyn.reductions import (
     FIXTURES,
+    BgpInstance,
+    CircuitDescription,
+    GateSpec,
     SocialGraph,
+    TMDescription,
+    build_bgp,
+    build_circuit,
     build_disjointness,
     build_majority,
     build_snake_system,
+    build_tm,
     fixture,
 )
 from asyncdyn.simulate import Cycling, Witness, replay_witness
@@ -98,6 +116,12 @@ class TestParseScenario:
         text = (Path(__file__).parents[1] / "docs" / "scenario-schema.md").read_text()
         section = text.split(f"\n## {heading}", 1)[1].split("\n## ", 1)[0]
         assert re.findall(r"^\| `([^`]+)` \|", section, flags=re.M) == list(table)
+
+    def test_the_readme_lists_the_parsers_commands(self):
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        block = text.split("\n## Command line\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        choices = next(a.choices for a in build_parser()._actions if a.dest == "command")
+        assert re.findall(r"^asyncdyn (\S+)", block, flags=re.M) == choices
 
     def test_exactly_one_source(self):
         with pytest.raises(SchemaError):
@@ -260,6 +284,46 @@ class TestSimulateCommand:
         for _, doc in (r1, r2):
             doc["statistics"].pop("runtime_s")
         assert r1 == r2
+
+    RING_RANDOM = {
+        "version": 1,
+        "system": {"kind": "fixture", "name": "ring", "params": {"n": 4}},
+        "simulation": {
+            "initial": [1, 0, 0, 0],
+            "schedule": {"kind": "random", "p": 0.5, "seed": 5},
+            "seed": 7,
+            "max_steps": 6,
+        },
+    }
+
+    def traced_run(self, tmp_path, scenario, *argv):
+        trace = tmp_path / "trace.tsv"
+        path = write_scenario(tmp_path, scenario)
+        code, doc = invoke_json(["simulate", "--scenario", path, "--trace", str(trace), *argv])
+        assert code == 0
+        return doc["provenance"]["seed"], trace.read_text()
+
+    def test_seed_overrides_the_schedules_seed(self, tmp_path):
+        seed_9, trace_9 = self.traced_run(tmp_path, self.RING_RANDOM, "--seed", "9")
+        seed_123, trace_123 = self.traced_run(tmp_path, self.RING_RANDOM, "--seed", "123")
+        assert (seed_9, seed_123) == (9, 123)
+        assert trace_9 != trace_123
+
+    def test_provenance_names_the_seed_that_ran(self, tmp_path):
+        """Without --seed the schedule's seed runs, then the request's; the
+        seed in the provenance reproduces the run when passed as --seed."""
+        own = copy.deepcopy(self.RING_RANDOM)
+        del own["simulation"]["schedule"]["seed"]
+        for scenario, expected in ((self.RING_RANDOM, 5), (own, 7)):
+            seed, trace = self.traced_run(tmp_path, scenario)
+            assert seed == expected
+            assert self.traced_run(tmp_path, scenario, "--seed", str(seed)) == (seed, trace)
+
+    def test_an_unseeded_schedule_records_the_seed_as_given(self, tmp_path):
+        scenario = copy.deepcopy(self.RING_RANDOM)
+        scenario["simulation"]["schedule"] = {"kind": "round-robin", "seed": 5}
+        assert self.traced_run(tmp_path, scenario)[0] is None
+        assert self.traced_run(tmp_path, scenario, "--seed", "9")[0] == 9
 
     def test_zero_max_steps_is_refused(self, tmp_path):
         scenario = dict(
@@ -822,6 +886,98 @@ class TestMalformedInputExit2:
         assert doc["error_kind"] == "SchemaError"
         assert doc["error"].startswith(f"{field}:")
         assert "cannot build the model" not in doc["error"]
+
+
+# each system source's case: its spec, and the same system built from tuples and frozensets
+BUILT_SYSTEMS = {
+    "table": (
+        {"kind": "table", "sizes": [2, 3], "table": [[(i + 1) % 2, i % 3] for i in range(6)]},
+        lambda: HistorylessSystem.from_table(ActionSpace((2, 3)), [((i + 1) % 2, i % 3) for i in range(6)]),
+    ),
+    "circuit": (
+        circuit_system(),  # gate g reads itself
+        lambda: build_circuit(CircuitDescription(
+            inputs=(("x", 1),), gates=(GateSpec(name="g", inputs=("x", "g"), table=(1, 0, 0, 1)),)
+        )),
+    ),
+    "majority": (
+        {"kind": "majority", "users": 3, "edges": [[1, 2], [2, 1], [3, 2]]},  # one edge twice
+        lambda: build_majority(SocialGraph(n=3, edges=((1, 2), (2, 1), (3, 2)))),
+    ),
+    "bgp": (
+        {
+            "kind": "bgp",
+            "dest": 0,
+            "edges": [[1, 2], [1, 0], [0, 2]],
+            "rankings": BGP_ROUTES,
+            "export_deny": [{"as": 2, "route": [2, 0], "to": 1}],
+        },
+        lambda: build_bgp(BgpInstance(
+            dest=0,
+            edges=((1, 2), (1, 0), (0, 2)),
+            rankings=((1, ((1, 2, 0), (1, 0))), (2, ((2, 1, 0), (2, 0)))),
+            export_deny=((2, (2, 0), 1),),
+        )),
+    ),
+    "tm": (
+        tm_system(),
+        lambda: build_tm(TMDescription(
+            states=("q", "h"),
+            halting=frozenset({"h"}),
+            n_symbols=2,
+            tape_cells=2,
+            delta={("q", 0): ("q", 1, 1), ("q", 1): ("h", 1, 0)},
+        )),
+    ),
+    "snake": ({"kind": "snake", "n": 5}, lambda: build_snake_system(5)),
+    "disjointness": (
+        {"kind": "disjointness", "n": 5, "A": [1, 3], "B": [3, 2]},
+        lambda: build_disjointness(5, (1, 3), (3, 2)),
+    ),
+    "fixture": ({"kind": "fixture", "name": "ring", "params": {"n": 4}}, lambda: fixture("ring", n=4)),
+}
+
+
+class TestBuiltFromTheCheckedJson:
+    """The constructors take the checked JSON's lists as they are: each
+    source builds what the Python builders build from tuples and frozensets."""
+
+    def test_every_system_kind_has_a_case(self):
+        assert list(BUILT_SYSTEMS) == list(SYSTEMS)
+
+    @pytest.mark.parametrize("kind", BUILT_SYSTEMS)
+    def test_systems(self, kind):
+        spec, build = BUILT_SYSTEMS[kind]
+        doc = parse_scenario(json.dumps({"version": 1, "system": spec}))
+        np.testing.assert_array_equal(cli._system_from_spec(doc["system"], None).reaction_rows(), build().reaction_rows())
+
+    def test_game(self):
+        spec = {"sizes": [2, 3], "utilities": [list(range(6)), list(range(6, 0, -1))]}
+        game = cli._game_from_spec(parse_scenario(json.dumps({"version": 1, "game": spec}))["game"])
+        assert game == Game(ActionSpace((2, 3)), (tuple(range(6)), tuple(range(6, 0, -1))))
+
+    @pytest.mark.parametrize(
+        "spec, schedule",
+        [
+            ({"kind": "synchronous"}, Synchronous()),
+            ({"kind": "round-robin"}, RoundRobin()),
+            (
+                {"kind": "periodic", "cycle": [[1, 2], [2]], "prefix": [[1], [2, 1]]},
+                Periodic(cycle=(frozenset({1, 2}), frozenset({2})), prefix=(frozenset({1}), frozenset({1, 2}))),
+            ),
+            ({"kind": "periodic", "cycle": [[2]]}, Periodic(cycle=(frozenset({2}),))),
+            ({"kind": "explicit", "sets": [[2, 1], []]}, ExplicitList(sets=(frozenset({1, 2}), frozenset()))),
+            ({"kind": "random", "p": 0.25, "seed": 5}, SeededRandom(seed=9, p=0.25)),
+            ({"kind": "random"}, SeededRandom(seed=9, p=0.5)),
+            ({"kind": "r-fair", "r": 3}, SeededRFair(seed=9, r=3)),
+        ],
+        ids=["synchronous", "round-robin", "periodic", "periodic-no-prefix", "explicit", "random", "random-p",
+             "r-fair"],
+    )
+    def test_schedules(self, spec, schedule):
+        """A seeded schedule draws from the seed it is given, not its own."""
+        doc = parse_scenario(json.dumps(dict(FIG1_ANALYZE, simulation={"initial": [0, 1], "schedule": spec})))
+        assert cli._schedule_from_spec(doc["simulation"]["schedule"], 9) == schedule
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from asyncdyn.reductions import (
     Snake,
     SocialGraph,
     TMDescription,
-    _orientation_bits,
+    _cube_columns,
     build_bgp,
     build_circuit,
     build_disjointness,
@@ -347,7 +347,8 @@ class TestSnakeSearch:
     )
     def test_orientation_follows_its_rule(self, z, snake):
         vertices = snake().vertices
-        assert _orientation_bits(z, vertices) == orientation_rule(z, vertices)
+        # the oracle lists dimensions 0..z-1; the columns start at node 3, dimension z-1
+        assert _cube_columns(z, vertices).tolist() == [row[::-1] for row in orientation_rule(z, vertices)]
 
 
 class TestSnakeSystem:
