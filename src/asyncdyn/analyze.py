@@ -15,8 +15,8 @@ T | (nodes outside D(a)) take the same step, so state a has one edge per
 subset T of D(a), labelled with that larger activation set; activating more
 nodes keeps every fairness and r-fairness property.  An SCC then oscillates
 iff it has an internal state-changing edge and the labels of its internal
-edges cover every node.  Every row has an edge, so the scan reduces each
-row's edges with one ``reduceat``, and the witness walk reuses its masks.
+edges cover every node.  The first part means two nodes or more, so a graph
+without such an SCC needs no work per edge (``_oscillating_components``).
 
 The graph is built without a loop over subset sizes.  Each edge is one int64
 word, ``label << 32 | dst``, the sum of the first edge's word and the words
@@ -160,8 +160,7 @@ class TransitionGraph:
         so those come first, as sets that activate every node."""
         node = self.node(idx)
         window = (node,) if isinstance(self.system, HistorylessSystem) else node
-        everyone = frozenset(range(1, self.n + 1))
-        return Witness(initial=window, cycle=cycle, prefix=(everyone,) * (len(window) - 1))
+        return Witness(initial=window, cycle=cycle, prefix=(frozenset(range(1, self.n + 1)),) * (len(window) - 1))
 
     def index(self, state) -> int:
         return self._codec.encode(self._codec.validate_state(state))
@@ -174,9 +173,8 @@ class TransitionGraph:
     @cached_property
     def fixed(self) -> np.ndarray:
         """Mask of the nodes that every activation subset keeps in place."""
-        indptr = self.succ.indptr
-        idx = np.arange(self.succ.rows, dtype=np.int64)
-        return (np.diff(indptr) == 1) & (self.succ.dst[indptr[:-1]] == idx)
+        succ = self.succ
+        return (np.diff(succ.indptr) == 1) & (succ.dst[succ.indptr[:-1]] == np.arange(succ.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +342,7 @@ def _row_edges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
     starts = indptr[rows]
     lens = indptr[rows + 1] - starts
     owner = np.repeat(np.arange(rows.size), lens)
-    ends = np.cumsum(lens)
-    return np.arange(owner.size, dtype=np.int64) + (starts - (ends - lens))[owner], owner
+    return np.arange(owner.size, dtype=np.int64) + (starts + lens - np.cumsum(lens))[owner], owner
 
 
 def _strong_components(graph: SuccessorGraph) -> tuple[int, np.ndarray]:
@@ -375,58 +372,57 @@ def _path(graph: SuccessorGraph, start: int, goal: np.ndarray) -> tuple[list, in
 
 
 def _primitive_cycle(cycle: tuple) -> tuple:
-    length = len(cycle)
-    for p in range(1, length):
-        if length % p == 0 and cycle == cycle[:p] * (length // p):
-            return cycle[:p]
-    return cycle
+    k = len(cycle)
+    return next(cycle[:p] for p in range(1, k + 1) if k % p == 0 and cycle == cycle[:p] * (k // p))
 
 
-def _changing(succ: SuccessorGraph) -> np.ndarray:
-    """The edges whose two ends differ: in a ``successor_matrix`` graph, the
-    edges that change the state (or window)."""
-    return succ.by_source(np.arange(succ.rows, dtype=succ.dst.dtype)) != succ.dst
+def _oscillating_components(succ: SuccessorGraph, components, cover: int):
+    """(oscillating components, internal edge mask, each row's internal
+    labels OR-ed): a component oscillates if it has an internal changing edge
+    and its internal labels cover ``cover``.  The mask and row labels are None
+    unless ``cover`` is set and some component is a candidate.
 
-
-def _oscillating_components(succ: SuccessorGraph, components, cover: int, changing: np.ndarray):
-    """(oscillating components, internal edge mask, rows with an internal
-    ``changing`` edge, labels of each row's internal edges OR-ed together).
-    A component oscillates if it has an internal ``changing`` edge and its
-    internal labels jointly activate every node of ``cover``; the row labels
-    are computed, and then OR-ed per component, only if some component is
-    still a candidate (else they are None)."""
+    Lemma: a component has an internal changing edge iff it has two nodes or
+    more.  In a ``successor_matrix`` graph an edge changes the state iff its
+    ends differ, and in a component of two or more each node has an edge to
+    another.  In the r-counter product it does iff the underlying states
+    differ; a's only possible loop is its empty-set step (a nonempty T changes
+    a's newest state), so a walk that keeps a fixed raises the counters of
+    D(a) at every step, or is the lone loop at (a, 0) when D(a) is empty.
+    """
     ncomp, labels = components
-    starts = succ.indptr[:-1]
-    internal = succ.by_source(labels) == labels[succ.dst]
-    moving = np.logical_or.reduceat(internal & changing, starts)
-    osc = np.zeros(ncomp, dtype=bool)
-    osc[labels[moving]] = True
-    row_labels = None
+    osc = np.bincount(labels, minlength=ncomp) > 1
+    internal = row_labels = None
     if cover and osc.any():
-        row_labels = np.bitwise_or.reduceat(succ.label * internal, starts)
+        src, internal = succ.by_source(labels), np.empty(succ.size, dtype=bool)
+        for lo in range(0, succ.size, _CHUNK_EDGES):  # take copies its int32 indices as intp
+            part = slice(lo, lo + _CHUNK_EDGES)
+            np.equal(labels.take(succ.dst[part]), src[part], out=internal[part])
+        row_labels = np.bitwise_or.reduceat(succ.label * internal, succ.indptr[:-1])
         covered = np.zeros(ncomp, dtype=succ.label.dtype)
         np.bitwise_or.at(covered, labels, row_labels)
         osc &= (covered & cover) == cover
-    return osc, internal, moving, row_labels
+    return osc, internal, row_labels
 
 
-def _oscillation(succ: SuccessorGraph, components, n: int, cover: int, changing: np.ndarray):
+def _oscillation(succ: SuccessorGraph, components, n: int, cover: int, state: np.ndarray | None = None):
     """None if no component oscillates.  Otherwise (u, cycle): the activation
-    sets of a closed walk from node u that takes a ``changing`` edge and
-    activates every node of ``cover``, inside the oscillating component that
-    holds the lowest-numbered node."""
+    sets of a closed walk from node u that changes ``state`` (by default the
+    node) and activates every node of ``cover``, inside the oscillating
+    component that holds the lowest-numbered node."""
     labels = components[1]
-    osc, internal, moving, row_labels = _oscillating_components(succ, components, cover, changing)
+    osc, internal, row_labels = _oscillating_components(succ, components, cover)
     if not osc.any():
         return None
     inside = labels == labels[np.argmax(osc[labels])]
-    # deterministic first changing internal edge
-    u0 = int(np.argmax(moving & inside))
-    lo, hi = succ.indptr[u0], succ.indptr[u0 + 1]
-    e0 = int(lo + np.argmax(internal[lo:hi] & changing[lo:hi]))
-    walk = [int(succ.label[e0])]
+    state = np.arange(succ.rows) if state is None else state
+    for u0 in np.flatnonzero(inside).tolist():  # by the lemma, some node has one
+        out = np.arange(succ.indptr[u0], succ.indptr[u0 + 1])
+        if (out := out[inside[succ.dst[out]] & (state[succ.dst[out]] != state[u0])]).size:
+            break
+    walk = [int(succ.label[out[0]])]  # the first internal edge of u0 to another state
     covered = walk[0] | ~cover  # nodes outside cover count as covered
-    pos = int(succ.dst[e0])
+    pos = int(succ.dst[out[0]])
     for b in range(n):
         if covered >> b & 1:
             continue
@@ -473,8 +469,7 @@ def decide_convergence(system, budget: int | None = None) -> ConvergenceVerdict:
     walk inside that SCC.
     """
     graph = _compiled(system, budget)
-    succ, n = graph.succ, graph.n
-    found = _oscillation(succ, graph.components, n, (1 << n) - 1, _changing(succ))
+    found = _oscillation(graph.succ, graph.components, graph.n, (1 << graph.n) - 1)
     return Convergent() if found is None else NonConvergent(graph.witness(*found))
 
 
@@ -508,7 +503,7 @@ def decide_convergence_many(space: ActionSpace, rows, budget: int | None = None)
         stop = max(int(np.searchsorted(edges, before + limit, side="right")), start + 1)
         succ = _successor_blocks(space, rows[start:stop].reshape(-1, n), N, budget)
         components = _strong_components(succ)
-        osc = _oscillating_components(succ, components, (1 << n) - 1, _changing(succ))[0]
+        osc = _oscillating_components(succ, components, (1 << n) - 1)[0]
         convergent[start:stop] = ~osc[components[1]].reshape(-1, N).any(axis=1)
         start = stop
     return convergent
@@ -526,7 +521,7 @@ def committed_map(system, budget: int | None = None) -> dict:
     """
     graph = _compiled(system, budget)
     succ = graph.succ
-    osc = _oscillating_components(succ, graph.components, (1 << graph.n) - 1, _changing(succ))[0]
+    osc = _oscillating_components(succ, graph.components, (1 << graph.n) - 1)[0]
     reverse = succ.adjacency.T.tocsr()
     stable = np.flatnonzero(graph.fixed)
     nearest = dijkstra(reverse, indices=stable, unweighted=True, min_only=True, return_predecessors=True)[2]
@@ -553,25 +548,28 @@ def decide_r_convergence(system, r: int, budget: int | None = None) -> Convergen
     From its first state with zero counters the same cycle is allowed, since
     smaller counters only allow more.  So (a) the system is r-convergent iff
     the product on the oscillating components' edges (``_oscillating_edges``)
-    rooted at every zero-counter state has no SCC with an internal changing
-    edge, ``decide_convergence``'s test with no nodes to cover; and (b) the
-    witness starts on its cycle, with no prefix.
+    rooted at every zero-counter state has no SCC of two or more nodes,
+    ``decide_convergence``'s test with no nodes to cover; and (b) the witness
+    starts on its cycle, with no prefix.  No oscillating component, no product.
     """
     if r < 1:
         raise InvalidInput(f"r must be >= 1, got {r}")
     graph = _compiled(system, budget)
-    product, state = _counter_product(_oscillating_edges(graph), graph.n, r, budget)
-    changing = product.by_source(state) != state[product.dst]
-    found = _oscillation(product, _strong_components(product), graph.n, 0, changing)
+    if (edges := _oscillating_edges(graph)) is None:
+        return Convergent()
+    product, state = _counter_product(edges, graph.n, r, budget)
+    found = _oscillation(product, _strong_components(product), graph.n, 0, state)
     return Convergent() if found is None else NonConvergent(graph.witness(int(state[found[0]]), found[1]))
 
 
-def _oscillating_edges(graph: TransitionGraph) -> SuccessorGraph:
+def _oscillating_edges(graph: TransitionGraph) -> SuccessorGraph | None:
     """The oscillating components' internal edges and every row's last edge,
     which activates every node: in the product it leads to a zero-counter
-    root, so it adds no state and leaves no row empty, as the scan needs."""
+    root, so it adds no state and leaves no row empty.  None if none oscillates."""
     succ, labels = graph.succ, graph.components[1]
-    osc, internal = _oscillating_components(succ, graph.components, (1 << graph.n) - 1, _changing(succ))[:2]
+    osc, internal = _oscillating_components(succ, graph.components, (1 << graph.n) - 1)[:2]
+    if not osc.any():
+        return None
     keep = internal & osc[labels][succ.dst]
     keep[succ.indptr[1:] - 1] = True
     indptr = np.append(0, np.cumsum(keep)[succ.indptr[1:] - 1]).astype(np.int32)

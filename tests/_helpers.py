@@ -326,14 +326,16 @@ def naive_r_convergent(system, r: int) -> bool:
 def whole_graph_r_convergent(graph, r: int, budget: int | None = None) -> bool:
     """The r-convergence verdict read off the r-counter product of the whole
     graph, rooted at every state with zero counters: True iff no product SCC
-    has an internal state-changing edge.  Unlike the oracles above it reuses
-    the library's product builder and scan; it is the reference for
+    has an internal edge between two different underlying states.  Unlike
+    the oracles above it reuses the library's product builder and SCCs, but
+    not its scan, which reads only the SCC sizes; it is the reference for
     ``decide_r_convergence``'s restriction to the oscillating components."""
-    from asyncdyn.analyze import _counter_product, _oscillating_components, _strong_components
+    from asyncdyn.analyze import _counter_product, _strong_components
 
     product, state = _counter_product(graph.succ, graph.n, r, budget)
-    changing = product.by_source(state) != state[product.dst]
-    return not _oscillating_components(product, _strong_components(product), 0, changing)[0].any()
+    labels = _strong_components(product)[1]
+    internal = product.by_source(labels) == labels[product.dst]
+    return not (internal & (product.by_source(state) != state[product.dst])).any()
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from asyncdyn.analyze import (
     transition_graph,
 )
 from asyncdyn.analyze import (
-    _changing,
     _counter_product,
     _oscillating_components,
     _oscillating_edges,
@@ -570,6 +569,20 @@ class TestDecideRConvergence:
         with pytest.raises(BudgetExceeded, match="34 product transitions"):
             decide_r_convergence(fig1, 8, budget=33)
 
+    def test_no_product_without_an_scc_of_two_or_more_states(self, fig1):
+        """Every step of the halving system moves down, so every SCC is one
+        state: no component is a candidate, the scan gathers nothing per
+        edge, and a budget of one product transition is never spent.  fig1,
+        which has such an SCC, builds its product and exceeds that budget."""
+        graph = transition_graph(HistorylessSystem.from_array_rule(ActionSpace((5, 5)), lambda d: d // 2))
+        assert graph.components[0] == graph.succ.rows
+        osc, internal, row_labels = _oscillating_components(graph.succ, graph.components, 3)
+        assert not osc.any() and internal is None and row_labels is None
+        for r in (1, 2, 5):
+            assert decide_r_convergence(graph, r, budget=1) == Convergent()
+        with pytest.raises(BudgetExceeded, match="product transitions"):
+            decide_r_convergence(transition_graph(fig1), 1, budget=1)
+
     @pytest.mark.parametrize(
         "kind, n, rs",
         [("ring", n, range(1, n + 1)) for n in (3, 4, 5, 6)]
@@ -622,12 +635,17 @@ class TestDecideRConvergence:
         assert_r_witness(system, verdict, 8)
 
     def test_product_keys_beyond_int64_are_refused_before_allocation(self):
-        """16 single-action nodes at r=16 have 16^16 = 2^64 product keys."""
-        graph = transition_graph(HistorylessSystem.from_rule(ActionSpace((1,) * 16), lambda s: s))
+        """16 nodes at r=16 have 16^16 = 2^64 product keys per state.  With
+        single-action nodes no component oscillates, so there is no product
+        and the answer is Convergent; when node 1 flips between two actions,
+        the two states oscillate and their 2^65 keys are refused."""
+        fixed = transition_graph(HistorylessSystem.from_rule(ActionSpace((1,) * 16), lambda s: s))
+        flip = transition_graph(HistorylessSystem.from_rule(ActionSpace((2,) + (1,) * 15), lambda s: (1 - s[0],) + s[1:]))
         tracemalloc.start()
         try:
+            assert decide_r_convergence(fixed, 16, budget=2 ** 62) == Convergent()
             with pytest.raises(BudgetExceeded, match="overflow int64"):
-                decide_r_convergence(graph, 16, budget=2 ** 62)
+                decide_r_convergence(flip, 16, budget=2 ** 62)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -881,41 +899,42 @@ def plain_edges(succ):
 
 
 def assert_scan_matches_oracle(succ, cover, changing):
-    """The oscillating components, the internal edges, the rows with an
-    internal changing edge and each row's OR of internal labels (computed
-    only while some component is a candidate), against plain lists over the
-    edge list."""
+    """The oscillating components, against the oracle that reads the
+    ``changing`` edges (one bool per edge) where the scan reads only the
+    component sizes; and the internal edges and each row's OR of internal
+    labels, computed only while ``cover`` is set and some component has an
+    internal changing edge, against plain lists over the edge list."""
     components = _strong_components(succ)
-    osc, internal, moving, row_labels = _oscillating_components(
-        succ, components, cover, np.array(changing, dtype=bool)
-    )
+    osc, internal, row_labels = _oscillating_components(succ, components, cover)
     assert osc.tolist() == oracle_oscillating_components(succ, components, cover, changing)
+    if not cover or not any(oracle_oscillating_components(succ, components, 0, changing)):
+        assert internal is None and row_labels is None
+        return
     labels, indptr, label = components[1].tolist(), succ.indptr.tolist(), succ.label.tolist()
     inside = [labels[u] == labels[v] for u, v in plain_edges(succ)]
     assert internal.tolist() == inside
     rows = [range(indptr[u], indptr[u + 1]) for u in range(succ.rows)]
-    assert moving.tolist() == [any(inside[e] and changing[e] for e in row) for row in rows]
-    if not cover or not any(moving):
-        assert row_labels is None
-    else:
-        ored = [functools.reduce(operator.or_, (label[e] for e in row if inside[e]), 0) for row in rows]
-        assert row_labels.tolist() == ored
+    ored = [functools.reduce(operator.or_, (label[e] for e in row if inside[e]), 0) for row in rows]
+    assert row_labels.tolist() == ored
 
 
 class TestOscillationScan:
     @given(st.sampled_from(SCAN_KINDS), st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=120, deadline=None)
     def test_systems_and_family_blocks_match_oracle(self, kind, seed):
-        """With every node and with a random subset of the nodes to cover;
-        the state-changing edges are exactly those whose ends differ."""
+        """With every node, with a random subset of the nodes and with no
+        node to cover; the state-changing edges are those whose ends differ,
+        so with no node to cover this checks the lemma: a component has an
+        internal changing edge iff it has two or more nodes."""
         succ, n = scan_graph(kind, seed)
         changing = [u != v for u, v in plain_edges(succ)]
-        assert _changing(succ).tolist() == changing
-        for cover in ((1 << n) - 1, random.Random(seed).randrange(1 << n)):
+        for cover in ((1 << n) - 1, random.Random(seed).randrange(1 << n), 0):
             assert_scan_matches_oracle(succ, cover, changing)
 
     @pytest.mark.parametrize("kind, n, r", PRODUCT_CASES)
     def test_r_counter_products_match_oracle(self, kind, n, r):
+        """The lemma in the product, where an edge changes the state iff
+        the underlying states of its ends differ."""
         product, state = product_graph(kind, n, r)
         assert_scan_matches_oracle(product, 0, [state[u] != state[v] for u, v in plain_edges(product)])
 
@@ -946,11 +965,14 @@ class TestOscillationScan:
         """The sub-graph that the r-counter product is built on keeps, in
         CSR order, exactly the internal edges of the oscillating components
         and the last edge of every row, so no row of it, or of its product,
-        is empty."""
+        is empty.  With no oscillating component there is no sub-graph."""
         graph = transition_graph(random_system(kind, random.Random(seed)))
         succ, n = graph.succ, graph.n
         labels = graph.components[1].tolist()
         oscillating = oracle_oscillating_components(succ, graph.components, (1 << n) - 1, [u != v for u, v in plain_edges(succ)])
+        if not any(oscillating):
+            assert _oscillating_edges(graph) is None
+            return
         indptr = succ.indptr.tolist()
         kept = [
             (u, v, s)
