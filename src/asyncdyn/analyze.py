@@ -24,7 +24,7 @@ word, ``label << 32 | dst``, the sum of the first edge's word and the words
 row differ by a per-row step picked by the trailing zero bits of j, so one
 prefix sum gives every word.  The edges are built in chunks of at most
 ``_CHUNK_EDGES`` edges, written straight into the int32 arrays: a build holds
-about 9.5 bytes per edge at its peak (G(12, 0.6), 877,055 edges), the 8 of
+about 8.64 bytes per edge at its peak (G(12, 0.6), 877,055 edges), the 8 of
 ``dst`` and ``label`` included.
 
 A system is compiled once by ``transition_graph``; every operation accepts
@@ -33,20 +33,20 @@ several questions builds the graph and its SCCs once.  The graph is one
 int32 CSR, and every search is a scipy.sparse.csgraph call on the one scipy
 matrix that wraps it: the SCCs, the spectrum (one breadth-first search), each
 leg of a witness walk (a breadth-first search to the first goal node) and the
-commitment map (two multi-source searches on the reversed graph).  The
-r-counter product is built on the oscillating components' own edges, and its
-witness starts on its cycle with no detours (see ``decide_r_convergence``).
+commitment map (two multi-source searches on the reversed graph).  scipy is
+imported on the first search (``_sparse``): building a graph, and every
+caller that searches none, needs numpy alone.  The r-counter product is built
+on the oscillating components' own edges, and its witness starts on its cycle
+with no detours (see ``decide_r_convergence``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import breadth_first_order, connected_components, dijkstra
 
 from .core import (
     ActionSpace,
@@ -60,13 +60,32 @@ from .core import (
 from .errors import BudgetExceeded, InvalidInput, Unsupported
 from .simulate import Witness
 
+if TYPE_CHECKING:
+    from scipy import sparse
+
 _INDEX_MAX = np.iinfo(np.int32).max  # scipy's sparse graphs index with int32
 _LABEL_BITS = 31  # an int32 label holds the activation set of nodes 1..31
-_CHUNK_EDGES = 1 << 15  # edges built at a time: bounds the temporaries of a build
+# Edges built or gathered at a time.  Every chunk temporary, the int64 words
+# of a build included, then takes at most 64 KiB, below glibc's 128 KiB mmap
+# threshold.  Chunks of 2^15 edges made 256 KiB words, which came from the heap
+# or from fresh pages by the heap's history: with scipy imported on its first
+# search, a G(9, 0.6) majority request took a median of 143-176 minor page
+# faults, against 0 in chunks of 2^13 (200 requests in each of three processes).
+_CHUNK_EDGES = 1 << 13
 _ONE = np.ones(1)
 _ONE.flags.writeable = False
 _BIT_AND_ONE = np.stack([1 << np.arange(_LABEL_BITS, dtype=np.int64), np.ones(_LABEL_BITS, dtype=np.int64)], axis=1)
 _LABEL_WORDS = _BIT_AND_ONE[:, 0] << 32  # node i's label bit in an edge word
+
+
+@cache
+def _sparse():
+    """scipy.sparse with its csgraph searches, imported on the first search
+    rather than with the package, which spares about 29 MB of RSS and 0.2 s
+    to every process that searches no graph."""
+    import scipy.sparse.csgraph
+
+    return scipy.sparse
 
 
 def subset_to_nodes(s: int, n: int) -> ActivationSet:
@@ -125,7 +144,7 @@ class SuccessorGraph:
         # Every weight is the one read-only 1.0 of _ONE (stride 0), so they take
         # no memory.
         data = np.ndarray(self.size, np.float64, _ONE, strides=(0,))
-        return sparse.csr_matrix((data, self.dst, self.indptr), shape=(self.rows, self.rows))
+        return _sparse().csr_matrix((data, self.dst, self.indptr), shape=(self.rows, self.rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,9 +364,21 @@ def _row_edges(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.arange(owner.size, dtype=np.int64) + (starts + lens - np.cumsum(lens))[owner], owner
 
 
+def _at_heads(op, values: np.ndarray, succ: SuccessorGraph, other: np.ndarray) -> np.ndarray:
+    """``op(values[succ.dst], other)``, a bool per edge: ``values`` at the
+    head of every edge, combined with ``other`` edge by edge.  The heads are
+    read by ``take`` in chunks of ``_CHUNK_EDGES`` edges, since ``take`` and
+    fancy indexing copy the int32 ``dst`` as intp, 8 bytes an edge at once."""
+    out = np.empty(succ.size, dtype=bool)
+    for lo in range(0, succ.size, _CHUNK_EDGES):
+        part = slice(lo, lo + _CHUNK_EDGES)
+        op(values.take(succ.dst[part]), other[part], out=out[part])
+    return out
+
+
 def _strong_components(graph: SuccessorGraph) -> tuple[int, np.ndarray]:
     """(number of SCCs, SCC label of every node) of a CSR graph."""
-    ncomp, labels = connected_components(graph.adjacency, directed=True, connection="strong")
+    ncomp, labels = _sparse().csgraph.connected_components(graph.adjacency, directed=True, connection="strong")
     return int(ncomp), labels
 
 
@@ -359,7 +390,7 @@ def _path(graph: SuccessorGraph, start: int, goal: np.ndarray) -> tuple[list, in
     a goal is the first node in that order, reached with no search."""
     if goal[start]:
         return [], start
-    order, parent = breadth_first_order(graph.adjacency, start, return_predecessors=True)
+    order, parent = _sparse().csgraph.breadth_first_order(graph.adjacency, start, return_predecessors=True)
     v = reached = int(order[np.argmax(goal[order])])
     assert goal[v], "no path to the goal; SCC invariant violated"
     path = []
@@ -394,10 +425,7 @@ def _oscillating_components(succ: SuccessorGraph, components, cover: int):
     osc = np.bincount(labels, minlength=ncomp) > 1
     internal = row_labels = None
     if cover and osc.any():
-        src, internal = succ.by_source(labels), np.empty(succ.size, dtype=bool)
-        for lo in range(0, succ.size, _CHUNK_EDGES):  # take copies its int32 indices as intp
-            part = slice(lo, lo + _CHUNK_EDGES)
-            np.equal(labels.take(succ.dst[part]), src[part], out=internal[part])
+        internal = _at_heads(np.equal, labels, succ, succ.by_source(labels))
         row_labels = np.bitwise_or.reduceat(succ.label * internal, succ.indptr[:-1])
         covered = np.zeros(ncomp, dtype=succ.label.dtype)
         np.bitwise_or.at(covered, labels, row_labels)
@@ -457,7 +485,7 @@ def stable_states(system, budget: int | None = None) -> frozenset:
 def spectrum(system, state, budget: int | None = None) -> frozenset:
     """Stable states reachable from the given state in the transition graph."""
     graph = _compiled(system, budget)
-    reached = breadth_first_order(graph.succ.adjacency, graph.index(state), return_predecessors=False)
+    reached = _sparse().csgraph.breadth_first_order(graph.succ.adjacency, graph.index(state), return_predecessors=False)
     return frozenset(graph.node(int(i)) for i in reached[graph.fixed[reached]])
 
 
@@ -522,11 +550,11 @@ def committed_map(system, budget: int | None = None) -> dict:
     graph = _compiled(system, budget)
     succ = graph.succ
     osc = _oscillating_components(succ, graph.components, (1 << graph.n) - 1)[0]
-    reverse = succ.adjacency.T.tocsr()
+    reverse, dijkstra = succ.adjacency.T.tocsr(), _sparse().csgraph.dijkstra
     stable = np.flatnonzero(graph.fixed)
     nearest = dijkstra(reverse, indices=stable, unweighted=True, min_only=True, return_predecessors=True)[2]
     seeds = osc[graph.components[1]]
-    seeds |= np.logical_or.reduceat(succ.by_source(nearest) != nearest[succ.dst], succ.indptr[:-1])
+    seeds |= np.logical_or.reduceat(_at_heads(np.not_equal, nearest, succ, succ.by_source(nearest)), succ.indptr[:-1])
     uncommitted = np.isfinite(dijkstra(reverse, indices=np.flatnonzero(seeds), unweighted=True, min_only=True))
     return {graph.node(i): None if uncommitted[i] else graph.node(int(nearest[i])) for i in range(succ.rows)}
 
@@ -570,7 +598,7 @@ def _oscillating_edges(graph: TransitionGraph) -> SuccessorGraph | None:
     osc, internal = _oscillating_components(succ, graph.components, (1 << graph.n) - 1)[:2]
     if not osc.any():
         return None
-    keep = internal & osc[labels][succ.dst]
+    keep = _at_heads(np.logical_and, osc[labels], succ, internal)
     keep[succ.indptr[1:] - 1] = True
     indptr = np.append(0, np.cumsum(keep)[succ.indptr[1:] - 1]).astype(np.int32)
     return SuccessorGraph(indptr, succ.dst[keep], succ.label[keep])

@@ -18,6 +18,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csgraph
 
 from asyncdyn import analyze
 from asyncdyn.analyze import (
@@ -449,7 +450,7 @@ class TestDecideConvergence:
 def search_every_leg(graph, start, goal):
     """``analyze._path`` as it was before a leg that starts at its goal
     skipped its search: every leg runs one breadth-first search."""
-    order, parent = analyze.breadth_first_order(graph.adjacency, start, return_predecessors=True)
+    order, parent = csgraph.breadth_first_order(graph.adjacency, start, return_predecessors=True)
     v = reached = int(order[np.argmax(goal[order])])
     path = []
     while v != start:
@@ -476,13 +477,13 @@ class TestWitnessWalk:
     found without a search; the witnesses are those of a search per leg."""
 
     def test_a_leg_that_starts_at_its_goal_runs_no_search(self, monkeypatch, fig1):
-        calls, search = [], analyze.breadth_first_order
+        calls, search = [], csgraph.breadth_first_order
 
         def counted(graph, start, **kw):
             calls.append(start)
             return search(graph, start, **kw)
 
-        monkeypatch.setattr(analyze, "breadth_first_order", counted)
+        monkeypatch.setattr(csgraph, "breadth_first_order", counted)
         succ = transition_graph(fig1).succ
         goal = np.arange(succ.rows) == fig1.space.encode((1, 0))
         assert analyze._path(succ, 2, goal) == ([], 2) and calls == []
@@ -730,8 +731,10 @@ class TestSparseGraphAgainstOracles:
     @system_cases
     @settings(max_examples=60, deadline=None)
     def test_committed_map_and_spectrum_match_oracles(self, kind, seed):
+        """The edge gathers run in chunks of 3 edges, so most graphs take several."""
         system = random_system(kind, random.Random(seed), max_actions=2)
-        cmap = committed_map(system)
+        with mock.patch.object(analyze, "_CHUNK_EDGES", 3):
+            cmap = committed_map(system)
         for state in naive_dynamics(system)[0]:
             assert cmap[state] == oracle_committed(system, state)
             assert spectrum(system, state) == naive_spectrum(system, state)
@@ -903,9 +906,11 @@ def assert_scan_matches_oracle(succ, cover, changing):
     ``changing`` edges (one bool per edge) where the scan reads only the
     component sizes; and the internal edges and each row's OR of internal
     labels, computed only while ``cover`` is set and some component has an
-    internal changing edge, against plain lists over the edge list."""
+    internal changing edge, against plain lists over the edge list.  The edge
+    gathers run in chunks of 3 edges, so most graphs take several."""
     components = _strong_components(succ)
-    osc, internal, row_labels = _oscillating_components(succ, components, cover)
+    with mock.patch.object(analyze, "_CHUNK_EDGES", 3):
+        osc, internal, row_labels = _oscillating_components(succ, components, cover)
     assert osc.tolist() == oracle_oscillating_components(succ, components, cover, changing)
     if not cover or not any(oracle_oscillating_components(succ, components, 0, changing)):
         assert internal is None and row_labels is None
@@ -979,7 +984,8 @@ class TestOscillationScan:
             for (u, v), s, e in zip(plain_edges(succ), succ.label.tolist(), range(succ.size))
             if e == indptr[u + 1] - 1 or (labels[u] == labels[v] and oscillating[labels[u]])
         ]
-        sub = _oscillating_edges(graph)
+        with mock.patch.object(analyze, "_CHUNK_EDGES", 3):  # several chunks of edges
+            sub = _oscillating_edges(graph)
         assert sub.rows == succ.rows
         assert [(u, v, s) for (u, v), s in zip(plain_edges(sub), sub.label.tolist())] == kept
         assert np.diff(sub.indptr).min() >= 1
@@ -1009,15 +1015,30 @@ class TestOscillationScan:
         assert peak <= 12 * graph.succ.size
 
 
-@functools.cache
-def large_majority():
-    """The majority system of a G(12, 0.6) graph (perfbench's generator,
-    seed 1): 4096 states and 877,055 distinct transitions."""
-    rng, users = random.Random(1), 12
+def random_majority(rng, users):
+    """The majority system of a G(users, 0.6) graph drawn as perfbench draws
+    it: graphs are drawn until every user has a friend."""
     while True:
         edges = [(u, v) for u in range(1, users + 1) for v in range(u + 1, users + 1) if rng.random() < 0.6]
         if {x for e in edges for x in e} == set(range(1, users + 1)):
             return build_majority(SocialGraph(users, tuple(edges)))
+
+
+@functools.cache
+def large_majority():
+    """The majority system of a G(12, 0.6) graph (perfbench's generator,
+    seed 1): 4096 states and 877,055 distinct transitions."""
+    return random_majority(random.Random(1), 12)
+
+
+@functools.cache
+def cli_majorities():
+    """The ten G(9, 0.6) majority systems of perfbench's majority-cli
+    workload at seed 1 (512 states, about 30,000 distinct transitions each),
+    drawn after its 8-user warm-up graph."""
+    rng = random.Random(1)
+    random_majority(rng, 8)
+    return [random_majority(rng, 9) for _ in range(10)]
 
 
 # ---------------------------------------------------------------------------
@@ -1087,8 +1108,9 @@ class TestSuccessorBuild:
 
     def test_peak_bytes_per_edge_of_the_build(self):
         """``dst`` and ``label`` take 8 bytes per edge; the chunks keep every
-        temporary of the build within 2 more.  In one chunk of 2^20 edges
-        the same build peaks at about 29.6 bytes per edge."""
+        temporary of the build within 2 more.  The build peaks at about 8.64
+        bytes per edge, 9.42 in chunks of 2^15 edges and 28.4 in one chunk
+        of 2^20."""
         system = large_majority()
         system.reaction_rows()
         tracemalloc.start()
@@ -1099,6 +1121,30 @@ class TestSuccessorBuild:
             tracemalloc.stop()
         assert succ.size == 877_055
         assert peak <= 10 * succ.size
+
+    def test_transient_bytes_on_the_cli_majority_graphs(self):
+        """On each majority-cli graph the build holds at most 320 KiB beyond
+        the graph, and ``decide_convergence`` with the SCCs cached at most
+        384 KiB: no chunk temporary exceeds 64 KiB.  In chunks of 2^15 edges
+        they peaked at 580-671 and 464-550 KiB."""
+        for system in cli_majorities():
+            system.reaction_rows()
+            tracemalloc.start()
+            try:
+                succ = successor_matrix(system)
+                build = tracemalloc.get_traced_memory()[1] - succ.nbytes
+            finally:
+                tracemalloc.stop()
+            graph = analyze.TransitionGraph(system, succ)
+            graph.components
+            tracemalloc.start()
+            try:
+                verdict = decide_convergence(graph)
+                decide = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert isinstance(verdict, NonConvergent)
+            assert build <= 320 << 10 and decide <= 384 << 10, (succ.size, build, decide)
 
     def test_the_searches_copy_no_edge_array(self):
         """The scipy matrix wraps ``dst`` and ``indptr`` and weighs every edge

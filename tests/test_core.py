@@ -195,6 +195,15 @@ def two_state_machines(rng, count):
     ]
 
 
+def run_fresh(code: str):
+    """The JSON that ``code`` prints, run in a fresh interpreter that imports
+    this checkout of the package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(asyncdyn.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
 class TestShapeStore:
     def test_importing_the_package_keeps_nothing(self):
         """No import-time work: a fresh interpreter that imports every module
@@ -213,16 +222,57 @@ class TestShapeStore:
                             sizes[f"{f.__module__}.{f.__qualname__}"] = f.cache_info().currsize
             print(json.dumps([len(asyncdyn.core._KEPT), sizes]))
         """
-        env = dict(os.environ, PYTHONPATH=str(Path(asyncdyn.__file__).parents[1]))
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 0, done.stderr
-        kept, sizes = json.loads(done.stdout)
+        kept, sizes = run_fresh(code)
         assert kept == 0
         assert {
-            "asyncdyn.core.window_space", "asyncdyn.analyze._ruler", "asyncdyn.reductions._tm_space",
-            "asyncdyn.cli.build_parser", "asyncdyn.reductions.longest_snake", "asyncdyn.reductions.disjointness_snake",
+            "asyncdyn.core.window_space", "asyncdyn.analyze._ruler", "asyncdyn.analyze._sparse",
+            "asyncdyn.reductions._tm_space", "asyncdyn.cli.build_parser", "asyncdyn.reductions.longest_snake",
+            "asyncdyn.reductions.disjointness_snake",
         } <= set(sizes)
         assert set(sizes.values()) == {0}, sizes
+
+    def test_scipy_is_imported_by_the_first_graph_search(self, tmp_path):
+        """The package imports scipy on its first graph search, not with
+        itself: the games and uncoupled layers, ``simulate.run`` and the CLI
+        commands that search no graph leave it unimported, and
+        ``decide_convergence`` imports it."""
+        game = {"sizes": [2, 3], "utilities": [[1, 0, 0, 0, 1, 0], [1, 0, 0, 0, 1, 0]]}
+        requests = {
+            "pne": {"version": 1, "game": game},
+            "uncoupled-check": {
+                "version": 1, "game": game, "analysis": {"kind": "uncoupled-check", "protocol": "three-recall"},
+            },
+            "build": {"version": 1, "system": {"kind": "majority", "users": 3, "edges": [[1, 2], [2, 3]]}},
+            "export-dot": {"version": 1, "system": {"kind": "fixture", "name": "fig1"}},
+            "simulate": {
+                "version": 1, "system": {"kind": "fixture", "name": "fig1"},
+                "simulation": {"initial": [0, 1], "schedule": {"kind": "periodic", "cycle": [[1], [2]]}},
+            },
+        }
+        paths = {}
+        for command, doc in requests.items():
+            paths[command] = str(tmp_path / f"{command}.json")
+            Path(paths[command]).write_text(json.dumps(doc))
+        code = f"""if True:
+            import io, json, sys
+            import asyncdyn, asyncdyn.cli
+            from asyncdyn import analyze, cli, games, reductions, simulate, uncoupled
+            from asyncdyn.core import ActionSpace, Periodic
+            paths, loaded = {list(paths.items())!r}, ["scipy" in sys.modules]
+            game = games.Game(ActionSpace({game["sizes"]!r}), {game["utilities"]!r})
+            uncoupled.check_self_stabilization("three-recall", game)
+            uncoupled.check_self_stabilization_randomized(game)
+            games.enumerate_pne(game)
+            system = reductions.fixture("fig1")
+            simulate.run(system, (0, 1), Periodic(({{1}}, {{2}})), max_steps=50)
+            loaded.append("scipy" in sys.modules)
+            codes = [cli.run_command([command, "--scenario", path], out=io.StringIO()) for command, path in paths]
+            loaded.append("scipy" in sys.modules)
+            analyze.decide_convergence(system)
+            loaded.append("scipy" in sys.modules)
+            print(json.dumps([codes, loaded]))
+        """
+        assert run_fresh(code) == [[0, 0, 0, 0, 0], [False, False, False, True]]
 
     def test_a_bound_of_zero_keeps_nothing_and_changes_no_answer(self, monkeypatch):
         """With ``KEPT_BYTES`` at 0 every per-shape array is built for its
