@@ -33,8 +33,14 @@ several questions builds the graph and its SCCs once.  The graph is one
 int32 CSR, and every search is a scipy.sparse.csgraph call on the one scipy
 matrix that wraps it: the SCCs, the spectrum (one breadth-first search), each
 leg of a witness walk (a breadth-first search to the first goal node) and the
-commitment map (two multi-source searches on the reversed graph).  scipy is
-imported on the first search (``_sparse``): building a graph, and every
+commitment map (two multi-source searches on the reversed graph).  That
+matrix is a ``_checked_csr``, not scipy's constructor, whose pure-Python
+checks cost more than the SCC pass of a small graph.  The builders guarantee
+the CSR invariants (see ``SuccessorGraph``); the wrapper checks the O(1)
+ones and trusts the O(edges) ones.  It is verified on scipy 1.17.1, and
+pyproject.toml admits scipy >= 1.10, so the tests that compare it with
+scipy's own matrix on every kind of graph built here are its guard.  scipy
+is imported on the first search (``_sparse``): building a graph, and every
 caller that searches none, needs numpy alone.  The r-counter product is built
 on the oscillating components' own edges, and its witness starts on its cycle
 with no detours (see ``decide_r_convergence``).
@@ -88,6 +94,48 @@ def _sparse():
     return scipy.sparse
 
 
+@cache
+def _checked_csr() -> type:
+    """The csr_matrix subclass that ``SuccessorGraph.adjacency`` returns,
+    made on the first search.  scipy's own constructor spends 20-28 µs a
+    matrix on pure-Python checks (index dtypes, shape, ``check_format``,
+    ``prune``), more than the SCC pass of a TM-sweep graph; this one takes
+    about 2 µs.  It makes only the O(1) checks of scipy's
+    ``check_format(full_check=False)``, raises ValueError on a failure, and
+    sets the five attributes scipy's constructor sets, sharing ``indptr`` and
+    ``dst``.  Verified on scipy 1.17.1 by the tests that compare it with
+    scipy's own matrix.
+    """
+    csr_matrix = _sparse().csr_matrix
+    maxprint = csr_matrix((0, 0)).maxprint
+    # float64 data is what scipy works on: other types are converted by a copy
+    # that also sorts and deduplicates.  Every weight is the one read-only 1.0
+    # of _ONE (stride 0), so they take no memory, and a slice of this view
+    # costs about a fifth of a new one.
+    ones = np.ndarray(_INDEX_MAX, np.float64, _ONE, strides=(0,))
+
+    class CheckedCSR(csr_matrix):
+        def __init__(self, graph, *args, **kwargs):
+            if not isinstance(graph, SuccessorGraph):
+                # scipy's own methods build some results (a copy, a row) through type(self)
+                super().__init__(graph, *args, **kwargs)
+                return
+            indptr, dst = graph.indptr, graph.dst
+            if not (indptr.dtype == dst.dtype == np.int32 and indptr.ndim == dst.ndim == 1 and indptr.size):
+                raise ValueError(f"a sparse graph needs 1-D int32 indptr and dst, got {indptr.dtype} {indptr.shape} "
+                                 f"and {dst.dtype} {dst.shape}")
+            if indptr[0] != 0 or indptr[-1] != dst.size:
+                raise ValueError(f"indptr runs from {indptr[0]} to {indptr[-1]}, not from 0 to the {dst.size} edges")
+            rows = indptr.size - 1
+            self._shape = (rows, rows)
+            self.maxprint = maxprint
+            self.indices = dst
+            self.indptr = indptr
+            self.data = ones[: dst.size]
+
+    return CheckedCSR
+
+
 def subset_to_nodes(s: int, n: int) -> ActivationSet:
     return frozenset(i + 1 for i in range(n) if (s >> i) & 1)
 
@@ -113,6 +161,12 @@ class SuccessorGraph:
     leads from u to ``dst[e]`` under the activation set ``label[e]`` (a
     bitmask, bit i-1 = node i).  The arrays are int32, scipy's index type, so
     ``adjacency`` wraps ``indptr`` and ``dst`` without copying them.
+
+    Every builder (``_successor_blocks``, ``_oscillating_edges`` and
+    ``_counter_product``) guarantees the CSR invariants: three 1-D int32
+    arrays, ``indptr`` non-decreasing from 0 to the edge count, and every
+    ``dst`` a node, in 0..rows-1.  ``adjacency`` checks the O(1) ones before
+    a search reads the graph and trusts the rest.
     """
 
     indptr: np.ndarray
@@ -138,13 +192,11 @@ class SuccessorGraph:
 
     @cached_property
     def adjacency(self) -> sparse.csr_matrix:
-        """The graph as the one scipy matrix every search reads."""
-        # float64 data is what scipy works on: other types are converted by a copy
-        # that also sorts and deduplicates, though each row's targets are distinct.
-        # Every weight is the one read-only 1.0 of _ONE (stride 0), so they take
-        # no memory.
-        data = np.ndarray(self.size, np.float64, _ONE, strides=(0,))
-        return _sparse().csr_matrix((data, self.dst, self.indptr), shape=(self.rows, self.rows))
+        """The graph as the one scipy matrix every search reads: a
+        ``_checked_csr`` that shares ``indptr`` and ``dst``, weighs every
+        edge 1.0, and raises ValueError before any search reads it unless
+        both arrays are 1-D int32 and ``indptr`` runs from 0 to the edge count."""
+        return _checked_csr()(self)
 
 
 @dataclass(frozen=True, eq=False)

@@ -222,9 +222,7 @@ def parse_scenario(text: str) -> dict:
         for i, row in enumerate(table):
             if len(row) != len(sizes):
                 raise SchemaError("system.table", f"row {i} must list {len(sizes)} actions")
-            for j, (a, k) in enumerate(zip(row, sizes)):
-                if a >= k:
-                    raise SchemaError(f"system.table[{i}][{j}]", f"expected an integer action in [0, {k})")
+            _check_state(sizes, row, f"system.table[{i}]")
     if game is not None and "sizes" in game:
         count = math.prod(game["sizes"])
         _expect(len(game["utilities"]) == len(game["sizes"]), "game.utilities", "expected one table per node")
@@ -233,6 +231,21 @@ def parse_scenario(text: str) -> dict:
     if simulation is not None and simulation["schedule"]["kind"] == "periodic":
         _expect(len(simulation["schedule"]["cycle"]) > 0, "simulation.schedule.cycle", "cycle must be nonempty")
     return raw
+
+
+def _check_state(sizes, state: list, path: str) -> None:
+    """SchemaError at ``state`` (or at the state of a window, oldest first)
+    if it does not list one action per node, or at its first action beyond
+    its node's range; the schema has checked that each is an integer >= 0."""
+    if state and isinstance(state[0], list):
+        for i, row in enumerate(state):
+            _check_state(sizes, row, f"{path}[{i}]")
+        return
+    if len(state) != len(sizes):
+        raise SchemaError(path, f"expected {len(sizes)} actions, one per node")
+    for j, (a, k) in enumerate(zip(state, sizes)):
+        if a >= k:
+            raise SchemaError(f"{path}[{j}]", f"expected an integer action in [0, {k})")
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +460,8 @@ def _cmd_analyze(doc: dict, args, result: dict) -> int:
         raise SchemaError("analysis.kind", f"use the {kind} command for {kind!r} requests")
     budget = args.budget
     system = _dynamics(doc, budget)
+    if kind == "spectrum":
+        _check_state(system.space.sizes, doc["analysis"]["state"], "analysis.state")
     t0 = time.perf_counter()
     graph = analyze.transition_graph(system, budget)
     stable = sorted(analyze.stable_states(graph))
@@ -485,6 +500,7 @@ def _cmd_simulate(doc: dict, args, result: dict) -> int:
         raise SchemaError("simulation", "the simulate command needs a simulation request")
     system = _dynamics(doc, args.budget)
     spec = doc["simulation"]
+    _check_state(system.space.sizes, spec["initial"], "simulation.initial")
     # --seed first, then the schedule's own seed, then the request's
     seed = next((s for s in (args.seed, spec["schedule"].get("seed"), spec.get("seed")) if s is not None), None)
     schedule = _schedule_from_spec(spec["schedule"], seed)

@@ -1158,3 +1158,100 @@ class TestSuccessorBuild:
         finally:
             tracemalloc.stop()
         assert peak <= graph.succ.size
+
+
+# ---------------------------------------------------------------------------
+# The checked scipy matrix: what scipy's constructor builds, without its checks
+# ---------------------------------------------------------------------------
+
+
+def scipy_matrix(succ):
+    """The matrix scipy's own constructor makes of the graph's arrays."""
+    return analyze._sparse().csr_matrix((np.ones(succ.size), succ.dst, succ.indptr), shape=(succ.rows, succ.rows))
+
+
+def assert_same_csr(ours, theirs):
+    assert ours.shape == theirs.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(ours, name), getattr(theirs, name)
+        assert (a.dtype, a.shape, a.tolist()) == (b.dtype, b.shape, b.tolist()), name
+
+
+def assert_wraps_like_scipy(succ):
+    """``adjacency`` shares ``indptr`` and ``dst``, holds what scipy's own
+    constructor holds, and scipy's searches read the two alike: the SCCs,
+    breadth-first orders with their predecessors, and the transpose."""
+    ours, theirs = succ.adjacency, scipy_matrix(succ)
+    assert isinstance(ours, analyze._sparse().csr_matrix)
+    assert ours.indptr is succ.indptr and ours.indices is succ.dst
+    assert vars(ours).keys() == vars(theirs).keys()
+    assert ours.maxprint == theirs.maxprint
+    assert_same_csr(ours, theirs)
+    strong = [csgraph.connected_components(m, directed=True, connection="strong") for m in (ours, theirs)]
+    assert strong[0][0] == strong[1][0] and strong[0][1].tolist() == strong[1][1].tolist()
+    for start in sorted({0, succ.rows // 2, succ.rows - 1}) if succ.rows else []:
+        (order, parent), (order2, parent2) = (
+            csgraph.breadth_first_order(m, start, return_predecessors=True) for m in (ours, theirs)
+        )
+        assert (order.tolist(), parent.tolist()) == (order2.tolist(), parent2.tolist())
+    assert_same_csr(ours.T.tocsr(), theirs.T.tocsr())
+
+
+class TestCheckedMatrix:
+    """``SuccessorGraph.adjacency`` skips scipy's per-matrix checks, so these
+    tests guard it against a scipy whose matrices differ: they compare it
+    with scipy's own constructor on every kind of graph the package builds."""
+
+    @given(st.sampled_from(SCAN_KINDS), st.integers(min_value=0, max_value=10 ** 6))
+    @settings(max_examples=80, deadline=None)
+    def test_system_graphs_and_family_blocks(self, kind, seed):
+        assert_wraps_like_scipy(scan_graph(kind, seed)[0])
+
+    @pytest.mark.parametrize("kind, n, r", PRODUCT_CASES[::3], ids=str)
+    def test_oscillating_edges_and_counter_products(self, kind, n, r):
+        system = fixture("ring", n=n) if kind == "ring" else build_snake_system(n)
+        edges = _oscillating_edges(transition_graph(system))
+        assert_wraps_like_scipy(edges)
+        assert_wraps_like_scipy(_counter_product(edges, n, r, None)[0])
+
+    def test_benchmark_sized_graphs_and_the_empty_block(self):
+        """A TM-sweep machine, a majority-cli graph, and the CSR of an
+        empty family."""
+        tm = TMDescription(
+            states=("q0", "q1", "h"), halting=frozenset({"h"}), n_symbols=2, tape_cells=2,
+            delta={("q0", 0): ("q1", 1, 1), ("q0", 1): ("q0", 0, -1), ("q1", 0): ("q0", 1, -1), ("q1", 1): ("h", 1, 0)},
+        )
+        assert_wraps_like_scipy(successor_matrix(build_tm(tm)))
+        assert_wraps_like_scipy(successor_matrix(cli_majorities()[0]))
+        space = ActionSpace((2, 3))
+        assert_wraps_like_scipy(_successor_blocks(space, np.zeros((0, 2), dtype=np.int64), space.num_states, None))
+
+    def test_scipy_builds_its_results_through_the_subclass(self):
+        """A copy and a row are made by scipy's constructor through
+        ``type(self)``; they equal scipy's own."""
+        succ = successor_matrix(fixture("ring", n=4))
+        ours, theirs = succ.adjacency, scipy_matrix(succ)
+        assert_same_csr(ours.copy(), theirs.copy())
+        assert_same_csr(ours[3], theirs[3])
+
+    @pytest.mark.parametrize(
+        "indptr, dst",
+        [
+            ([0, 1, 2], np.array([1, 0], dtype=np.int64)),
+            (np.array([0, 1, 2], dtype=np.int64), [1, 0]),
+            ([1, 1, 2], [1, 0]),
+            ([0, 1, 1], [1, 0]),
+            ([0, 1, 3], [1, 0]),
+            ([], []),
+            ([[0, 1, 2]], [1, 0]),
+        ],
+        ids=["int64-dst", "int64-indptr", "indptr-from-1", "short-of-the-edges", "past-the-edges", "no-indptr", "2-D"],
+    )
+    def test_malformed_graphs_raise_before_a_search(self, indptr, dst):
+        """Lists stand for int32 arrays."""
+        indptr, dst = (a if isinstance(a, np.ndarray) else np.array(a, dtype=np.int32) for a in (indptr, dst))
+        succ = analyze.SuccessorGraph(indptr, dst, np.zeros(dst.size, dtype=np.int32))
+        with mock.patch.object(csgraph, "connected_components") as search:
+            with pytest.raises(ValueError):
+                _strong_components(succ)
+        search.assert_not_called()

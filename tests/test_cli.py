@@ -72,6 +72,7 @@ FIG1_ANALYZE = {
     "system": {"kind": "fixture", "name": "fig1"},
     "analysis": {"kind": "convergence"},
 }
+RING4 = {"kind": "fixture", "name": "ring", "params": {"n": 4}}
 
 
 class TestParseScenario:
@@ -850,6 +851,15 @@ class TestMalformedInputExit2:
             ("simulate", {"schedule": {"kind": "periodic", "cycle": [[True]]}}, "simulation.schedule.cycle[0][0]"),
             ("simulate", {"initial": [True, 1], "schedule": {"kind": "synchronous"}}, "simulation.initial[0]"),
             ("simulate", {"schedule": {"kind": "random", "p": True, "seed": 1}}, "simulation.schedule.p"),
+            # states checked against the system (ring n=4, fig1), before the analysis or the run
+            ("analyze", {"system": RING4, "analysis": {"kind": "spectrum", "state": [0, 0, 0]}}, "analysis.state"),
+            ("analyze", {"system": RING4, "analysis": {"kind": "spectrum", "state": [0, 0, 5, 0]}}, "analysis.state[2]"),
+            ("simulate", {"initial": [0, 0, 0], "schedule": {"kind": "synchronous"}}, "simulation.initial"),
+            (
+                "simulate",
+                {"initial": [[0, 1], [0, 5]], "schedule": {"kind": "synchronous"}},
+                "simulation.initial[1][1]",
+            ),
             # a fixture's params follow its name; the snake gadgets take n = 5..7
             ("analyze", {"system": {"kind": "fixture", "name": "fig1", "params": {"n": 3}}}, "system.params.n"),
             ("analyze", {"system": {"kind": "fixture", "name": "nope"}}, "system.name"),
@@ -870,13 +880,16 @@ class TestMalformedInputExit2:
             "fixture-n-float", "fixture-unknown-param", "majority-edge-bool", "tm-read-bool", "tm-write-bool",
             "tm-move-bool", "circuit-input-bool", "circuit-table-float", "bgp-edge-bool", "disjointness-B-float",
             "version-bool", "spectrum-state-bool", "periodic-bool", "simulation-initial-bool", "random-p-bool",
+            "spectrum-state-length", "spectrum-state-action", "simulation-initial-length",
+            "simulation-window-action",
             "fixture-n-not-taken", "unknown-system-fixture", "game-as-system", "ring-n-1", "futile-n-2",
             "system-as-game", "unknown-game-fixture", "snake-8", "disjointness-8",
         ],
     )
     def test_model_errors_name_their_block(self, tmp_path, command, source, field):
-        """Each case is refused by the schema at its field, before any
-        model is built."""
+        """Each case is refused at its field: by the schema before any model
+        is built, or, for a state that does not fit the system, before the
+        analysis or the run."""
         if command == "simulate":
             scenario = dict(FIG1_ANALYZE, simulation=dict({"initial": [0, 1]}, **source))
         else:

@@ -226,6 +226,7 @@ class TestShapeStore:
         assert kept == 0
         assert {
             "asyncdyn.core.window_space", "asyncdyn.analyze._ruler", "asyncdyn.analyze._sparse",
+            "asyncdyn.analyze._checked_csr",
             "asyncdyn.reductions._tm_space", "asyncdyn.cli.build_parser", "asyncdyn.reductions.longest_snake",
             "asyncdyn.reductions.disjointness_snake",
         } <= set(sizes)
